@@ -32,6 +32,13 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _require_str(doc: dict, key: str, where: str) -> str:
+    value = _require(doc, key, where)
+    if not isinstance(value, str):
+        raise MalformedInput(f"{where}: '{key}' must be a string")
+    return value
+
+
 def load_category(path: str) -> FinCategory:
     """Parse the category file format.
 
@@ -47,25 +54,34 @@ def load_category(path: str) -> FinCategory:
     if not isinstance(objects, list) or not all(isinstance(o, str) for o in objects):
         raise MalformedInput(f"{path}: 'objects' must be a list of strings")
     arrows_doc = _require(doc, "arrows", path)
+    if not isinstance(arrows_doc, list):
+        raise MalformedInput(f"{path}: 'arrows' must be a list")
     arrows = []
     for i, entry in enumerate(arrows_doc):
         where = f"{path}: arrows[{i}]"
         if not isinstance(entry, dict):
             raise MalformedInput(f"{where}: must be an object")
-        name = _require(entry, "name", where)
-        src = _require(entry, "src", where)
-        tgt = _require(entry, "tgt", where)
+        name = _require_str(entry, "name", where)
+        src = _require_str(entry, "src", where)
+        tgt = _require_str(entry, "tgt", where)
         arrows.append(Arrow(name, src, tgt))
     identities = _require(doc, "identities", path)
     if not isinstance(identities, dict):
         raise MalformedInput(f"{path}: 'identities' must map objects to arrow names")
+    for obj, name in identities.items():
+        if not isinstance(name, str):
+            raise MalformedInput(f"{path}: identities[{obj!r}]: must be a string")
     compose_doc = _require(doc, "compose", path)
+    if not isinstance(compose_doc, list):
+        raise MalformedInput(f"{path}: 'compose' must be a list")
     compose = {}
     for i, entry in enumerate(compose_doc):
         where = f"{path}: compose[{i}]"
         if not (isinstance(entry, list) and len(entry) == 3):
             raise MalformedInput(f"{where}: must be a triple [g, f, gf]")
         g, f, gf = entry
+        if not (isinstance(g, str) and isinstance(f, str) and isinstance(gf, str)):
+            raise MalformedInput(f"{where}: arrow names must be strings")
         if (g, f) in compose:
             raise MalformedInput(f"{where}: duplicate entry for pair ({g!r}, {f!r})")
         compose[(g, f)] = gf
@@ -103,6 +119,8 @@ def load_metric(path: str) -> MetricSpace:
                 if value == "inf":
                     out.append(math.inf)
                 elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                    if value != value:
+                        raise MalformedInput(f"{path}: distances[{i}][{j}]: NaN is not a distance")
                     out.append(float(value))
                 else:
                     raise MalformedInput(

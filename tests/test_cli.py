@@ -3,6 +3,8 @@ import io
 import json
 import os
 
+import pytest
+
 from mobiuskit.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -91,6 +93,43 @@ def test_schema_violation_exits_1(capfd):
         assert "compose[1]" in err and "duplicate" in err
     finally:
         os.remove(path)
+
+
+ONE_OBJECT = {
+    "objects": ["a"],
+    "arrows": [{"name": "1a", "src": "a", "tgt": "a"}],
+    "identities": {"a": "1a"},
+    "compose": [["1a", "1a", "1a"]],
+}
+
+
+@pytest.mark.parametrize(
+    "change, where",
+    [
+        ({"arrows": [{"name": ["x"], "src": "a", "tgt": "a"}]}, "arrows[0]: 'name' must be a string"),
+        ({"arrows": [{"name": "1a", "src": "a", "tgt": ["a"]}]}, "arrows[0]: 'tgt' must be a string"),
+        ({"identities": {"a": ["1a"]}}, "identities['a']: must be a string"),
+        ({"compose": [["1a", ["1a"], "1a"]]}, "compose[0]: arrow names must be strings"),
+        ({"compose": 5}, "'compose' must be a list"),
+        ({"arrows": 5}, "'arrows' must be a list"),
+    ],
+)
+def test_non_string_names_and_non_list_tables_exit_1(tmp_path, capfd, change, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**ONE_OBJECT, **change}))
+    code, out = run(["validate", "--category", str(path)])
+    err = capfd.readouterr().err
+    assert code == 1 and out == ""
+    assert where in err and "Traceback" not in err
+
+
+def test_nan_distance_exits_1(tmp_path, capfd):
+    path = tmp_path / "nan.json"
+    path.write_text('{"points": ["p", "q"], "distances": [[0, NaN], [1, 0]]}')
+    code, out = run(["magnitude", "--metric", str(path)])
+    err = capfd.readouterr().err
+    assert code == 1 and out == ""
+    assert "distances[0][1]: NaN is not a distance" in err
 
 
 def test_missing_compose_pair_exits_1(capfd):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mobiuskit.category import underlying_graph
+from mobiuskit.category import FinCategory, poset_to_category, product, underlying_graph
 from mobiuskit.corpus import (
     chain_category,
     cyclic_group_category,
@@ -13,6 +13,7 @@ from mobiuskit.corpus import (
     general_corpus,
     idempotent_monoid_category,
     random_poset_category,
+    random_poset_relation,
     rig_sampler,
     same_graph_composition_pairs,
     six_example_category,
@@ -174,6 +175,78 @@ def test_hall_oracle_agrees_with_linear_solve():
         solved = fine_mobius(cat, INT)
         counted = fine_mobius_hall(cat, INT)
         assert solved.equal(counted)
+
+
+def shuffled_random_poset(rng, n):
+    """Random poset whose objects are listed in a random order, so the
+    arrows out of an object are not sorted by a linear extension and the
+    block solve has to pivot off the diagonal."""
+    relation = random_poset_relation(rng, n)
+    elements = list(range(n))
+    rng.shuffle(elements)
+    return poset_to_category(elements, relation)
+
+
+def test_block_solve_matches_hall_oracle_at_scale():
+    rng = random.Random(61)
+    cats = [
+        product(chain_category(6), chain_category(6)),
+        divisor_poset_category(720),
+    ] + [shuffled_random_poset(rng, n) for n in (20, 25, 30)]
+    for cat in cats:
+        counted = fine_mobius_hall(cat, INT).values
+        for rig in (INT, RAT):
+            assert fine_mobius(cat, rig).values == counted
+
+
+def test_block_solve_obeys_product_rule():
+    chain6 = chain_category(6)
+    for rig in (RAT, INT):
+        mu = fine_mobius(chain6, rig)
+        mu_square = fine_mobius(product(chain6, chain6), rig)
+        assert mu_square.values == {
+            (f, g): rig.mul(mu.values[f], mu.values[g])
+            for f in chain6.arrow_names()
+            for g in chain6.arrow_names()
+        }
+
+
+def c2_objects_after_a_chain(*endos):
+    """Chain a < b, then one object per name in `endos`, each with the
+    identity 1x and an involution sx (sx o sx = 1x).  Arrows are listed in
+    the order 1a, f, 1b, then the identities, then the involutions in
+    reverse order."""
+    arrows = [("1a", "a", "a"), ("f", "a", "b"), ("1b", "b", "b")]
+    arrows += [(f"1{o}", o, o) for o in endos] + [(f"s{o}", o, o) for o in reversed(endos)]
+    compose = {("1a", "1a"): "1a", ("f", "1a"): "f", ("1b", "f"): "f", ("1b", "1b"): "1b"}
+    for o in endos:
+        one, s = f"1{o}", f"s{o}"
+        compose.update({(one, one): one, (s, one): s, (one, s): s, (s, s): one})
+    identity = {"a": "1a", "b": "1b", **{o: f"1{o}" for o in endos}}
+    return FinCategory(("a", "b") + endos, arrows, identity, compose)
+
+
+def test_singular_block_reports_global_column():
+    # arrows 0..4 are 1a, f, 1b, 1t, st.  Under zeta both rows of the t
+    # block read w(1t) + w(st), so column 4 (st) equals column 3 (1t); the
+    # columns 0..3 are independent, so 4 is the first dependent column
+    cat = c2_objects_after_a_chain("t")
+    for rig in (RAT, INT):
+        with pytest.raises(NotInvertible, match=r"^singular convolution system: no pivot in column 4$") as err:
+            fine_mobius(cat, rig)
+        assert err.value.witness == ("column", 4)
+
+
+def test_first_dependent_column_wins_across_singular_blocks():
+    # arrows 0..6 are 1a, f, 1b, 1t, 1u, su, st.  Block t (columns 3, 6)
+    # starts first but fails at 6; block u (columns 4, 5) fails at 5, where
+    # su repeats the column of 1u.  Columns 0..4 are independent, so the
+    # first dependent column of the whole system is 5
+    cat = c2_objects_after_a_chain("t", "u")
+    for rig in (RAT, INT):
+        with pytest.raises(NotInvertible, match=r"^singular convolution system: no pivot in column 5$") as err:
+            fine_mobius(cat, rig)
+        assert err.value.witness == ("column", 5)
 
 
 def test_verify_inverse_examples():
