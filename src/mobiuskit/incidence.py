@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .category import FinCategory, endomorphism_report, is_skeletal, patch_objects
 from .errors import (
+    MalformedInput,
     NotAPoset,
     NotInvertible,
     NotNerveFinite,
@@ -166,7 +167,10 @@ def fine_invert(x: FineElement) -> FineElement:
     A singular system names the global index of the first arrow column
     that depends on earlier columns, which is where elimination over the
     whole system would stop.  Columns of different blocks share no rows,
-    so that is the smallest first failing column over all blocks.
+    so that is the smallest first failing column over all blocks.  A
+    composite that does not start where its first factor starts breaks
+    the block structure; it is MalformedInput, as validate_category would
+    report it as composite-endpoints.
     """
     rig = x.rig
     if rig.name not in ("rat", "int", "real"):
@@ -179,20 +183,22 @@ def fine_invert(x: FineElement) -> FineElement:
     # blocks[a] holds (index of f, sparse row of f) in global arrow order
     blocks: dict = {}
     for f_name, pairs in c.factorizations().items():
+        a = c.src(f_name)
         row: dict = {}
         for g, h in pairs:
+            if c.src(g) != a:
+                raise MalformedInput(
+                    f"compose({h!r}, {g!r}) = {f_name!r}: the composite starts at "
+                    f"{a!r}, not at the source {c.src(g)!r} of {g!r}"
+                )
             j = index[g]
             row[j] = row[j] + exact[h] if j in row else exact[h]
         row = {j: v for j, v in row.items() if v}
-        blocks.setdefault(c.src(f_name), []).append((index[f_name], row))
+        blocks.setdefault(a, []).append((index[f_name], row))
     found = {}
     failure = None
-    # blocks come in order of their first arrow, so none after a block that
-    # starts beyond the first failing column can fail earlier
     for block in blocks.values():
         columns = [i for i, _ in block]
-        if failure is not None and columns[0] > failure.witness[1]:
-            break
         rhs = [Fraction(1) if c.is_identity(names[i]) else Fraction(0) for i in columns]
         try:
             found.update(_solve_exact([row for _, row in block], rhs, columns))

@@ -132,6 +132,31 @@ def test_nan_distance_exits_1(tmp_path, capfd):
     assert "distances[0][1]: NaN is not a distance" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["mobius", "--algebra", "fine", "--category", "{path}"],
+        ["classify", "--category", "{path}"],
+        ["compare", "--category-a", "{path}", "--category-b", "{path}"],
+    ],
+)
+def test_composite_starting_elsewhere_exits_1(tmp_path, capfd, command):
+    # every composable pair is present, but 1b o 1b lands on 1a, an arrow
+    # out of another object, so the fine system is not block-diagonal
+    path = tmp_path / "cross.json"
+    path.write_text(json.dumps({
+        "objects": ["a", "b"],
+        "arrows": [{"name": "1a", "src": "a", "tgt": "a"}, {"name": "1b", "src": "b", "tgt": "b"}],
+        "identities": {"a": "1a", "b": "1b"},
+        "compose": [["1a", "1a", "1a"], ["1b", "1b", "1a"]],
+    }))
+    code, out = run([arg.format(path=path) for arg in command])
+    err = capfd.readouterr().err
+    assert code == 1 and out == ""
+    assert "compose('1b', '1b') = '1a': the composite starts at 'a'" in err
+    assert "Traceback" not in err
+
+
 def test_missing_compose_pair_exits_1(capfd):
     bad = {
         "objects": ["a"],
