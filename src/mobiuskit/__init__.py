@@ -72,7 +72,14 @@ from .incidence import (
     sigma_to_patch,
     verify_inverse,
 )
-from .infinite import PatchOracleCategory, builtin, classical_mobius, oracle_zeta, patchwise_mobius
+from .infinite import (
+    PatchOracleCategory,
+    builtin,
+    classical_mobius,
+    family_mobius,
+    oracle_zeta,
+    patchwise_mobius,
+)
 from .functoriality import (
     Adjunction,
     Span,

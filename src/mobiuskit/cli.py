@@ -43,7 +43,7 @@ from .incidence import (
     patch_zeta,
     sigma_to_coarse,
 )
-from .infinite import builtin, patchwise_mobius
+from .infinite import builtin, family_mobius
 from .rigs import INT, RAT, get_rig, render
 
 EXIT_OK = 0
@@ -51,6 +51,11 @@ EXIT_MALFORMED = 1
 EXIT_NEGATIVE = 2
 
 FIELD_OR_INT = ("rat", "int", "real")
+
+# a --family table is inverted and held whole, at a cost that grows faster
+# than the cube of the range; larger requests are refused before any hom-set
+# is counted
+MAX_FAMILY_INDICES = 500
 
 
 def name_str(x) -> str:
@@ -140,24 +145,25 @@ def cmd_mobius(args):
             raise MalformedInput("--family needs --from and --to")
         if args.end < args.start:
             raise MalformedInput("--to must be at least --from")
+        count = args.end - args.start + 1
+        if count > MAX_FAMILY_INDICES:
+            raise MalformedInput(
+                f"--family tables are limited to {MAX_FAMILY_INDICES} indices, "
+                f"--from {args.start} --to {args.end} asks for {count}"
+            )
         least = 1 if args.family == "divisibility" else 0
         if args.start < least:
             raise MalformedInput(f"family '{args.family}' indexes integers >= {least}")
-        family = builtin(args.family)
-        indices = list(range(args.start, args.end + 1))
         try:
-            rows = [
-                [render(rig, patchwise_mobius(family, m, n, rig)) for n in indices]
-                for m in indices
-            ]
+            mu = family_mobius(builtin(args.family), args.start, args.end, rig)
         except NotInvertible as e:
             results = {"family": args.family, "status": "not_invertible", "witness": str(e)}
             return _report("mobius", rig.name, results), EXIT_NEGATIVE
         results = {
             "family": args.family,
             "algebra": "patch",
-            "objects": [str(i) for i in indices],
-            "mobius": rows,
+            "objects": [str(i) for i in range(args.start, args.end + 1)],
+            "mobius": matrix_json(rig, mu),
         }
         return _report("mobius", rig.name, results), EXIT_OK
     if not args.category:

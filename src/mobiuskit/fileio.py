@@ -109,11 +109,18 @@ def load_metric(path: str) -> MetricSpace:
     if not isinstance(doc, dict):
         raise MalformedInput(f"{path}: top level must be an object")
     points = _require(doc, "points", path)
+    if not isinstance(points, list):
+        raise MalformedInput(f"{path}: 'points' must be a list")
     if "distances" in doc and "coords" in doc:
         raise MalformedInput(f"{path}: give 'distances' or 'coords', not both")
     if "distances" in doc:
+        distances = doc["distances"]
+        if not isinstance(distances, list) or len(distances) != len(points):
+            raise MalformedInput(f"{path}: 'distances' must be a list of {len(points)} rows, one per point")
         rows = []
-        for i, row in enumerate(doc["distances"]):
+        for i, row in enumerate(distances):
+            if not isinstance(row, list) or len(row) != len(points):
+                raise MalformedInput(f"{path}: distances[{i}]: must be a list of {len(points)} distances")
             out = []
             for j, value in enumerate(row):
                 if value == "inf":
@@ -132,8 +139,17 @@ def load_metric(path: str) -> MetricSpace:
         except MalformedInput as e:
             raise MalformedInput(f"{path}: {e}")
     if "coords" in doc:
+        coords = doc["coords"]
+        if not isinstance(coords, list):
+            raise MalformedInput(f"{path}: 'coords' must be a list of rows, one per point")
+        for i, row in enumerate(coords):
+            if not (isinstance(row, list) and len(row) == len(coords[0])):
+                raise MalformedInput(f"{path}: coords[{i}]: must be a list of numbers as long as coords[0]")
+            for j, value in enumerate(row):
+                if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+                    raise MalformedInput(f"{path}: coords[{i}][{j}]: expected a finite number")
         try:
-            return MetricSpace.from_coords(points, doc["coords"])
+            return MetricSpace.from_coords(points, coords)
         except MalformedInput as e:
             raise MalformedInput(f"{path}: {e}")
     raise MalformedInput(f"{path}: missing 'distances' or 'coords'")
@@ -145,16 +161,21 @@ def load_graph(path: str) -> DirectedGraph:
     if not isinstance(doc, dict):
         raise MalformedInput(f"{path}: top level must be an object")
     vertices = _require(doc, "vertices", path)
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise MalformedInput(f"{path}: 'vertices' must be a list of strings")
+    edges_doc = _require(doc, "edges", path)
+    if not isinstance(edges_doc, list):
+        raise MalformedInput(f"{path}: 'edges' must be a list")
     edges = []
-    for i, entry in enumerate(_require(doc, "edges", path)):
+    for i, entry in enumerate(edges_doc):
         where = f"{path}: edges[{i}]"
         if not isinstance(entry, dict):
             raise MalformedInput(f"{where}: must be an object")
         edges.append(
             Arrow(
-                _require(entry, "name", where),
-                _require(entry, "src", where),
-                _require(entry, "tgt", where),
+                _require_str(entry, "name", where),
+                _require_str(entry, "src", where),
+                _require_str(entry, "tgt", where),
             )
         )
     names = [e.name for e in edges]
@@ -200,6 +221,8 @@ def load_functor(path: str, source: FinCategory, target: FinCategory) -> Functor
     if not isinstance(arrow_map, dict):
         raise MalformedInput(f"{path}: 'arrows' must map arrow names to arrow names")
     for name, image in arrow_map.items():
+        if not isinstance(image, str):
+            raise MalformedInput(f"{path}: arrows[{name!r}]: image must be a string")
         if not source.has_arrow(name):
             raise MalformedInput(f"{path}: arrows: {name!r} is not an arrow of the source")
         if not target.has_arrow(image):
@@ -208,7 +231,12 @@ def load_functor(path: str, source: FinCategory, target: FinCategory) -> Functor
         if a.name not in arrow_map:
             raise MalformedInput(f"{path}: arrows: missing image for {a.name!r}")
     if "objects" in doc:
-        object_map = dict(doc["objects"])
+        object_map = doc["objects"]
+        if not isinstance(object_map, dict):
+            raise MalformedInput(f"{path}: 'objects' must map object names to object names")
+        for obj, image in object_map.items():
+            if not isinstance(image, str):
+                raise MalformedInput(f"{path}: objects[{obj!r}]: must be a string")
     else:
         object_map = {}
         for o in source.objects:

@@ -20,7 +20,7 @@ from .errors import (
     RigMismatch,
     UnsupportedRig,
 )
-from .matrixrig import RigMatrix, invert_counting_matrix
+from .matrixrig import RigMatrix, invert_counting_matrix, invert_on_support
 from .rigs import INT, Rig
 
 
@@ -415,14 +415,33 @@ def patch_multiply(x: PatchElement, y: PatchElement) -> PatchElement:
 
 
 def patch_mobius(c: FinCategory, rig: Rig) -> PatchElement:
-    """Mobius function assembled patchwise.
+    """Mobius function of the patch algebra.
 
-    Each supported pair (a,b) is answered inside the finite patch at
-    (a,b): invert the patch's hom-count matrix and read off the (a,b)
-    entry.  Locality makes the assembled element the inverse of zeta in
-    the patch algebra.
+    The value at a supported pair (a,b) is the (a,b) entry of the inverse
+    of the hom-count matrix of the finite patch at (a,b).  The patch
+    algebra exists so that this works one patch at a time, but a finite
+    category needs only one inversion: when the coarse zeta matrix has an
+    inverse mu that is zero wherever zeta is, then for u, v in patch(a,b)
+    every nonzero term mu(u,z) zeta(z,v) has maps a -> u -> z -> v -> b, so
+    z lies in the patch too.  mu restricted to the patch inverts the patch
+    zeta, and mu(a,b) is the patch answer.
+
+    When the coarse inverse does not exist, leaves the support, or is not
+    integral over 'int', each supported pair is inverted in its own patch
+    (_patch_mobius_per_pair); a failing patch raises NotInvertible naming
+    it.
     """
     support = coarse_support(c)
+    counts = [[len(c.hom(a, b)) for b in c.objects] for a in c.objects]
+    inverse = invert_on_support(counts, rig)
+    if inverse is None:
+        inverse = _patch_mobius_per_pair(c, rig, support)
+    return PatchElement(c.objects, rig, inverse, support, c)
+
+
+def _patch_mobius_per_pair(c: FinCategory, rig: Rig, support) -> RigMatrix:
+    """Each supported pair (a,b) answered inside the finite patch at (a,b):
+    invert the patch's hom-count matrix and read off the (a,b) entry."""
     idx = {o: i for i, o in enumerate(c.objects)}
     rows = [[rig.zero] * len(c.objects) for _ in c.objects]
     for (a, b) in sorted(support, key=repr):
@@ -436,7 +455,7 @@ def patch_mobius(c: FinCategory, rig: Rig) -> PatchElement:
                 witness=("patch", a, b),
             ) from e
         rows[idx[a]][idx[b]] = inverse.entry(objs.index(a), objs.index(b))
-    return PatchElement(c.objects, rig, RigMatrix.from_rows(rig, rows), support, c)
+    return RigMatrix.from_rows(rig, rows)
 
 
 # Euler characteristics

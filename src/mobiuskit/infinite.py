@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from .category import Arrow, FinCategory, poset_to_category
 from .errors import MalformedInput, NotInvertible, UnsupportedRig
-from .matrixrig import invert_counting_matrix
+from .matrixrig import RigMatrix, invert_counting_matrix, invert_on_support
 from .rigs import Rig
 
 
@@ -48,7 +48,12 @@ def patchwise_mobius(c: PatchOracleCategory, a, b, rig: Rig):
 
     When hom(a, b) is empty the value is zero (zero-pattern inheritance);
     otherwise the patch zeta matrix is inverted exactly and its (a, b)
-    entry returned.
+    entry returned.  The value depends on the patch alone: any index set
+    that holds the patch of every pair with a map, and whose inverse zeta
+    is zero where zeta is, gives the same (a, b) entry, because a nonzero
+    term mu(u,z) zeta(z,v) with u, v in the patch forces z into it.
+    family_mobius reads a whole table off one such inversion and calls
+    this function pair by pair only when that inversion does not apply.
     """
     if c.hom_count(a, b) == 0:
         return rig.zero
@@ -62,6 +67,41 @@ def patchwise_mobius(c: PatchOracleCategory, a, b, rig: Rig):
             witness=("patch", a, b),
         ) from e
     return inverse.entry(objs.index(a), objs.index(b))
+
+
+def family_mobius(c: PatchOracleCategory, start: int, end: int, rig: Rig) -> RigMatrix:
+    """Table of patchwise_mobius(c, m, n, rig) for m, n in start..end.
+
+    When the patch of every pair with a map lies inside start..end, one
+    inversion of the hom-count matrix on start..end gives the whole
+    table: if that inverse mu is zero wherever the counts are, then for
+    u, v in patch(m,n) every nonzero term mu(u,z) zeta(z,v) has maps
+    m -> u -> z -> v -> n, so z lies in the patch, mu restricted to the
+    patch inverts the patch zeta, and mu(m,n) is the patch answer.  All
+    four built-in families have their patches inside any interval.
+
+    When a patch leaves the interval, or the inverse does not exist,
+    leaves the support or is not integral over 'int', the table is filled
+    pair by pair with patchwise_mobius (_patchwise_table), whose first
+    failing patch raises NotInvertible.
+    """
+    indices = range(start, end + 1)
+    counts = [[c.hom_count(m, n) for n in indices] for m in indices]
+    inside = set(indices)
+    closed = all(
+        inside.issuperset(c.patch_objects(m, n))
+        for m, row in zip(indices, counts)
+        for n, count in zip(indices, row)
+        if count
+    )
+    inverse = invert_on_support(counts, rig) if closed else None
+    return inverse if inverse is not None else _patchwise_table(c, indices, rig)
+
+
+def _patchwise_table(c: PatchOracleCategory, indices, rig: Rig) -> RigMatrix:
+    return RigMatrix.from_rows(
+        rig, [[patchwise_mobius(c, m, n, rig) for n in indices] for m in indices]
+    )
 
 
 # built-in families

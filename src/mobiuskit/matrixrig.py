@@ -2,8 +2,9 @@
 
 Provides the subtraction-free determinant and adjugate halves (even/odd
 permutation sums), the transitive-matrix predicate, the two identities
-they satisfy, zero-pattern inheritance for inverses, and exact Gaussian
-elimination for rigs with division.
+they satisfy, zero-pattern inheritance for inverses, exact Gaussian
+elimination for rigs with division, and fraction-free inversion of integer
+count matrices.
 """
 
 from __future__ import annotations
@@ -362,11 +363,24 @@ def _bareiss_inverse(rows):
         if pivot_row != k:
             m[k], m[pivot_row] = m[pivot_row], m[k]
         pivot = m[k][k]
+        row_k = m[k]
+        if pivot == prev == 1:
+            # the update is row_i[j] -= factor * row_k[j]: rows with a zero
+            # factor and columns where the pivot row is zero stay as they are
+            nonzero = [j for j in range(width) if row_k[j] and j != k]
+            for i in range(n):
+                row_i = m[i]
+                factor = row_i[k]
+                if i == k or not factor:
+                    continue
+                for j in nonzero:
+                    row_i[j] -= factor * row_k[j]
+                row_i[k] = 0
+            continue
         for i in range(n):
             if i == k:
                 continue
             row_i = m[i]
-            row_k = m[k]
             factor = row_i[k]
             for j in range(width):
                 if j == k:
@@ -378,8 +392,8 @@ def _bareiss_inverse(rows):
                 row_i[j] = quotient
             row_i[k] = 0
         prev = pivot
-    d = m[0][0]
-    return d, [row[n:] for row in m]
+    # every diagonal entry is now the last pivot, the determinant (1 when n = 0)
+    return prev, [row[n:] for row in m]
 
 
 def invert_counting_matrix(rows, rig: Rig) -> RigMatrix:
@@ -421,3 +435,42 @@ def invert_counting_matrix(rows, rig: Rig) -> RigMatrix:
     if rig.name == "real":
         return RigMatrix.from_rows(rig, [[float(x) for x in row] for row in inverse.rows])
     raise UnsupportedRig(f"inversion of counting matrices unsupported over '{rig.name}'")
+
+
+def invert_on_support(counts, rig: Rig):
+    """Inverse of an integer count matrix that is zero wherever the counts are.
+
+    One Bareiss elimination over the whole matrix.  The support check runs
+    on the integer result, before any entry is converted, and zero entries
+    become rig.zero without a division.  This is the case of zero-pattern
+    inheritance (Leinster, Notions of Mobius inversion): when the index set
+    holds the patch of every pair with a nonzero count, the restriction of
+    the inverse to a patch inverts that patch's count matrix, so every
+    entry is the value a per-patch inversion would give.
+
+    Returns None when rig is not rat, int or real, when the matrix is
+    singular, when an entry is nonzero where the count is zero, or when an
+    entry is not an integer over 'int'.  Callers then fall back to
+    inverting patch by patch, which reports each of these cases with its
+    own message and witness.
+    """
+    if rig.name not in ("rat", "int", "real"):
+        return None
+    try:
+        d, scaled = _bareiss_inverse(counts)
+    except (NotInvertible, ArithmeticError):
+        return None
+    for count_row, row in zip(counts, scaled):
+        for count, x in zip(count_row, row):
+            if x and not count:
+                return None
+    if rig.name == "int":
+        if any(x % d for row in scaled for x in row):
+            return None
+        convert = lambda x: x // d
+    elif rig.name == "rat":
+        convert = lambda x: Fraction(x, d)
+    else:
+        convert = lambda x: float(Fraction(x, d))
+    zero = rig.zero
+    return RigMatrix.from_rows(rig, [[convert(x) if x else zero for x in row] for row in scaled])

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from mobiuskit import cli
 from mobiuskit.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -132,6 +133,62 @@ def test_nan_distance_exits_1(tmp_path, capfd):
     assert "distances[0][1]: NaN is not a distance" in err
 
 
+COLLAPSE = {"1a": "c_a_a", "1b": "c_b_b", "s": "c_a_b", "i": "c_b_a", "e": "c_a_a"}
+
+
+@pytest.mark.parametrize(
+    "command, document, where",
+    [
+        (["graded", "--graph", "{path}", "--degree", "2"],
+         {"vertices": ["v"], "edges": [{"name": ["e"], "src": "v", "tgt": "v"}]},
+         "edges[0]: 'name' must be a string"),
+        (["graded", "--graph", "{path}", "--degree", "2"],
+         {"vertices": ["v"], "edges": [{"name": "e", "src": ["v"], "tgt": "v"}]},
+         "edges[0]: 'src' must be a string"),
+        (["graded", "--graph", "{path}", "--degree", "2"],
+         {"vertices": [["v"]], "edges": []},
+         "'vertices' must be a list of strings"),
+        (["graded", "--graph", "{path}", "--degree", "2"],
+         {"vertices": ["v"], "edges": 5},
+         "'edges' must be a list"),
+        (["functor-check", "--src", data("six.json"), "--tgt", data("six_codiscrete.json"), "--map", "{path}"],
+         {"arrows": {**COLLAPSE, "1a": ["c_a_a"]}},
+         "arrows['1a']: image must be a string"),
+        (["functor-check", "--src", data("six.json"), "--tgt", data("six_codiscrete.json"), "--map", "{path}"],
+         {"arrows": COLLAPSE, "objects": {"a": ["a"], "b": "b"}},
+         "objects['a']: must be a string"),
+        (["functor-check", "--src", data("six.json"), "--tgt", data("six_codiscrete.json"), "--map", "{path}"],
+         {"arrows": COLLAPSE, "objects": [["a", "a"]]},
+         "'objects' must map object names to object names"),
+        (["magnitude", "--metric", "{path}"],
+         {"points": ["p"], "distances": 5},
+         "'distances' must be a list of 1 rows, one per point"),
+        (["magnitude", "--metric", "{path}"],
+         {"points": ["p", "q"], "distances": [[0, 1], 1]},
+         "distances[1]: must be a list of 2 distances"),
+        (["magnitude", "--metric", "{path}"],
+         {"points": ["p", "q"], "distances": [[0, 1], [1, 0, 2]]},
+         "distances[1]: must be a list of 2 distances"),
+        (["magnitude", "--metric", "{path}"],
+         {"points": 5, "distances": [[0]]},
+         "'points' must be a list"),
+        (["magnitude", "--metric", "{path}"],
+         {"points": ["p", "q"], "coords": [[0], 5]},
+         "coords[1]: must be a list of numbers as long as coords[0]"),
+        (["magnitude", "--metric", "{path}"],
+         {"points": ["p"], "coords": [["x"]]},
+         "coords[0][0]: expected a finite number"),
+    ],
+)
+def test_malformed_graph_functor_and_metric_files_exit_1(tmp_path, capfd, command, document, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    code, out = run([arg.format(path=path) for arg in command])
+    err = capfd.readouterr().err
+    assert code == 1 and out == ""
+    assert where in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -216,6 +273,21 @@ def test_mobius_family_requires_range(capfd):
     assert code == 1
     code, _ = run(["mobius", "--family", "divisibility", "--from", "0", "--to", "6"])
     assert code == 1
+
+
+def test_mobius_family_refuses_oversized_range_before_any_work(capfd, monkeypatch):
+    def builtin(family):
+        raise AssertionError("no family is built for a refused request")
+
+    monkeypatch.setattr(cli, "builtin", builtin)
+    code, out = run(["mobius", "--family", "dinj", "--from", "0", "--to", "100000000"])
+    err = capfd.readouterr().err
+    assert code == 1 and out == ""
+    assert f"limited to {cli.MAX_FAMILY_INDICES} indices" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_FAMILY_INDICES", 5)
+    assert run(["mobius", "--family", "dinj", "--from", "3", "--to", "7"])[0] == 0
+    assert run(["mobius", "--family", "dinj", "--from", "3", "--to", "8"])[0] == 1
 
 
 def test_euler_c2_is_one_half():

@@ -12,6 +12,7 @@ from mobiuskit.corpus import (
     fine_invertible_corpus,
     general_corpus,
     idempotent_monoid_category,
+    named_categories,
     random_poset_category,
     random_poset_relation,
     rig_sampler,
@@ -22,11 +23,14 @@ from mobiuskit.corpus import (
     walking_iso_category,
 )
 from mobiuskit.errors import NotAPoset, NotInvertible, NotNerveFinite, RigMismatch, UnsupportedRig
+from mobiuskit import incidence
 from mobiuskit.incidence import (
     FineElement,
+    _patch_mobius_per_pair,
     coarse_delta,
     coarse_mobius,
     coarse_multiply,
+    coarse_support,
     coarse_zeta,
     euler_characteristic,
     fine_convolve,
@@ -44,7 +48,8 @@ from mobiuskit.incidence import (
     sigma_to_patch,
     verify_inverse,
 )
-from mobiuskit.matrixrig import RigMatrix, is_transitive
+from mobiuskit.infinite import classical_mobius
+from mobiuskit.matrixrig import RigMatrix, invert_on_support, is_transitive
 from mobiuskit.rigs import BOOL, INT, RAT, REAL
 
 
@@ -452,6 +457,66 @@ def test_patch_mobius_is_inverse_in_patch_algebra():
         delta = patch_delta(cat, RAT)
         assert patch_multiply(mu, zeta).matrix.equal(delta.matrix)
         assert patch_multiply(zeta, mu).matrix.equal(delta.matrix)
+
+
+def patch_outcome(compute):
+    """Entries with their types, or the message and witness of the failure."""
+    try:
+        matrix = compute()
+    except NotInvertible as e:
+        return ("not_invertible", str(e), e.witness)
+    return [[(type(x), x) for x in row] for row in matrix.rows]
+
+
+def test_patch_mobius_matches_per_patch_reference():
+    rng = random.Random(5)
+    corpus = (
+        list(named_categories().values())
+        + general_corpus(7, 120)
+        + fine_invertible_corpus(3, 60)
+        + [random_poset_category(rng, rng.randint(3, 14)) for _ in range(40)]
+    )
+    for rig in (RAT, INT, REAL):
+        coarse_applies = set()
+        for cat in corpus:
+            counts = [[len(cat.hom(a, b)) for b in cat.objects] for a in cat.objects]
+            coarse_applies.add(invert_on_support(counts, rig) is not None)
+            support = coarse_support(cat)
+            assert patch_outcome(lambda: patch_mobius(cat, rig).matrix) == patch_outcome(
+                lambda: _patch_mobius_per_pair(cat, rig, support)
+            )
+        assert coarse_applies == {True, False}
+
+
+def test_patch_mobius_falls_back_per_patch():
+    # singular coarse zeta, and a coarse inverse that is not integral
+    for cat, rig in ((walking_iso_category(), RAT), (cyclic_group_category(2), INT)):
+        with pytest.raises(NotInvertible) as err:
+            patch_mobius(cat, rig)
+        assert err.value.witness[0] == "patch"
+    assert patch_mobius(cyclic_group_category(2), RAT).value("*", "*") == Fraction(1, 2)
+
+
+def test_patch_mobius_at_scale_matches_closed_forms(monkeypatch):
+    def per_pair(*args):
+        raise AssertionError("the single coarse inversion should apply")
+
+    monkeypatch.setattr(incidence, "_patch_mobius_per_pair", per_pair)
+
+    def chain_mu(i, j):
+        return {0: 1, 1: -1}.get(j - i, 0)
+
+    square = product(chain_category(8), chain_category(8))
+    divisors = divisor_poset_category(5040)
+    for rig in (INT, RAT):
+        mu = patch_mobius(square, rig)
+        for (a1, a2) in square.objects:
+            for (b1, b2) in square.objects:
+                assert mu.value((a1, a2), (b1, b2)) == chain_mu(a1, b1) * chain_mu(a2, b2)
+        mu = patch_mobius(divisors, rig)
+        for a in divisors.objects:
+            for b in divisors.objects:
+                assert mu.value(a, b) == (classical_mobius(b // a) if b % a == 0 else 0)
 
 
 def test_patch_element_rejects_offsupport_values():

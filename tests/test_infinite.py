@@ -8,12 +8,14 @@ from mobiuskit.errors import MalformedInput, NotInvertible, UnsupportedRig
 from mobiuskit.incidence import coarse_mobius, fine_mobius, fine_mobius_hall
 from mobiuskit.infinite import (
     PatchOracleCategory,
+    _patchwise_table,
     builtin,
     classical_mobius,
+    family_mobius,
     oracle_zeta,
     patchwise_mobius,
 )
-from mobiuskit.rigs import INT, RAT, Rig
+from mobiuskit.rigs import INT, RAT, REAL, Rig
 
 
 def test_oracle_zeta_formulas():
@@ -181,6 +183,70 @@ def test_singular_patch_is_reported_with_location():
     with pytest.raises(NotInvertible) as err:
         patchwise_mobius(flawed, 0, 1, RAT)
     assert err.value.witness == ("patch", 0, 1)
+
+
+def table_outcome(compute):
+    try:
+        matrix = compute()
+    except NotInvertible as e:
+        return ("not_invertible", str(e), e.witness)
+    return [[(type(x), x) for x in row] for row in matrix.rows]
+
+
+def per_pair_table(oracle, start, end, rig):
+    return table_outcome(lambda: _patchwise_table(oracle, range(start, end + 1), rig))
+
+
+def test_family_table_matches_per_pair_patchwise():
+    for family in ("dinj", "dsurj", "divisibility", "nat_leq"):
+        oracle = builtin(family)
+        least = 1 if family == "divisibility" else 0
+        for start, end in ((least, least), (least, 12), (3, 9), (5, 17), (least, 24)):
+            for rig in (RAT, INT, REAL):
+                assert table_outcome(lambda: family_mobius(oracle, start, end, rig)) == per_pair_table(
+                    oracle, start, end, rig
+                ), (family, start, end, rig.name)
+
+
+def test_family_table_falls_back_per_pair():
+    singular = PatchOracleCategory(
+        name="singular",
+        hom_count=lambda a, b: 1,
+        patch_objects=lambda a, b: (a, b) if a != b else (a,),
+    )
+    doubled = PatchOracleCategory(
+        name="doubled",
+        hom_count=lambda a, b: 2 if a == b else 0,
+        patch_objects=lambda a, b: (a,) if a == b else (),
+    )
+    # 0 < 2 < 1: the patch of (0, 1) leaves the range 0..1, where a single
+    # inversion would see the chain 0 < 1 and answer -1
+    reordered = PatchOracleCategory(
+        name="reordered",
+        hom_count=lambda a, b: 1 if (a, b) in {(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (2, 1)} else 0,
+        patch_objects=lambda a, b: {(0, 1): (0, 2, 1), (0, 2): (0, 2), (2, 1): (2, 1)}.get((a, b), (a,) if a == b else ()),
+    )
+    # maps 0 -> 1 -> 2 but none 0 -> 2: the coarse inverse is 1 at (0, 2)
+    uncomposed = PatchOracleCategory(
+        name="uncomposed",
+        hom_count=lambda a, b: 1 if b - a in (0, 1) else 0,
+        patch_objects=lambda a, b: (a, b) if b - a == 1 else (a,) if a == b else (),
+    )
+    for oracle, start, end, rig in (
+        (singular, 0, 2, RAT),
+        (doubled, 0, 2, INT),
+        (doubled, 0, 2, RAT),
+        (reordered, 0, 1, RAT),
+        (uncomposed, 0, 2, INT),
+    ):
+        assert table_outcome(lambda: family_mobius(oracle, start, end, rig)) == per_pair_table(
+            oracle, start, end, rig
+        )
+    with pytest.raises(NotInvertible) as err:
+        family_mobius(singular, 0, 2, RAT)
+    assert err.value.witness == ("patch", 0, 1)
+    assert family_mobius(reordered, 0, 1, RAT).rows == ((1, 0), (0, 1))
+    assert family_mobius(uncomposed, 0, 2, INT).entry(0, 2) == 0
 
 
 def test_unknown_family():

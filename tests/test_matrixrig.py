@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -14,6 +15,7 @@ from mobiuskit.matrixrig import (
     det_plus,
     invert,
     invert_counting_matrix,
+    invert_on_support,
     inverse_zero_check,
     is_transitive,
     lemma_identity_check,
@@ -262,12 +264,26 @@ def test_invert_counting_matrix_integer_route():
     assert err.value.witness[0] == "non-integral"
 
 
+def unit_lu_product(rng, n):
+    """L U with unit diagonals, rows shuffled: determinant +-1, and the
+    pivots are 1 until a swapped row breaks the pattern."""
+    lower = [[1 if i == j else rng.randint(-3, 3) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else rng.randint(-3, 3) if j > i else 0 for j in range(n)] for i in range(n)]
+    rows = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    if rng.random() < 0.5:
+        rng.shuffle(rows)
+    return rows
+
+
 def test_fraction_free_inverse_matches_generic_elimination():
     rng = random.Random(43)
     checked = 0
-    while checked < 60:
-        n = rng.randint(1, 6)
-        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+    while checked < 120:
+        n = rng.randint(1, 6) if checked < 60 else rng.randint(1, 9)
+        if checked < 60:
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        else:
+            rows = unit_lu_product(rng, n)
         fractions = RigMatrix.from_rows(
             RAT, [[Fraction(x) for x in row] for row in rows]
         )
@@ -279,6 +295,24 @@ def test_fraction_free_inverse_matches_generic_elimination():
             continue
         assert invert_counting_matrix(rows, RAT).equal(reference)
         checked += 1
+
+
+def test_invert_on_support_returns_the_inverse_or_none():
+    chain = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+    assert invert_on_support(chain, INT).rows == ((1, -1, 0), (0, 1, -1), (0, 0, 1))
+    rat = invert_on_support(chain, RAT)
+    assert rat.equal(invert_counting_matrix(chain, RAT))
+    assert all(x is RAT.zero for x in (rat.entry(0, 2), rat.entry(1, 0)))
+    real = invert_on_support([[-2, 0], [0, 1]], REAL)
+    assert real.rows == ((-0.5, 0.0), (0.0, 1.0))
+    assert math.copysign(1.0, real.entry(0, 1)) == 1.0
+    assert invert_on_support([], RAT).rows == ()
+    # singular; inverse nonzero where the count is zero; not integral over int
+    assert invert_on_support([[1, 1], [1, 1]], RAT) is None
+    assert invert_on_support([[1, 1, 0], [0, 1, 1], [0, 0, 1]], RAT) is None
+    assert invert_on_support([[2]], INT) is None
+    assert invert_on_support([[2]], RAT).rows == ((Fraction(1, 2),),)
+    assert invert_on_support(chain, NAT) is None
 
 
 def test_invert_counting_matrix_accepts_fraction_entries():
