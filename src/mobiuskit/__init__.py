@@ -108,6 +108,6 @@ from .matrixrig import (
     is_transitive,
     lemma_identity_check,
 )
-from .rigs import BOOL, INT, NAT, RAT, REAL, Rig, TruncatedSeries, get_rig, polynomial_rig, series_mul
+from .rigs import BOOL, INT, NAT, RAT, REAL, Rig, TruncatedSeries, get_rig, polynomial_rig
 
 __version__ = "0.1.0"

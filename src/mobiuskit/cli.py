@@ -386,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rig", help="nat|int|rat|real|bool|poly[:N] (default from MOBIUSKIT_RIG, then rat)")
-    common.add_argument("--threads", type=int, default=1, help="reserved; computations run sequentially")
     common.add_argument("--timing", action="store_true", help="attach wall-clock timing to the report")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -455,9 +454,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_MALFORMED
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_MALFORMED
     started = time.perf_counter()
     try:
         report, code = args.handler(args)

@@ -17,6 +17,7 @@ from .category import (
     FinCategory,
     Functor,
     categories_equal,
+    compose_functors,
     endomorphism_report,
     enumerate_subcategories,
 )
@@ -269,18 +270,9 @@ def compose_spans(s: Span, t: Span) -> Span:
         raise MalformedInput("spans are not composable: middle categories differ")
     _, proj_to_s_apex, proj_to_t_apex = category_pullback(s.right, t.left)
     apex = proj_to_s_apex.source
-    left = _compose(s.left, proj_to_s_apex)
-    right = _compose(t.right, proj_to_t_apex)
+    left = compose_functors(s.left, proj_to_s_apex)
+    right = compose_functors(t.right, proj_to_t_apex)
     return Span(apex, left, right)
-
-
-def _compose(outer: Functor, inner: Functor) -> Functor:
-    return Functor(
-        inner.source,
-        outer.target,
-        {o: outer.object_map[inner.object_map[o]] for o in inner.source.objects},
-        {a.name: outer.arrow_map[inner.arrow_map[a.name]] for a in inner.source.arrows},
-    )
 
 
 @dataclass

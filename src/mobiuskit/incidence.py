@@ -20,7 +20,7 @@ from .errors import (
     RigMismatch,
     UnsupportedRig,
 )
-from .matrixrig import RigMatrix, invert_counting_matrix, invert_on_support
+from .matrixrig import RigMatrix, _bareiss_rational, invert_counting_matrix, invert_on_support
 from .rigs import INT, Rig
 
 
@@ -152,17 +152,20 @@ def fine_invert(x: FineElement) -> FineElement:
     """Two-sided convolution inverse of a fine element.
 
     Solves the linear system for a left inverse (one unknown per arrow)
-    over exact rationals, then verifies the right-inverse identity.  Over
-    the integers the rational solution must come out integral.  Only
-    fields and the integers are supported; over general rigs there is no
-    solver, use verify_inverse with a candidate instead.
+    exactly, then verifies the right-inverse identity.  Over the integers
+    the rational solution must come out integral; over the floating reals
+    the values are converted exactly and the solution is converted back.
+    Only fields and the integers are supported; over general rigs there
+    is no solver, use verify_inverse with a candidate instead.
 
     (w * x)(f) involves only w(g) with src(g) = src(f), so the system is
     block-diagonal: one block per source object, holding the arrows out of
-    that object in global arrow order.  Each block is built as sparse rows
-    straight from the factorization table and solved on its own; for
-    posets and Mobius categories the blocks are nearly triangular and the
-    solve costs about one operation per factorization.
+    that object in global arrow order.  Each block is a dense system whose
+    rows are scaled to integers by the LCM of their denominators and
+    solved by the fraction-free kernel matrixrig._bareiss, the one that
+    also inverts coarse zeta matrices.  For posets and Mobius categories
+    whose arrows are listed along a linear extension, every pivot is 1 and
+    the kernel touches only the nonzero entries.
 
     A singular system names the global index of the first arrow column
     that depends on earlier columns, which is where elimination over the
@@ -177,37 +180,46 @@ def fine_invert(x: FineElement) -> FineElement:
         raise UnsupportedRig(f"fine inversion needs a field or the integers, not '{rig.name}'")
     c = x.category
     names = c.arrow_names()
-    index = {n: i for i, n in enumerate(names)}
     exact = {n: Fraction(v) for n, v in x.values.items()}
-    # (w * x)(f) = sum_g [sum_{h : h o g = f} x(h)] w(g), with src(g) = src(f);
-    # blocks[a] holds (index of f, sparse row of f) in global arrow order
-    blocks: dict = {}
+    # columns[a] holds the global indices of the arrows out of a, and
+    # position[g] the place of g among them
+    columns: dict = {}
+    position = {}
+    for i, name in enumerate(names):
+        block = columns.setdefault(c.src(name), [])
+        position[name] = len(block)
+        block.append(i)
+    # (w * x)(f) = sum_g [sum_{h : h o g = f} x(h)] w(g), with src(g) = src(f)
+    rows: dict = {a: [] for a in columns}
+    rhs: dict = {a: [] for a in columns}
     for f_name, pairs in c.factorizations().items():
         a = c.src(f_name)
-        row: dict = {}
+        row = [0] * len(columns[a])
         for g, h in pairs:
             if c.src(g) != a:
                 raise MalformedInput(
                     f"compose({h!r}, {g!r}) = {f_name!r}: the composite starts at "
                     f"{a!r}, not at the source {c.src(g)!r} of {g!r}"
                 )
-            j = index[g]
-            row[j] = row[j] + exact[h] if j in row else exact[h]
-        row = {j: v for j, v in row.items() if v}
-        blocks.setdefault(a, []).append((index[f_name], row))
-    found = {}
-    failure = None
-    for block in blocks.values():
-        columns = [i for i, _ in block]
-        rhs = [Fraction(1) if c.is_identity(names[i]) else Fraction(0) for i in columns]
+            row[position[g]] += exact[h]
+        rows[a].append(row)
+        rhs[a].append([1 if c.is_identity(f_name) else 0])
+    solution = [None] * len(names)
+    failures = []
+    for a, block in columns.items():
         try:
-            found.update(_solve_exact([row for _, row in block], rhs, columns))
+            d, scaled = _bareiss_rational(rows[a], rhs[a])
         except NotInvertible as e:
-            if failure is None or e.witness[1] < failure.witness[1]:
-                failure = e
-    if failure is not None:
-        raise failure
-    solution = [found[i] for i in range(len(names))]
+            failures.append(block[e.witness[1]])
+            continue
+        for i, (value,) in zip(block, scaled):
+            solution[i] = Fraction(value, d)
+    if failures:
+        column = min(failures)
+        raise NotInvertible(
+            f"singular convolution system: no pivot in column {column}",
+            witness=("column", column),
+        )
     if rig.name == "int":
         for nm, val in zip(names, solution):
             if val.denominator != 1:
@@ -227,51 +239,6 @@ def fine_invert(x: FineElement) -> FineElement:
             witness=("one-sided", None),
         )
     return candidate
-
-
-def _solve_exact(rows, rhs, columns):
-    """Sparse Gauss-Jordan elimination over Fractions.
-
-    rows[r] maps a column to its nonzero coefficient in equation r, and
-    rhs[r] is that equation's right-hand side.  Columns are eliminated in
-    the order given, each pivoting on the first remaining row that is
-    nonzero in it.  Returns {column: value}; a column with no pivot
-    depends on earlier ones, and NotInvertible names it.  rows and rhs
-    are modified in place.
-    """
-    holders: dict = {col: set() for col in columns}  # column -> rows nonzero there
-    for r, row in enumerate(rows):
-        for col in row:
-            holders[col].add(r)
-    pivoted = set()
-    pivot_of = {}
-    for col in columns:
-        pivot = min(holders[col] - pivoted, default=None)
-        if pivot is None:
-            raise NotInvertible(
-                f"singular convolution system: no pivot in column {col}",
-                witness=("column", col),
-            )
-        pivoted.add(pivot)
-        pivot_of[col] = pivot
-        prow = rows[pivot]
-        inv = 1 / prow[col]
-        for k in prow:
-            prow[k] *= inv
-        rhs[pivot] *= inv
-        for r in holders[col] - {pivot}:
-            row = rows[r]
-            factor = row[col]
-            for k, v in prow.items():
-                value = row.get(k, 0) - factor * v
-                if value:
-                    row[k] = value
-                    holders[k].add(r)
-                else:
-                    del row[k]
-                    holders[k].discard(r)
-            rhs[r] -= factor * rhs[pivot]
-    return {col: rhs[pivot] for col, pivot in pivot_of.items()}
 
 
 def fine_mobius(c: FinCategory, rig: Rig) -> FineElement:

@@ -2,9 +2,10 @@
 
 Provides the subtraction-free determinant and adjugate halves (even/odd
 permutation sums), the transitive-matrix predicate, the two identities
-they satisfy, zero-pattern inheritance for inverses, exact Gaussian
-elimination for rigs with division, and fraction-free inversion of integer
-count matrices.
+they satisfy, zero-pattern inheritance for inverses, and inversion.
+Every exact solve in the package (coarse inverses, 'rat' inverses, fine
+convolution blocks) goes through one fraction-free elimination, _bareiss;
+the floating-real rig has its own magnitude-pivot elimination in invert.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from .errors import (
     BudgetExceeded,
@@ -22,7 +24,7 @@ from .errors import (
     RigMismatch,
     UnsupportedRig,
 )
-from .rigs import RAT, Rig
+from .rigs import Rig
 
 # Permutation enumeration is n! work; beyond this it is not worth waiting for.
 MAX_PERMUTATION_DIM = 9
@@ -292,37 +294,34 @@ def inverse_zero_check(z: RigMatrix, zinv: RigMatrix):
 
 
 def invert(m: RigMatrix) -> RigMatrix:
-    """Exact two-sided inverse by Gauss-Jordan elimination.
+    """Two-sided inverse over a rig with division.
 
-    Requires a rig with division.  Pivots are chosen as the first nonzero
-    entry in the column (deterministic); the floating-real rig pivots on
-    the largest magnitude instead, for stability.
+    Over 'rat' the inverse is exact: each row is scaled to integers by the
+    LCM of its denominators and the system goes through the fraction-free
+    kernel _bareiss.  Over the floating reals Gauss-Jordan elimination
+    pivots on the largest magnitude, for stability, and a pivot within the
+    rig's tolerance of zero counts as none.  A singular matrix raises
+    NotInvertible naming the first column with no pivot.
     """
     rig = m.rig
     if not rig.has_division:
         raise UnsupportedRig(f"matrix inversion needs division, rig '{rig.name}' has none")
-    if not rig.has_negation:
-        raise UnsupportedRig(f"matrix inversion needs negation, rig '{rig.name}' has none")
+    if rig.name == "rat":
+        d, scaled = _inverse(m.rows)
+        return RigMatrix.from_rows(rig, [[Fraction(x, d) for x in row] for row in scaled])
+    if rig.name != "real":
+        raise UnsupportedRig(f"matrix inversion runs over 'rat' or 'real', not '{rig.name}'")
     n = m.n
     a = [list(row) for row in m.rows]
     b = [[rig.one if i == j else rig.zero for j in range(n)] for i in range(n)]
-    by_magnitude = rig.name == "real"
     for col in range(n):
         pivot_row = None
-        if by_magnitude:
-            best = 0.0
-            for r in range(col, n):
-                if abs(a[r][col]) > best:
-                    best = abs(a[r][col])
-                    pivot_row = r
-            if pivot_row is not None and rig.is_zero(a[pivot_row][col]):
-                pivot_row = None
-        else:
-            for r in range(col, n):
-                if not rig.is_zero(a[r][col]):
-                    pivot_row = r
-                    break
-        if pivot_row is None:
+        best = 0.0
+        for r in range(col, n):
+            if abs(a[r][col]) > best:
+                best = abs(a[r][col])
+                pivot_row = r
+        if pivot_row is None or rig.is_zero(a[pivot_row][col]):
             raise NotInvertible(
                 f"singular matrix: no pivot in column {col}", witness=("column", col)
             )
@@ -343,16 +342,24 @@ def invert(m: RigMatrix) -> RigMatrix:
     return RigMatrix.from_rows(rig, b)
 
 
-def _bareiss_inverse(rows):
-    """Fraction-free Gauss-Jordan on an integer matrix.
+def _bareiss(rows, rhs):
+    """Solve rows . X = rhs by fraction-free Gauss-Jordan elimination.
 
-    Returns (d, m) with m integral and the true inverse equal to m / d;
-    every intermediate division is exact by the Bareiss identities, which
-    keeps the arithmetic in plain integers (no per-step gcd reduction).
+    rows is a square integer matrix and rhs an integer matrix with as many
+    rows.  Returns (d, Y) with Y integral and X = Y / d.  Every
+    intermediate division is exact by Sylvester's identity (Bareiss,
+    Math. Comp. 22, 1968), which keeps the arithmetic in plain integers
+    with no per-step gcd.  This is the package's one exact elimination.
+
+    The pivot of column k is the first row from k on that is nonzero
+    there.  When there is none, column k depends on the columns before it
+    and NotInvertible names it.  That is the first column where the rank
+    of the leading columns stops growing, so it does not depend on the
+    pivot choice or on how the rows are scaled.
     """
     n = len(rows)
-    width = 2 * n
-    m = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
+    m = [[*row, *extra] for row, extra in zip(rows, rhs)]
+    width = len(m[0]) if m else 0
     prev = 1
     for k in range(n):
         pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
@@ -392,49 +399,70 @@ def _bareiss_inverse(rows):
                 row_i[j] = quotient
             row_i[k] = 0
         prev = pivot
-    # every diagonal entry is now the last pivot, the determinant (1 when n = 0)
+    # every diagonal entry is now the last pivot, the determinant up to
+    # sign (1 when n = 0)
     return prev, [row[n:] for row in m]
 
 
-def invert_counting_matrix(rows, rig: Rig) -> RigMatrix:
-    """Invert a matrix of integer counts in the requested rig.
+def _bareiss_rational(rows, rhs):
+    """_bareiss on rows of ints and Fractions with an integer rhs.
 
-    Integer input goes through fraction-free (Bareiss) elimination, so a
-    single rational division per entry happens at the very end; 'int'
-    results must come out integral, 'real' results are converted to floats
-    at the end (so the arithmetic itself stays exact).
+    Each equation is multiplied by the LCM of its row's denominators,
+    which changes no solution.
     """
+    integral_rows, integral_rhs = [], []
+    for row, extra in zip(rows, rhs):
+        scale = lcm(*(x.denominator for x in row))
+        integral_rows.append([x.numerator * (scale // x.denominator) for x in row])
+        integral_rhs.append([scale * x for x in extra])
+    return _bareiss(integral_rows, integral_rhs)
+
+
+def _identity_rows(n: int):
+    # a generator, so the identity is not held beside the augmented copy
+    # that _bareiss builds (about 0.5 MB at n = 240)
+    return ([1 if i == j else 0 for j in range(n)] for i in range(n))
+
+
+def _inverse(rows):
+    """(d, Y) with Y / d the inverse of a square matrix of rationals."""
+    identity = _identity_rows(len(rows))
     if all(isinstance(x, int) for row in rows for x in row):
-        try:
-            d, scaled = _bareiss_inverse([list(row) for row in rows])
-            inverse = RigMatrix.from_rows(
-                RAT, [[Fraction(x, d) for x in row] for row in scaled]
-            )
-        except ArithmeticError:
-            # defensive fallback; the division lemma should never fail
-            inverse = invert(
-                RigMatrix.from_rows(RAT, [[Fraction(x) for x in row] for row in rows])
-            )
-    else:
-        inverse = invert(
-            RigMatrix.from_rows(RAT, [[Fraction(x) for x in row] for row in rows])
-        )
-    if rig.name == "rat":
-        return inverse
+        return _bareiss(rows, identity)
+    return _bareiss_rational([[Fraction(x) for x in row] for row in rows], identity)
+
+
+def invert_counting_matrix(rows, rig: Rig) -> RigMatrix:
+    """Invert a matrix of counts (or other rationals) in the requested rig.
+
+    The exact inverse comes from the fraction-free kernel _bareiss, so the
+    only rational division per entry happens at the very end.  Over 'int'
+    every entry must come out integral; over 'real' the exact entries are
+    converted to floats.
+    """
+    if rig.name not in ("rat", "int", "real"):
+        raise UnsupportedRig(f"inversion of counting matrices unsupported over '{rig.name}'")
+    d, scaled = _inverse(rows)
     if rig.name == "int":
-        out = []
-        for i, row in enumerate(inverse.rows):
+        for i, row in enumerate(scaled):
             for j, x in enumerate(row):
-                if x.denominator != 1:
+                if x % d:
+                    x = Fraction(x, d)
                     raise NotInvertible(
                         f"inverse entry ({i},{j}) = {x} is not an integer",
                         witness=("non-integral", i, j, str(x)),
                     )
-            out.append([int(x) for x in row])
-        return RigMatrix.from_rows(rig, out)
-    if rig.name == "real":
-        return RigMatrix.from_rows(rig, [[float(x) for x in row] for row in inverse.rows])
-    raise UnsupportedRig(f"inversion of counting matrices unsupported over '{rig.name}'")
+    convert = _divide_by(d, rig)
+    return RigMatrix.from_rows(rig, [[convert(x) for x in row] for row in scaled])
+
+
+def _divide_by(d: int, rig: Rig):
+    """x -> x / d in rig ('int', 'rat' or 'real'); over 'int' d divides x."""
+    if rig.name == "int":
+        return lambda x: x // d
+    if rig.name == "rat":
+        return lambda x: Fraction(x, d)
+    return lambda x: float(Fraction(x, d))
 
 
 def invert_on_support(counts, rig: Rig):
@@ -457,20 +485,15 @@ def invert_on_support(counts, rig: Rig):
     if rig.name not in ("rat", "int", "real"):
         return None
     try:
-        d, scaled = _bareiss_inverse(counts)
-    except (NotInvertible, ArithmeticError):
+        d, scaled = _bareiss(counts, _identity_rows(len(counts)))
+    except NotInvertible:
         return None
     for count_row, row in zip(counts, scaled):
         for count, x in zip(count_row, row):
             if x and not count:
                 return None
-    if rig.name == "int":
-        if any(x % d for row in scaled for x in row):
-            return None
-        convert = lambda x: x // d
-    elif rig.name == "rat":
-        convert = lambda x: Fraction(x, d)
-    else:
-        convert = lambda x: float(Fraction(x, d))
+    if rig.name == "int" and any(x % d for row in scaled for x in row):
+        return None
+    convert = _divide_by(d, rig)
     zero = rig.zero
     return RigMatrix.from_rows(rig, [[convert(x) if x else zero for x in row] for row in scaled])

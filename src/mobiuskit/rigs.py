@@ -8,6 +8,7 @@ generic over the rig passed in.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -155,11 +156,6 @@ class TruncatedSeries:
         return " ".join(parts) if parts else "0"
 
 
-def series_mul(x: TruncatedSeries, y: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the shared degree bound."""
-    return x * y
-
-
 def _nat_from_int(n: int) -> int:
     if n < 0:
         raise MalformedInput(f"{n} is not a natural number")
@@ -291,7 +287,14 @@ def parse_element(rig: Rig, value):
         raise MalformedInput(f"booleans are not rig literals: {value!r}")
     if rig.name == "real":
         if isinstance(value, (int, float)):
-            return float(value)
+            try:
+                real = float(value)
+            except OverflowError:
+                real = math.inf
+            # Python's JSON parser also reads NaN and Infinity
+            if not math.isfinite(real):
+                raise MalformedInput(f"real literal {value!r} is not finite")
+            return real
         if isinstance(value, str):
             try:
                 return float(Fraction(value))

@@ -6,6 +6,7 @@ import pytest
 from mobiuskit.category import (
     Functor,
     codiscrete_completion,
+    compose_functors,
     full_subcategory,
     identity_functor,
     validate_category,
@@ -334,9 +335,7 @@ def test_three_for_two_property():
     chain3 = chain_category(3)
     sliced, g = slice_category(chain3, 0)  # g : slice -> chain3, ULF
     inner_sliced, f_ulf = slice_category(sliced, sliced.objects[0])
-    from mobiuskit.functoriality import _compose
-
-    composite = _compose(g, f_ulf)
+    composite = compose_functors(g, f_ulf)
     assert is_ulf(f_ulf)[0]
     assert is_ulf(composite)[0]
     # now a non-ULF f into the slice
@@ -351,7 +350,7 @@ def test_three_for_two_property():
     )
     assert constant.validate().ok
     assert not is_ulf(constant)[0]
-    composite_bad = _compose(g, constant)
+    composite_bad = compose_functors(g, constant)
     assert not is_ulf(composite_bad)[0]
 
 
