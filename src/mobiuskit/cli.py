@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 for a negative mathematical outcome
 (NotInvertible, failed classification, failed comparison), 1 for malformed
-input, unknown flags or incompatible rig/operation pairs.  Reports are
-byte-identical for identical inputs and flags; timing is only attached
-when --timing is passed.
+input, unknown flags, incompatible rig/operation pairs or requests beyond a
+size limit (BudgetExceeded).  Reports are byte-identical for identical
+inputs and flags; timing is only attached when --timing is passed.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ from . import matrixrig
 from .category import endomorphism_report, is_skeletal, underlying_graph, validate_category
 from .enriched import GradedGraphCategory, graded_mobius, graded_zeta, magnitude, segment_refinement_study
 from .errors import (
+    BudgetExceeded,
     MalformedInput,
     MobiusKitError,
     NotInvertible,
     NotNerveFinite,
     UnsupportedRig,
 )
-from .fileio import load_category, load_functor, load_graph, load_matrix, load_metric
+from .fileio import MAX_METRIC_POINTS, load_category, load_functor, load_graph, load_matrix, load_metric
 from .functoriality import (
     fibre_sizes,
     is_bijective_on_objects,
@@ -210,11 +211,16 @@ def cmd_nerve_euler(args):
 
 def cmd_magnitude(args):
     rig = _resolve_rig(args, "real", ("real",))
+    try:
+        counts = [int(x) for x in (args.study or "").split(",") if x]
+    except ValueError:
+        raise MalformedInput(f"--study must be comma-separated point counts, got {args.study!r}") from None
+    if max(counts, default=0) > MAX_METRIC_POINTS:
+        raise MalformedInput(f"--study is limited to {MAX_METRIC_POINTS} points, got {max(counts)}")
     space = load_metric(args.metric)
     results = {}
     try:
         if args.study:
-            counts = [int(x) for x in args.study.split(",") if x]
             study = segment_refinement_study(counts)
             results["study"] = [[n, f"{value:.12g}"] for n, value in study]
         results["magnitude"] = f"{magnitude(space):.12g}"
@@ -457,7 +463,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, code = args.handler(args)
-    except (MalformedInput, UnsupportedRig) as e:
+    except (MalformedInput, UnsupportedRig, BudgetExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MALFORMED
     except MobiusKitError as e:

@@ -119,48 +119,81 @@ def enriched_coarse_mobius(zeta: CoarseElement) -> CoarseElement:
 # metric spaces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricSpace:
-    """Finite (generalized) metric space; distances may be math.inf."""
+    """Finite (generalized) metric space; distances may be math.inf.
+
+    ``distances`` is held as one read-only n x n float64 array, row i
+    giving the distances from ``points[i]``.
+    """
 
     points: tuple
-    distances: tuple  # row-major, tuple of tuples
+    distances: np.ndarray
     symmetric: bool = True
 
     def __post_init__(self):
         n = len(self.points)
-        if len(self.distances) != n or any(len(r) != n for r in self.distances):
+        rows = self.distances
+        try:
+            square = len(rows) == n and all(len(r) == n for r in rows)
+            d = np.array(rows, dtype=float).reshape(n, n) if square else None
+        except (TypeError, ValueError):  # a row or an entry that is not a number
+            d = None
+        if d is None:
             raise MalformedInput("distance matrix shape does not match the point list")
-        for i in range(n):
-            if self.distances[i][i] != 0:
+        # the first error in row-major order: a bad diagonal of row i, then
+        # the first entry of row i that is negative (reported first) or asymmetric
+        negative = d < 0
+        bad = negative | (d != d.T) if self.symmetric else negative
+        bad_diagonal = d.diagonal() != 0
+        bad_rows = bad_diagonal | bad.any(axis=1)
+        if bad_rows.any():
+            i = int(bad_rows.argmax())
+            if bad_diagonal[i]:
                 raise MalformedInput(f"nonzero self-distance at point {self.points[i]!r}")
-            for j in range(n):
-                if self.distances[i][j] < 0:
-                    raise MalformedInput("negative distance")
-                if self.symmetric and self.distances[i][j] != self.distances[j][i]:
-                    raise MalformedInput(
-                        f"asymmetric distance between {self.points[i]!r} and {self.points[j]!r}"
-                    )
+            j = int(bad[i].argmax())
+            if negative[i, j]:
+                raise MalformedInput("negative distance")
+            raise MalformedInput(
+                f"asymmetric distance between {self.points[i]!r} and {self.points[j]!r}"
+            )
+        d.flags.writeable = False
+        object.__setattr__(self, "distances", d)
 
     @classmethod
     def from_distances(cls, points, rows, symmetric: bool = True) -> "MetricSpace":
-        return cls(tuple(points), tuple(tuple(float(x) for x in r) for r in rows), symmetric)
+        return cls(tuple(points), rows, symmetric)
 
     @classmethod
     def from_coords(cls, points, coords) -> "MetricSpace":
-        coords = [tuple(float(x) for x in c) for c in coords]
-        if len(coords) != len(points):
+        """Euclidean distances, accumulated one coordinate at a time with
+        hypot, so memory stays O(n^2) whatever the dimension."""
+        try:
+            c = np.array(coords, dtype=float)
+        except (TypeError, ValueError):
+            raise MalformedInput("coordinate rows must be equally long lists of numbers") from None
+        n = len(c)
+        if n != len(points):
             raise MalformedInput("one coordinate row per point required")
-        rows = [
-            [math.dist(a, b) for b in coords]
-            for a in coords
-        ]
-        return cls(tuple(points), tuple(tuple(r) for r in rows), True)
+        d = np.zeros((n, n))
+        with np.errstate(over="ignore"):  # far-apart points are at distance inf
+            for k, column in enumerate(c.reshape(n, -1).T if c.size else ()):
+                gap = column[:, None] - column
+                if k:
+                    np.hypot(d, gap, out=d)
+                else:
+                    np.absolute(gap, out=d)
+        return cls(tuple(points), d, True)
+
+
+def _similarity(distances: np.ndarray) -> np.ndarray:
+    """Z(a,b) = exp(-d(a,b)); d = inf gives 0."""
+    return np.exp(-distances)
 
 
 def similarity_matrix(m: MetricSpace) -> CoarseElement:
     """Z(a,b) = exp(-d(a,b)) over the floating reals; d = inf gives 0."""
-    rows = [[math.exp(-d) if d != math.inf else 0.0 for d in row] for row in m.distances]
+    rows = _similarity(m.distances).tolist()
     return CoarseElement(m.points, REAL, RigMatrix.from_rows(REAL, rows), None, "metric")
 
 
@@ -169,21 +202,28 @@ def magnitude(m: MetricSpace) -> float:
 
     Symmetric spaces use one linear solve Z w = 1 and sum the weighting w;
     non-symmetric generalized metrics fall back to a full inverse.  A
-    condition estimate beyond 1e12 is reported as NotInvertible rather
-    than returning noise.
+    2-norm condition number beyond 1e12 is reported as NotInvertible
+    rather than returning noise.  On the symmetric path that number is the
+    exact ratio max|lambda| / min|lambda| of Z's eigenvalues (inf when
+    min|lambda| = 0), which for a symmetric matrix are its singular values
+    up to sign; the non-symmetric path takes it from an SVD.
     """
-    z = np.array([[math.exp(-d) if d != math.inf else 0.0 for d in row] for row in m.distances])
+    z = _similarity(m.distances)
     if z.size == 0:
         return 0.0
-    condition = np.linalg.cond(z)
+    if m.symmetric:
+        eigenvalues = np.abs(np.linalg.eigvalsh(z))
+        smallest = float(eigenvalues.min())
+        condition = float(eigenvalues.max()) / smallest if smallest > 0 else math.inf
+    else:
+        condition = np.linalg.cond(z)
     if not np.isfinite(condition) or condition > CONDITION_LIMIT:
         raise NotInvertible(
             f"similarity matrix condition estimate {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
             witness=("condition", condition),
         )
-    ones = np.ones(len(m.points))
     if m.symmetric:
-        weights = np.linalg.solve(z, ones)
+        weights = np.linalg.solve(z, np.ones(len(m.points)))
         return float(weights.sum())
     return float(np.linalg.inv(z).sum())
 
@@ -204,13 +244,11 @@ def segment_refinement_study(counts, length: float = 2.0):
 def metric_disjoint_union(a: MetricSpace, b: MetricSpace) -> MetricSpace:
     """Disjoint union with all cross-distances infinite."""
     points = tuple(("L", p) for p in a.points) + tuple(("R", p) for p in b.points)
-    na, nb = len(a.points), len(b.points)
-    rows = []
-    for i in range(na):
-        rows.append(tuple(a.distances[i]) + (math.inf,) * nb)
-    for j in range(nb):
-        rows.append((math.inf,) * na + tuple(b.distances[j]))
-    return MetricSpace(points, tuple(rows), a.symmetric and b.symmetric)
+    na = len(a.points)
+    d = np.full((len(points), len(points)), math.inf)
+    d[:na, :na] = a.distances
+    d[na:, na:] = b.distances
+    return MetricSpace(points, d, a.symmetric and b.symmetric)
 
 
 # graded free categories on graphs

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 from .category import Arrow, DirectedGraph, FinCategory, Functor
 from .enriched import MetricSpace
@@ -24,6 +25,12 @@ def _load_json(path: str):
         raise MalformedInput(f"{path}: no such file")
     except json.JSONDecodeError as e:
         raise MalformedInput(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}")
+    except UnicodeDecodeError as e:
+        raise MalformedInput(f"{path}: not UTF-8 text (byte {e.start})") from None
+    except RecursionError:
+        raise MalformedInput(f"{path}: JSON nested too deeply") from None
+    except OSError as e:
+        raise MalformedInput(f"{path}: cannot read: {e.strerror}") from None
 
 
 def _require(doc: dict, key: str, where: str):
@@ -100,10 +107,24 @@ def load_category(path: str) -> FinCategory:
     return cat
 
 
+# magnitude holds several n x n float arrays and runs an O(n^3) eigenvalue
+# decomposition and solve; larger spaces are refused before any distance is
+# read or any array allocated
+MAX_METRIC_POINTS = 3000
+
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+def _is_float(value) -> bool:
+    """A JSON number (not a bool) that converts to a float without overflow."""
+    return isinstance(value, float) or type(value) is int and abs(value) <= _FLOAT_MAX
+
+
 def load_metric(path: str) -> MetricSpace:
     """Parse {"points": [...], "distances": [[...]]} or {"points", "coords"}.
 
-    The string "inf" encodes an infinite distance.
+    The string "inf" encodes an infinite distance.  A file listing more than
+    MAX_METRIC_POINTS points is refused before any distance is read.
     """
     doc = _load_json(path)
     if not isinstance(doc, dict):
@@ -111,6 +132,8 @@ def load_metric(path: str) -> MetricSpace:
     points = _require(doc, "points", path)
     if not isinstance(points, list):
         raise MalformedInput(f"{path}: 'points' must be a list")
+    if len(points) > MAX_METRIC_POINTS:
+        raise MalformedInput(f"{path}: metric spaces are limited to {MAX_METRIC_POINTS} points, got {len(points)}")
     if "distances" in doc and "coords" in doc:
         raise MalformedInput(f"{path}: give 'distances' or 'coords', not both")
     if "distances" in doc:
@@ -125,7 +148,7 @@ def load_metric(path: str) -> MetricSpace:
             for j, value in enumerate(row):
                 if value == "inf":
                     out.append(math.inf)
-                elif isinstance(value, (int, float)) and not isinstance(value, bool):
+                elif _is_float(value):
                     if value != value:
                         raise MalformedInput(f"{path}: distances[{i}][{j}]: NaN is not a distance")
                     out.append(float(value))
@@ -146,7 +169,7 @@ def load_metric(path: str) -> MetricSpace:
             if not (isinstance(row, list) and len(row) == len(coords[0])):
                 raise MalformedInput(f"{path}: coords[{i}]: must be a list of numbers as long as coords[0]")
             for j, value in enumerate(row):
-                if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+                if not (_is_float(value) and math.isfinite(value)):
                     raise MalformedInput(f"{path}: coords[{i}][{j}]: expected a finite number")
         try:
             return MetricSpace.from_coords(points, coords)

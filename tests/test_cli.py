@@ -1,11 +1,14 @@
 import contextlib
 import io
 import json
+import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
-from mobiuskit import cli
+from mobiuskit import cli, fileio
 from mobiuskit.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -446,3 +449,114 @@ def test_golden_reports_reproduce_byte_for_byte():
             expected = handle.read()
         assert out == expected, f"golden mismatch for {name}"
         assert code == case["exit_code"], f"exit code mismatch for {name}"
+
+
+def test_budget_exceeded_exits_1(tmp_path, capfd):
+    path = tmp_path / "ten.json"
+    path.write_text(json.dumps([[int(i <= j) for j in range(10)] for i in range(10)]))
+    code, out = run(["matrix", "--op", "detpm", "--in", str(path)])
+    err = capfd.readouterr().err
+    assert code == 1 and out == ""
+    assert err == "error: permutation enumeration limited to n <= 9, got 10\n"
+
+
+def test_magnitude_refuses_too_many_points_before_reading_distances(tmp_path, capfd, monkeypatch):
+    path = tmp_path / "big.json"
+    n = fileio.MAX_METRIC_POINTS + 1
+    path.write_text(json.dumps({"points": list(range(n)), "distances": "not read"}))
+    code, out = run(["magnitude", "--metric", str(path)])
+    err = capfd.readouterr().err
+    assert code == 1 and out == ""
+    assert f"limited to {fileio.MAX_METRIC_POINTS} points, got {n}" in err
+    monkeypatch.setattr(fileio, "MAX_METRIC_POINTS", 3)
+    for points, want in ((3, 0), (4, 1)):
+        path.write_text(json.dumps({"points": list(range(points)), "coords": [[i] for i in range(points)]}))
+        assert run(["magnitude", "--metric", str(path)])[0] == want
+
+
+def test_magnitude_study_is_capped_and_parsed_before_any_work(capfd, monkeypatch):
+    def study(counts):
+        raise AssertionError("no segment is built for a refused request")
+
+    monkeypatch.setattr(cli, "segment_refinement_study", study)
+    missing = "no-such-metric.json"
+    limit = cli.MAX_METRIC_POINTS
+    for argv, message in (
+        (["--study", f"11,{limit + 1}"], f"--study is limited to {limit} points, got {limit + 1}"),
+        (["--study", "11,x"], "--study must be comma-separated point counts, got '11,x'"),
+    ):
+        code, out = run(["magnitude", "--metric", missing] + argv)
+        err = capfd.readouterr().err
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | st.just("inf"),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=2), children, max_size=2),
+    max_leaves=8,
+)
+EDGE_NUMBERS = st.sampled_from([10**400, -(10**400), 1e308, -1e308, -0.0, -1, math.nan, math.inf, -math.inf])
+DISTANCES = st.floats(min_value=0, max_value=50)
+# mostly numbers, so that a bad entry is often the first one reached
+NUMBERS = DISTANCES | EDGE_NUMBERS | DISTANCES | EDGE_NUMBERS | st.integers() | st.just("inf") | JSON_VALUES
+
+
+@st.composite
+def metric_documents(draw):
+    """Mostly well-shaped metric files, with arbitrary JSON in any slot."""
+
+    def sometimes_junk(strategy):
+        return draw(JSON_VALUES if draw(st.integers(0, 9)) == 0 else strategy)
+
+    n = draw(st.integers(0, 4))
+    dim = draw(st.integers(0, 3))
+    xs = draw(st.lists(st.floats(min_value=-5, max_value=5), min_size=n, max_size=n))
+    doc = {"points": sometimes_junk(st.lists(JSON_VALUES, min_size=n, max_size=n))}
+    kind = draw(st.sampled_from(["line", "distances", "distances", "coords", "coords", "both", "neither"]))
+    if kind == "line":  # a true metric, so that the report path runs too
+        doc["distances"] = [[abs(a - b) for b in xs] for a in xs]
+    if kind in ("distances", "both"):
+        doc["distances"] = sometimes_junk(st.lists(st.lists(NUMBERS, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind in ("coords", "both"):
+        doc["coords"] = sometimes_junk(st.lists(st.lists(NUMBERS, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        doc["symmetric"] = sometimes_junk(st.booleans())
+    return sometimes_junk(st.just(doc))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(metric_documents())
+def test_any_metric_file_gives_a_report_or_a_positional_error(tmp_path, document):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps(document))
+    errors = io.StringIO()
+    with contextlib.redirect_stderr(errors):
+        code, out = run(["magnitude", "--metric", str(path)])
+    event(f"exit {code}")
+    if code == 1:
+        assert out == "" and errors.getvalue().startswith(f"error: {path}: ")
+    else:
+        status = {0: "ok", 2: "not_invertible"}[code]
+        assert parse(out)["results"]["status"] == status
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'\xff\xfe{"points": []}', "not UTF-8 text (byte 0)"),
+        (b"[" * 100000, "JSON nested too deeply"),
+        (None, "cannot read: Is a directory"),
+    ],
+)
+def test_unreadable_input_files_exit_1(tmp_path, capfd, content, message):
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    for command in (["magnitude", "--metric"], ["validate", "--category"]):
+        code, out = run(command + [str(path)])
+        err = capfd.readouterr().err
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: {message}\n"

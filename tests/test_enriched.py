@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mobiuskit.category import DirectedGraph, Arrow, coproduct, product
@@ -12,7 +13,9 @@ from mobiuskit.corpus import (
     six_example_category,
     terminal_category,
 )
+from mobiuskit import enriched
 from mobiuskit.enriched import (
+    CONDITION_LIMIT,
     GradedGraphCategory,
     MetricSpace,
     check_multiplicativity,
@@ -262,3 +265,166 @@ def test_tensor_rejects_rig_mismatch_and_graded():
     mu_graded = graded_mobius(GradedGraphCategory(loops, 4))
     with pytest.raises(RigMismatch):
         tensor_mobius(mu_graded, mu_graded)
+
+
+# array-backed metric spaces, checked against closed forms and the
+# row-major validation loop of the tuple-of-tuples representation
+
+
+def line_magnitude(xs):
+    """Leinster's formula for a finite subset of the line."""
+    xs = sorted(xs)
+    return 1.0 + sum(math.tanh((b - a) / 2.0) for a, b in zip(xs, xs[1:]))
+
+
+@pytest.mark.parametrize("n", [1001, 2000])
+def test_large_line_magnitudes_match_closed_form(n):
+    rng = random.Random(n)
+    segment = segment_space(n, 2.0)
+    xs = [2.0 * i / (n - 1) for i in range(n)]
+    subset = [0.01 * i for i in rng.sample(range(3 * n), n)]
+    for space, points in (
+        (segment, xs),
+        (MetricSpace.from_coords(range(n), [(x,) for x in subset]), subset),
+    ):
+        want = line_magnitude(points)
+        assert abs(magnitude(space) - want) <= 1e-9 * want
+
+
+def test_eigenvalue_condition_matches_svd_condition(monkeypatch):
+    rng = random.Random(5)
+    spaces = [[(0.0,), (1.0,), (1.0,)]]  # duplicate points: Z exactly singular
+    for k in range(60):
+        n = rng.randrange(2, 60)
+        if k % 2:
+            scale = 10.0 ** rng.uniform(-3, 0)
+            coords = [(scale * rng.random(), scale * rng.random()) for _ in range(n)]
+        else:
+            gap = 10.0 ** rng.uniform(-6, 0)
+            coords = [(gap * i, 0.0) for i in rng.sample(range(3 * n), n)]
+        if k % 3 == 0:  # a near-twin of one point: condition about 2 / its distance
+            x, y = rng.choice(coords)
+            coords.append((x + 10.0 ** rng.uniform(-16, -3), y))
+        spaces.append(coords)
+    spaces = [MetricSpace.from_coords(range(len(coords)), coords) for coords in spaces]
+    # K_{3,2} with edges of length t is not positive definite for small t:
+    # Z has a negative eigenvalue but is well conditioned
+    side = [0, 0, 0, 1, 1]
+    for t in (0.2, 0.3, 0.5):
+        rows = [[0 if i == j else t * (1 + (a == b)) for j, b in enumerate(side)] for i, a in enumerate(side)]
+        spaces.append(MetricSpace.from_distances(range(5), rows))
+
+    def condition(space):
+        """The condition number magnitude reports when it refuses."""
+        with pytest.raises(NotInvertible) as err:
+            magnitude(space)
+        return err.value.witness[1]
+
+    decisions = set()
+    for space in spaces:
+        expected = np.linalg.cond(np.array(similarity_matrix(space).matrix.rows))
+        refused = not np.isfinite(expected) or expected > CONDITION_LIMIT
+        if refused:
+            assert condition(space) > CONDITION_LIMIT
+        else:
+            magnitude(space)
+        decisions.add(refused)
+        if expected < 1e12:
+            # both are backward stable: the smallest singular value of the
+            # rounded Z can move by about n * eps * |Z|, so digits of the
+            # condition beyond 1 / (n * eps * cond) are rounding noise
+            tolerance = max(1e-6, len(space.points) * np.finfo(float).eps * expected)
+            with monkeypatch.context() as m:
+                m.setattr(enriched, "CONDITION_LIMIT", 0.0)
+                assert abs(condition(space) - expected) <= tolerance * expected
+    assert decisions == {True, False}
+
+
+def test_from_coords_matches_math_dist():
+    rng = random.Random(23)
+    for dim in (2, 3):
+        for n in (1, 2, 17, 60):
+            coords = [tuple(rng.uniform(-5, 5) for _ in range(dim)) for _ in range(n)]
+            space = MetricSpace.from_coords(range(n), coords)
+            for i, a in enumerate(coords):
+                for j, b in enumerate(coords):
+                    want = math.dist(a, b)
+                    assert abs(space.distances[i, j] - want) <= 1e-12 * max(1.0, want)
+
+
+def row_major_validation(points, distances, symmetric):
+    """The validation loop of the tuple-of-tuples MetricSpace: the error it
+    raised first, or None."""
+    n = len(points)
+    for i in range(n):
+        if distances[i][i] != 0:
+            return f"nonzero self-distance at point {points[i]!r}"
+        for j in range(n):
+            if distances[i][j] < 0:
+                return "negative distance"
+            if symmetric and distances[i][j] != distances[j][i]:
+                return f"asymmetric distance between {points[i]!r} and {points[j]!r}"
+    return None
+
+
+def test_array_validation_reports_the_row_major_first_error():
+    rng = random.Random(41)
+    bad_values = (-1.0, -math.inf, math.nan, math.inf, 0.5, -0.0, 1e-300)
+    outcomes = set()
+    for case in range(3000):
+        n = rng.randrange(1, 7)
+        xs = [rng.uniform(0, 4) for _ in range(n)]
+        rows = [[abs(a - b) for b in xs] for a in xs]
+        for _ in range(rng.randrange(0, 4)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            value = rng.choice(bad_values)
+            rows[i][j] = value
+            if rng.random() < 0.3:  # keep symmetry, so a later check decides
+                rows[j][i] = value
+        points = [f"p{k}" for k in range(n)]
+        symmetric = case % 4 != 0
+        want = row_major_validation(points, rows, symmetric)
+        try:
+            MetricSpace.from_distances(points, rows, symmetric)
+            got = None
+        except MalformedInput as e:
+            got = str(e)
+        assert got == want, (rows, symmetric)
+        outcomes.add(want.split(" ")[0] if want else None)
+    assert outcomes == {None, "nonzero", "negative", "asymmetric"}
+
+
+def test_shape_errors_through_the_library_api():
+    shape = "distance matrix shape does not match the point list"
+    for points, rows in (
+        (["p", "q"], [[0.0, 1.0], [1.0]]),  # ragged
+        (["p", "q"], [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]),  # not square
+        (["p", "q"], [[0.0, 1.0]]),  # too few rows
+        (["p"], [[[0.0, 1.0]]]),  # an entry that is a list
+        (["p"], 0.0),
+        ([], [[]]),
+    ):
+        with pytest.raises(MalformedInput, match=shape):
+            MetricSpace(tuple(points), rows)
+        with pytest.raises(MalformedInput, match=shape):
+            MetricSpace.from_distances(points, rows)
+    with pytest.raises(MalformedInput, match="one coordinate row per point"):
+        MetricSpace.from_coords(["p", "q"], [[0.0]])
+    with pytest.raises(MalformedInput, match="equally long"):
+        MetricSpace.from_coords(["p", "q"], [[0.0], [1.0, 2.0]])
+    assert magnitude(MetricSpace((), ())) == 0.0
+    assert magnitude(MetricSpace.from_coords([], [])) == 0.0
+    assert magnitude(MetricSpace.from_distances([], [])) == 0.0
+
+
+def test_distances_are_one_read_only_array():
+    rows = [[0.0, 1.0], [1.0, 0.0]]
+    space = MetricSpace.from_distances(["p", "q"], rows)
+    assert space.distances.shape == (2, 2) and space.distances.dtype == np.float64
+    rows[0][1] = 5.0  # the space holds its own copy
+    assert space.distances[0, 1] == 1.0
+    with pytest.raises(ValueError):
+        space.distances[0, 1] = 2.0
+    union = metric_disjoint_union(space, segment_space(3, 1.0))
+    assert union.distances[0, 1] == 1.0 and union.distances[0, 2] == math.inf
+    assert union.distances[3, 4] == 0.5
