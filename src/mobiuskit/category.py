@@ -121,9 +121,6 @@ class FinCategory:
                 if f.tgt == g.src:
                     yield g.name, f.name
 
-    def compose_names(self, g, f):
-        return self.compose[(g, f)]
-
     def factorizations(self) -> dict:
         """composite -> list of (first, second) with second o first = composite."""
         if self._factorizations is None:
@@ -464,12 +461,6 @@ class Functor:
                     False, "composition-preservation", f"({g!r}, {f!r})"
                 )
         return ValidationReport(True)
-
-    def apply_object(self, o):
-        return self.object_map[o]
-
-    def apply_arrow(self, name):
-        return self.arrow_map[name]
 
 
 def identity_functor(c: FinCategory) -> Functor:

@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import matrixrig
-from .category import endomorphism_report, is_skeletal, underlying_graph, validate_category
+from .category import endomorphism_report, graphs_equal, is_skeletal, underlying_graph, validate_category
 from .enriched import GradedGraphCategory, graded_mobius, graded_zeta, magnitude, segment_refinement_study
 from .errors import (
     BudgetExceeded,
@@ -45,13 +45,15 @@ from .incidence import (
     sigma_to_coarse,
 )
 from .infinite import builtin, family_mobius
-from .rigs import INT, RAT, get_rig, render
+from .rigs import INT, NAMED_RIGS, RAT, get_rig, render
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_NEGATIVE = 2
 
-FIELD_OR_INT = ("rat", "int", "real")
+# the named rigs an exact solve lands in, and those with division
+SOLVE_RIGS = tuple(name for name, rig in NAMED_RIGS.items() if rig.from_quotient is not None)
+DIVISION_RIGS = tuple(name for name, rig in NAMED_RIGS.items() if rig.has_division)
 
 # a --family table is inverted and held whole, at a cost that grows faster
 # than the cube of the range; larger requests are refused before any hom-set
@@ -141,7 +143,7 @@ def cmd_mobius(args):
     if args.family and args.category:
         raise MalformedInput("give --category or --family, not both")
     if args.family:
-        rig = _resolve_rig(args, "rat", FIELD_OR_INT)
+        rig = _resolve_rig(args, "rat", SOLVE_RIGS)
         if args.start is None or args.end is None:
             raise MalformedInput("--family needs --from and --to")
         if args.end < args.start:
@@ -169,7 +171,7 @@ def cmd_mobius(args):
         return _report("mobius", rig.name, results), EXIT_OK
     if not args.category:
         raise MalformedInput("mobius needs --category or --family")
-    rig = _resolve_rig(args, "rat", FIELD_OR_INT)
+    rig = _resolve_rig(args, "rat", SOLVE_RIGS)
     cat = load_category(args.category)
     try:
         if args.algebra == "fine":
@@ -188,7 +190,7 @@ def cmd_mobius(args):
 
 
 def cmd_euler(args):
-    rig = _resolve_rig(args, "rat", FIELD_OR_INT)
+    rig = _resolve_rig(args, "rat", SOLVE_RIGS)
     cat = load_category(args.category)
     try:
         value = euler_characteristic(cat, rig)
@@ -308,7 +310,7 @@ def cmd_functor_check(args):
 
 def cmd_matrix(args):
     if args.op == "zeros":
-        rig = _resolve_rig(args, "rat", ("rat", "real"))
+        rig = _resolve_rig(args, "rat", DIVISION_RIGS)
     else:
         rig = _resolve_rig(args, "rat")
     m = load_matrix(args.infile, rig)
@@ -348,12 +350,10 @@ def cmd_matrix(args):
 
 
 def cmd_compare(args):
-    rig = _resolve_rig(args, "rat", FIELD_OR_INT)
+    rig = _resolve_rig(args, "rat", SOLVE_RIGS)
     cat_a = load_category(args.category_a)
     cat_b = load_category(args.category_b)
-    graph_a = underlying_graph(cat_a)
-    graph_b = underlying_graph(cat_b)
-    if set(graph_a.vertices) != set(graph_b.vertices) or set(graph_a.edges) != set(graph_b.edges):
+    if not graphs_equal(underlying_graph(cat_a), underlying_graph(cat_b)):
         raise MalformedInput("compare needs two categories on the same underlying graph")
     results = {"same_graph": True}
     try:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .category import DirectedGraph, product
-from .errors import MalformedInput, NotInvertible, RigMismatch, UnsupportedRig
+from .errors import MalformedInput, NotInvertible, RigMismatch
 from .incidence import CoarseElement
 from .matrixrig import RigMatrix, invert, invert_counting_matrix
 from .rigs import REAL, Rig, TruncatedSeries, polynomial_rig
@@ -102,17 +102,13 @@ def enriched_coarse_zeta(objects, homsizes, rig: Rig, enrichment: str = "finite_
 
 
 def enriched_coarse_mobius(zeta: CoarseElement) -> CoarseElement:
-    """Invert an enriched coarse zeta exactly.
+    """Invert an enriched coarse zeta.
 
-    Fields invert directly; integer-valued zetas are inverted over the
-    rationals and must come out integral.
+    Over an exact rig the inverse is the exact one of
+    invert_counting_matrix, which must come out integral over a rig
+    without division; the floating reals use invert's float elimination.
     """
-    if zeta.rig.has_division:
-        inverse = invert(zeta.matrix)
-    elif zeta.rig.name == "int":
-        inverse = invert_counting_matrix(zeta.matrix.rows, zeta.rig)
-    else:
-        raise UnsupportedRig(f"no solver for enriched zeta over rig '{zeta.rig.name}'")
+    inverse = invert_counting_matrix(zeta.matrix.rows, zeta.rig) if zeta.rig.exact else invert(zeta.matrix)
     return CoarseElement(zeta.objects, zeta.rig, inverse, zeta.category, zeta.enrichment)
 
 
@@ -139,6 +135,8 @@ class MetricSpace:
             d = np.array(rows, dtype=float).reshape(n, n) if square else None
         except (TypeError, ValueError):  # a row or an entry that is not a number
             d = None
+        except OverflowError:
+            raise MalformedInput("a distance is an integer too large for a float") from None
         if d is None:
             raise MalformedInput("distance matrix shape does not match the point list")
         # the first error in row-major order: a bad diagonal of row i, then
@@ -172,6 +170,8 @@ class MetricSpace:
             c = np.array(coords, dtype=float)
         except (TypeError, ValueError):
             raise MalformedInput("coordinate rows must be equally long lists of numbers") from None
+        except OverflowError:
+            raise MalformedInput("a coordinate is an integer too large for a float") from None
         n = len(c)
         if n != len(points):
             raise MalformedInput("one coordinate row per point required")

@@ -20,7 +20,7 @@ from .errors import (
     RigMismatch,
     UnsupportedRig,
 )
-from .matrixrig import RigMatrix, _bareiss_rational, invert_counting_matrix, invert_on_support
+from .matrixrig import RigMatrix, _bareiss_rational, _land, invert_counting_matrix, invert_on_support
 from .rigs import INT, Rig
 
 
@@ -152,11 +152,11 @@ def fine_invert(x: FineElement) -> FineElement:
     """Two-sided convolution inverse of a fine element.
 
     Solves the linear system for a left inverse (one unknown per arrow)
-    exactly, then verifies the right-inverse identity.  Over the integers
-    the rational solution must come out integral; over the floating reals
-    the values are converted exactly and the solution is converted back.
-    Only fields and the integers are supported; over general rigs there
-    is no solver, use verify_inverse with a candidate instead.
+    exactly, then verifies the right-inverse identity.  The values are
+    converted to exact rationals, and the solution lands in the rig through
+    its from_quotient; over a rig without division (the integers) it must
+    come out integral.  Rigs without from_quotient have no solver, use
+    verify_inverse with a candidate instead.
 
     (w * x)(f) involves only w(g) with src(g) = src(f), so the system is
     block-diagonal: one block per source object, holding the arrows out of
@@ -176,7 +176,7 @@ def fine_invert(x: FineElement) -> FineElement:
     report it as composite-endpoints.
     """
     rig = x.rig
-    if rig.name not in ("rat", "int", "real"):
+    if rig.from_quotient is None:
         raise UnsupportedRig(f"fine inversion needs a field or the integers, not '{rig.name}'")
     c = x.category
     names = c.arrow_names()
@@ -204,34 +204,33 @@ def fine_invert(x: FineElement) -> FineElement:
             row[position[g]] += exact[h]
         rows[a].append(row)
         rhs[a].append([1 if c.is_identity(f_name) else 0])
-    solution = [None] * len(names)
+    solved = {}
     failures = []
     for a, block in columns.items():
         try:
-            d, scaled = _bareiss_rational(rows[a], rhs[a])
+            solved[a] = _bareiss_rational(rows[a], rhs[a])
         except NotInvertible as e:
             failures.append(block[e.witness[1]])
-            continue
-        for i, (value,) in zip(block, scaled):
-            solution[i] = Fraction(value, d)
     if failures:
         column = min(failures)
         raise NotInvertible(
             f"singular convolution system: no pivot in column {column}",
             witness=("column", column),
         )
-    if rig.name == "int":
-        for nm, val in zip(names, solution):
-            if val.denominator != 1:
-                raise NotInvertible(
-                    f"inverse value on arrow {nm!r} = {val} is not an integer",
-                    witness=("non-integral", nm, str(val)),
-                )
-        values = {nm: int(val) for nm, val in zip(names, solution)}
-    elif rig.name == "real":
-        values = {nm: float(val) for nm, val in zip(names, solution)}
-    else:
-        values = {nm: val for nm, val in zip(names, solution)}
+    if not rig.has_division:
+        non_integral = [(i, Fraction(value, d)) for a, (d, scaled) in solved.items()
+                        for i, (value,) in zip(columns[a], scaled) if value % d]
+        if non_integral:
+            i, val = min(non_integral)
+            raise NotInvertible(
+                f"inverse value on arrow {names[i]!r} = {val} is not an integer",
+                witness=("non-integral", names[i], str(val)),
+            )
+    solution = [None] * len(names)
+    for a, (d, scaled) in solved.items():
+        for i, (value,) in zip(columns[a], _land(rig, d, scaled)):
+            solution[i] = value
+    values = dict(zip(names, solution))
     candidate = FineElement(c, rig, values)
     if not verify_inverse(x, candidate):
         raise NotInvertible(
@@ -257,6 +256,27 @@ def _strict_poset_relation(c: FinCategory):
     return {(a, b) for a in c.objects for b in c.objects if a != b and c.hom(a, b)}
 
 
+def _alternating_path_counts(adjacency):
+    """sum over k >= 0 of (-1)^k A^k, the alternating count of paths by
+    length, for a square integer matrix A; None when A is not nilpotent."""
+    n = len(adjacency)
+    total = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    power = total
+    sign = 1
+    # a nilpotent n x n matrix has A^n = 0; n + 1 steps and not n, so that
+    # the empty matrix (n = 0) is also found nilpotent
+    for _ in range(n + 1):
+        power = [
+            [sum(power[i][k] * adjacency[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        if not any(any(row) for row in power):
+            return total
+        sign = -sign
+        total = [[total[i][j] + sign * power[i][j] for j in range(n)] for i in range(n)]
+    return None
+
+
 def fine_mobius_hall(c: FinCategory, rig: Rig = INT) -> FineElement:
     """Mobius function of a poset-category by alternating chain counts.
 
@@ -271,19 +291,8 @@ def fine_mobius_hall(c: FinCategory, rig: Rig = INT) -> FineElement:
     adjacency = [[0] * n for _ in range(n)]
     for (a, b) in strict:
         adjacency[idx[a]][idx[b]] = 1
-    # alternating sum of powers of the strict-order adjacency matrix
-    mu = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    power = [row[:] for row in mu]
-    sign = 1
-    while True:
-        power = [
-            [sum(power[i][k] * adjacency[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        if not any(any(row) for row in power):
-            break
-        sign = -sign
-        mu = [[mu[i][j] + sign * power[i][j] for j in range(n)] for i in range(n)]
+    # a strict order is acyclic, so its adjacency matrix is nilpotent
+    mu = _alternating_path_counts(adjacency)
     values = {}
     for a in c.objects:
         for b in c.objects:
@@ -451,16 +460,7 @@ def nerve_euler_characteristic(c: FinCategory) -> int:
     counts = [[0] * n for _ in range(n)]
     for name in c.nonidentity_arrows():
         counts[idx[c.src(name)]][idx[c.tgt(name)]] += 1
-    total = n
-    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    sign = 1
-    for _ in range(n + 1):
-        power = [
-            [sum(power[i][k] * counts[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        if not any(any(row) for row in power):
-            return total
-        sign = -sign
-        total += sign * sum(sum(row) for row in power)
-    raise NotNerveFinite("chain counts did not terminate; precondition violated")
+    chains = _alternating_path_counts(counts)
+    if chains is None:
+        raise NotNerveFinite("chain counts did not terminate; precondition violated")
+    return sum(map(sum, chains))

@@ -3,9 +3,12 @@
 Provides the subtraction-free determinant and adjugate halves (even/odd
 permutation sums), the transitive-matrix predicate, the two identities
 they satisfy, zero-pattern inheritance for inverses, and inversion.
-Every exact solve in the package (coarse inverses, 'rat' inverses, fine
-convolution blocks) goes through one fraction-free elimination, _bareiss;
-the floating-real rig has its own magnitude-pivot elimination in invert.
+Every exact solve in the package (coarse inverses, inverses over exact
+fields, fine convolution blocks) goes through one fraction-free
+elimination, _bareiss, and lands its integer result Y / d in a rig through
+the rig's from_quotient (_land).  A rig whose equality has a tolerance
+(Rig.exact False, the floating reals) has its own magnitude-pivot
+elimination in invert.
 """
 
 from __future__ import annotations
@@ -296,21 +299,19 @@ def inverse_zero_check(z: RigMatrix, zinv: RigMatrix):
 def invert(m: RigMatrix) -> RigMatrix:
     """Two-sided inverse over a rig with division.
 
-    Over 'rat' the inverse is exact: each row is scaled to integers by the
-    LCM of its denominators and the system goes through the fraction-free
-    kernel _bareiss.  Over the floating reals Gauss-Jordan elimination
-    pivots on the largest magnitude, for stability, and a pivot within the
-    rig's tolerance of zero counts as none.  A singular matrix raises
-    NotInvertible naming the first column with no pivot.
+    Over an exact rig the inverse is invert_counting_matrix's: each row is
+    scaled to integers by the LCM of its denominators and the system goes
+    through the fraction-free kernel _bareiss.  Over an inexact rig (the
+    floating reals) Gauss-Jordan elimination pivots on the largest
+    magnitude, for stability, and a pivot within the rig's tolerance of
+    zero counts as none.  A singular matrix raises NotInvertible naming
+    the first column with no pivot.
     """
     rig = m.rig
     if not rig.has_division:
         raise UnsupportedRig(f"matrix inversion needs division, rig '{rig.name}' has none")
-    if rig.name == "rat":
-        d, scaled = _inverse(m.rows)
-        return RigMatrix.from_rows(rig, [[Fraction(x, d) for x in row] for row in scaled])
-    if rig.name != "real":
-        raise UnsupportedRig(f"matrix inversion runs over 'rat' or 'real', not '{rig.name}'")
+    if rig.exact:
+        return invert_counting_matrix(m.rows, rig)
     n = m.n
     a = [list(row) for row in m.rows]
     b = [[rig.one if i == j else rig.zero for j in range(n)] for i in range(n)]
@@ -432,18 +433,25 @@ def _inverse(rows):
     return _bareiss_rational([[Fraction(x) for x in row] for row in rows], identity)
 
 
+def _land(rig: Rig, d: int, rows):
+    """Integer rows as the rig elements x / d; over a rig without division
+    d divides every x.  A zero x is rig.zero, never -0.0 when d < 0."""
+    quotient, zero = rig.from_quotient, rig.zero
+    return [[quotient(x, d) if x else zero for x in row] for row in rows]
+
+
 def invert_counting_matrix(rows, rig: Rig) -> RigMatrix:
     """Invert a matrix of counts (or other rationals) in the requested rig.
 
     The exact inverse comes from the fraction-free kernel _bareiss, so the
-    only rational division per entry happens at the very end.  Over 'int'
-    every entry must come out integral; over 'real' the exact entries are
-    converted to floats.
+    only rational division per entry happens at the very end, when the
+    entries land in the rig (_land).  The rig needs from_quotient; over a
+    rig without division every entry must come out integral.
     """
-    if rig.name not in ("rat", "int", "real"):
+    if rig.from_quotient is None:
         raise UnsupportedRig(f"inversion of counting matrices unsupported over '{rig.name}'")
     d, scaled = _inverse(rows)
-    if rig.name == "int":
+    if not rig.has_division:
         for i, row in enumerate(scaled):
             for j, x in enumerate(row):
                 if x % d:
@@ -452,37 +460,27 @@ def invert_counting_matrix(rows, rig: Rig) -> RigMatrix:
                         f"inverse entry ({i},{j}) = {x} is not an integer",
                         witness=("non-integral", i, j, str(x)),
                     )
-    convert = _divide_by(d, rig)
-    return RigMatrix.from_rows(rig, [[convert(x) for x in row] for row in scaled])
-
-
-def _divide_by(d: int, rig: Rig):
-    """x -> x / d in rig ('int', 'rat' or 'real'); over 'int' d divides x."""
-    if rig.name == "int":
-        return lambda x: x // d
-    if rig.name == "rat":
-        return lambda x: Fraction(x, d)
-    return lambda x: float(Fraction(x, d))
+    return RigMatrix.from_rows(rig, _land(rig, d, scaled))
 
 
 def invert_on_support(counts, rig: Rig):
     """Inverse of an integer count matrix that is zero wherever the counts are.
 
     One Bareiss elimination over the whole matrix.  The support check runs
-    on the integer result, before any entry is converted, and zero entries
-    become rig.zero without a division.  This is the case of zero-pattern
-    inheritance (Leinster, Notions of Mobius inversion): when the index set
-    holds the patch of every pair with a nonzero count, the restriction of
-    the inverse to a patch inverts that patch's count matrix, so every
-    entry is the value a per-patch inversion would give.
+    on the integer result, before any entry lands in the rig.  This is the
+    case of zero-pattern inheritance (Leinster, Notions of Mobius
+    inversion): when the index set holds the patch of every pair with a
+    nonzero count, the restriction of the inverse to a patch inverts that
+    patch's count matrix, so every entry is the value a per-patch
+    inversion would give.
 
-    Returns None when rig is not rat, int or real, when the matrix is
+    Returns None when the rig has no from_quotient, when the matrix is
     singular, when an entry is nonzero where the count is zero, or when an
-    entry is not an integer over 'int'.  Callers then fall back to
-    inverting patch by patch, which reports each of these cases with its
-    own message and witness.
+    entry is not an integer over a rig without division.  Callers then
+    fall back to inverting patch by patch, which reports each of these
+    cases with its own message and witness.
     """
-    if rig.name not in ("rat", "int", "real"):
+    if rig.from_quotient is None:
         return None
     try:
         d, scaled = _bareiss(counts, _identity_rows(len(counts)))
@@ -492,8 +490,6 @@ def invert_on_support(counts, rig: Rig):
         for count, x in zip(count_row, row):
             if x and not count:
                 return None
-    if rig.name == "int" and any(x % d for row in scaled for x in row):
+    if not rig.has_division and any(x % d for row in scaled for x in row):
         return None
-    convert = _divide_by(d, rig)
-    zero = rig.zero
-    return RigMatrix.from_rows(rig, [[convert(x) if x else zero for x in row] for row in scaled])
+    return RigMatrix.from_rows(rig, _land(rig, d, scaled))

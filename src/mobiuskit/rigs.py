@@ -27,6 +27,10 @@ class Rig:
     when nonzero elements are invertible (a field); ``inv`` raises
     DivisionByZero at zero.  ``characteristic_zero`` means n*1 != 0 for
     every n >= 1.
+    ``exact`` is False when ``eq`` has a tolerance (the floating reals).
+    ``from_quotient(n, d)`` is the element n/d of integers n, d != 0; it
+    is None on rigs that no exact solve lands in, and on a rig without
+    ``inv`` it is only called when d divides n.
     """
 
     name: str
@@ -39,6 +43,8 @@ class Rig:
     neg: Optional[Callable[[Any], Any]] = None
     inv: Optional[Callable[[Any], Any]] = None
     characteristic_zero: bool = True
+    exact: bool = True
+    from_quotient: Optional[Callable[[int, int], Any]] = None
 
     @property
     def has_negation(self) -> bool:
@@ -197,6 +203,7 @@ INT = Rig(
     eq=operator.eq,
     from_int=int,
     neg=operator.neg,
+    from_quotient=operator.floordiv,
 )
 
 RAT = Rig(
@@ -209,6 +216,7 @@ RAT = Rig(
     from_int=Fraction,
     neg=operator.neg,
     inv=_rat_inv,
+    from_quotient=Fraction,
 )
 
 REAL = Rig(
@@ -221,6 +229,8 @@ REAL = Rig(
     from_int=float,
     neg=operator.neg,
     inv=_real_inv,
+    exact=False,
+    from_quotient=operator.truediv,
 )
 
 # ({0,1}, max, min): a rig that is not a ring, exercising rig-generic paths.
@@ -254,13 +264,13 @@ def polynomial_rig(degree: int = DEFAULT_SERIES_DEGREE) -> Rig:
     )
 
 
-_NAMED_RIGS = {"nat": NAT, "int": INT, "rat": RAT, "real": REAL, "bool": BOOL}
+NAMED_RIGS = {"nat": NAT, "int": INT, "rat": RAT, "real": REAL, "bool": BOOL}
 
 
 def get_rig(spec: str) -> Rig:
     """Look a rig up by CLI spelling: nat|int|rat|real|bool|poly[:N]."""
-    if spec in _NAMED_RIGS:
-        return _NAMED_RIGS[spec]
+    if spec in NAMED_RIGS:
+        return NAMED_RIGS[spec]
     if spec == "poly":
         return polynomial_rig(DEFAULT_SERIES_DEGREE)
     if spec.startswith("poly:"):
@@ -273,11 +283,10 @@ def get_rig(spec: str) -> Rig:
 
 
 def render(rig: Rig, x) -> str:
-    """Canonical string form of a rig element (rationals as 'p/q')."""
-    if rig.name == "real":
+    """Canonical string form of a rig element: rationals as 'p/q', the
+    elements of an inexact rig to 12 significant digits."""
+    if not rig.exact:
         return f"{x:.12g}"
-    if isinstance(x, TruncatedSeries):
-        return str(x)
     return str(x)
 
 
@@ -285,7 +294,7 @@ def parse_element(rig: Rig, value):
     """Parse a JSON scalar ('p/q' string or number) into a rig element."""
     if isinstance(value, bool):
         raise MalformedInput(f"booleans are not rig literals: {value!r}")
-    if rig.name == "real":
+    if not rig.exact:
         if isinstance(value, (int, float)):
             try:
                 real = float(value)

@@ -406,6 +406,27 @@ def test_incompatible_rig_fails_before_computation(capfd):
     assert code == 1
 
 
+SOLVES = "allowed: int, rat, real"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mobius", "--category", "missing.json", "--rig", "bool"], f"rig 'bool' is not usable with this command ({SOLVES})"),
+        (["mobius", "--family", "dinj", "--from", "0", "--to", "3", "--rig", "nat"], f"rig 'nat' is not usable with this command ({SOLVES})"),
+        (["euler", "--category", "missing.json", "--rig", "poly"], f"rig 'poly:16' is not usable with this command ({SOLVES})"),
+        (["compare", "--category-a", "missing.json", "--category-b", "missing.json", "--rig", "bool"], f"rig 'bool' is not usable with this command ({SOLVES})"),
+        (["matrix", "--op", "zeros", "--in", "missing.json", "--rig", "int"], "rig 'int' is not usable with this command (allowed: rat, real)"),
+        (["magnitude", "--metric", "missing.json", "--rig", "rat"], "rig 'rat' is not usable with this command (allowed: real)"),
+    ],
+    ids=["mobius-bool", "family-nat", "euler-poly", "compare-bool", "zeros-int", "magnitude-rat"],
+)
+def test_refused_rigs_exit_1_before_any_file_is_read(capfd, argv, message):
+    # the input files do not exist: the rig is refused before they are opened
+    code, out = run(argv)
+    assert (code, out, capfd.readouterr().err) == (1, "", f"error: {message}\n")
+
+
 def test_rig_env_variable_and_flag_precedence():
     code, out = run(["euler", "--category", data("six.json")], env={"MOBIUSKIT_RIG": "int"})
     assert code == 0

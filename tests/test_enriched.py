@@ -417,6 +417,19 @@ def test_shape_errors_through_the_library_api():
     assert magnitude(MetricSpace.from_distances([], [])) == 0.0
 
 
+def test_integers_too_large_for_a_float_are_malformed_input():
+    huge = 10**400
+    rows = [[0, huge], [huge, 0]]
+    with pytest.raises(MalformedInput, match="a distance is an integer too large for a float"):
+        MetricSpace(("p", "q"), rows)
+    with pytest.raises(MalformedInput, match="a distance is an integer too large for a float"):
+        MetricSpace.from_distances(["p", "q"], rows)
+    with pytest.raises(MalformedInput, match="a coordinate is an integer too large for a float"):
+        MetricSpace.from_coords(["p", "q"], [[0, 1], [1, huge]])
+    # one that does fit is a distance like any other
+    assert MetricSpace.from_distances(["p", "q"], [[0, 10**300], [10**300, 0]]).distances[0, 1] == 1e300
+
+
 def test_distances_are_one_read_only_array():
     rows = [[0.0, 1.0], [1.0, 0.0]]
     space = MetricSpace.from_distances(["p", "q"], rows)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -49,8 +50,8 @@ from mobiuskit.incidence import (
     verify_inverse,
 )
 from mobiuskit.infinite import classical_mobius
-from mobiuskit.matrixrig import RigMatrix, invert_on_support, is_transitive
-from mobiuskit.rigs import BOOL, INT, RAT, REAL
+from mobiuskit.matrixrig import RigMatrix, invert_counting_matrix, invert_on_support, is_transitive
+from mobiuskit.rigs import BOOL, INT, RAT, REAL, render
 
 
 def random_fine_element(cat, rig, rng):
@@ -577,3 +578,43 @@ def test_real_rig_coarse_mobius():
     mu = coarse_mobius(six, REAL)
     assert REAL.eq(mu.matrix.entry(0, 0), 1.0)
     assert REAL.eq(mu.matrix.entry(1, 1), 2.0)
+
+
+def test_empty_category_has_alternating_counts_too():
+    empty = discrete_category(0)
+    assert nerve_euler_characteristic(empty) == 0
+    assert fine_mobius_hall(empty, INT).values == {}
+    # the shared helper: a nilpotent matrix gives the alternating path
+    # counts, a cycle gives None rather than an endless sum
+    assert incidence._alternating_path_counts([]) == []
+    assert incidence._alternating_path_counts([[0, 1], [0, 0]]) == [[1, -1], [0, 1]]
+    assert incidence._alternating_path_counts([[0, 1], [1, 0]]) is None
+
+
+@pytest.mark.parametrize("rig, kind", [(INT, int), (RAT, Fraction), (REAL, float)], ids=["int", "rat", "real"])
+def test_exact_solves_land_the_rig_element_type(rig, kind):
+    # divisors(12) has mu(1,4) = 0 and mu(1,12) = 0 next to the values +-1
+    cat = divisor_poset_category(12)
+    chain = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+    landed = {
+        "fine_mobius": list(fine_mobius(cat, rig).values.values()),
+        "coarse_mobius": [x for row in coarse_mobius(cat, rig).matrix.rows for x in row],
+        "patch_mobius": [x for row in patch_mobius(cat, rig).matrix.rows for x in row],
+        "invert_counting_matrix": [x for row in invert_counting_matrix(chain, rig).rows for x in row],
+        "invert_on_support": [x for row in invert_on_support(chain, rig).rows for x in row],
+    }
+    for name, values in landed.items():
+        assert {type(x) for x in values} == {kind}, name
+        assert rig.zero in values and rig.one in values, name
+        assert all(math.copysign(1, x) == 1 for x in values if x == 0), name
+    rat = [x for row in coarse_mobius(cat, RAT).matrix.rows for x in row]
+    assert [Fraction(x) for x in landed["coarse_mobius"]] == rat
+
+
+def test_a_negative_elimination_denominator_lands_zero_as_plus_zero():
+    # Bareiss ends with d = -1 on this matrix; 0 / -1 would be -0.0
+    inverse = invert_counting_matrix([[1, 1], [1, 0]], REAL)
+    assert inverse.rows == ((0.0, 1.0), (1.0, -1.0))
+    assert math.copysign(1, inverse.entry(0, 0)) == 1
+    assert render(REAL, inverse.entry(0, 0)) == "0"
+    assert invert_counting_matrix([[1, 1], [1, 0]], INT).rows == ((0, 1), (1, -1))

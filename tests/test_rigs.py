@@ -131,6 +131,16 @@ def test_get_rig_spellings():
         get_rig("poly:x")
 
 
+def test_only_int_rat_and_real_have_solver_capabilities():
+    # exact solves land in a rig through from_quotient; only the floating
+    # reals compare with a tolerance
+    assert [r.name for r in ALL_RIGS if r.from_quotient is not None] == ["int", "rat", "real"]
+    assert [r.name for r in ALL_RIGS if not r.exact] == ["real"]
+    assert INT.from_quotient(-6, 3) == -2 and type(INT.from_quotient(-6, 3)) is int
+    assert RAT.from_quotient(2, -4) == Fraction(-1, 2)
+    assert REAL.from_quotient(1, 3) == float(Fraction(1, 3))
+
+
 def test_render_and_parse():
     assert render(RAT, Fraction(-1, 2)) == "-1/2"
     assert render(RAT, Fraction(3)) == "3"
