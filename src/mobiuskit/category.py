@@ -83,9 +83,13 @@ class FinCategory:
         self._by_name = by_name
         self._identity_names = set(identity.values())
         hom: dict = {}
+        into: dict = {}
         for a in arrows:
             hom.setdefault((a.src, a.tgt), []).append(a.name)
+            into.setdefault(a.tgt, []).append(a)
         self._hom = {k: tuple(v) for k, v in hom.items()}
+        # object -> the arrows into it, in arrow order: the f with g o f defined
+        self._into = {k: tuple(v) for k, v in into.items()}
         self._factorizations = None
 
     # basic lookups
@@ -115,11 +119,10 @@ class FinCategory:
         return tuple(a.name for a in self.arrows if not self.is_identity(a.name))
 
     def composable_pairs(self) -> Iterator[tuple]:
-        """All (g, f) with tgt(f) = src(g)."""
+        """All (g, f) with tgt(f) = src(g), g then f in arrow order."""
         for g in self.arrows:
-            for f in self.arrows:
-                if f.tgt == g.src:
-                    yield g.name, f.name
+            for f in self._into.get(g.src, ()):
+                yield g.name, f.name
 
     def factorizations(self) -> dict:
         """composite -> list of (first, second) with second o first = composite."""
@@ -166,13 +169,10 @@ def validate_category(c: FinCategory) -> ValidationReport:
         right = c.compose[(a.name, c.identity[a.src])]
         if right != a.name:
             return ValidationReport(False, "right-unit", f"{a.name!r} o 1 = {right!r}")
+    into = c._into
     for h in c.arrows:
-        for g in c.arrows:
-            if g.tgt != h.src:
-                continue
-            for f in c.arrows:
-                if f.tgt != g.src:
-                    continue
+        for g in into.get(h.src, ()):
+            for f in into.get(g.src, ()):
                 one = c.compose[(h.name, c.compose[(g.name, f.name)])]
                 two = c.compose[(c.compose[(h.name, g.name)], f.name)]
                 if one != two:

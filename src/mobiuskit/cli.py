@@ -10,6 +10,7 @@ inputs and flags; timing is only attached when --timing is passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -71,7 +72,11 @@ def name_str(x) -> str:
 
 
 def matrix_json(rig, matrix) -> list:
-    return [[render(rig, v) for v in row] for row in matrix.rows]
+    # most entries of a large Mobius table are rig.zero itself (the exact
+    # solves land zeros as that object), so its text is rendered once
+    zero = rig.zero
+    zero_text = render(rig, zero)
+    return [[zero_text if v is zero else render(rig, v) for v in row] for row in matrix.rows]
 
 
 def coarse_json(element) -> dict:
@@ -385,7 +390,10 @@ def cmd_compare(args):
     return _report("compare", rig.name, results), EXIT_OK if all_ok else EXIT_NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and each subcommand's handler is bound here."""
     parser = argparse.ArgumentParser(
         prog="mobiuskit",
         description="Exact Mobius inversion for finite and patch-finite categories",

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .category import DirectedGraph, product
 from .errors import MalformedInput, NotInvertible, RigMismatch
 from .incidence import CoarseElement
@@ -22,6 +20,23 @@ from .matrixrig import RigMatrix, invert, invert_counting_matrix
 from .rigs import REAL, Rig, TruncatedSeries, polynomial_rig
 
 CONDITION_LIMIT = 1e12
+
+
+class _Numpy:
+    """numpy, imported at the first attribute read.
+
+    Only metric spaces use numpy, so the exact commands never pay for its
+    import.  The functions below read ``np`` as a module global at call
+    time, so rebinding ``enriched.np`` still reaches every numpy call.
+    """
+
+    def __getattr__(self, name):
+        import numpy
+
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 
 @dataclass(frozen=True)

@@ -96,11 +96,12 @@ def load_category(path: str) -> FinCategory:
         cat = FinCategory(objects, arrows, identities, compose)
     except MalformedInput as e:
         raise MalformedInput(f"{path}: {e}")
-    missing = set(cat.composable_pairs()) - set(compose)
+    composable = set(cat.composable_pairs())
+    missing = composable.difference(compose)
     if missing:
         g, f = sorted(missing, key=repr)[0]
         raise MalformedInput(f"{path}: compose: missing entry for composable pair ({g!r}, {f!r})")
-    extra = set(compose) - set(cat.composable_pairs())
+    extra = compose.keys() - composable
     if extra:
         g, f = sorted(extra, key=repr)[0]
         raise MalformedInput(f"{path}: compose: pair ({g!r}, {f!r}) is not composable")

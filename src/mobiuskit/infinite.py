@@ -169,10 +169,6 @@ def _interval(a, b):
     return tuple(range(a, b + 1))
 
 
-def _divisors(n: int) -> tuple:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
-
-
 def builtin(family: str) -> PatchOracleCategory:
     """Built-in patch-finite families: dinj | dsurj | divisibility | nat_leq."""
     if family == "dinj":
@@ -204,7 +200,7 @@ def builtin(family: str) -> PatchOracleCategory:
         def patch_objs(a, b):
             if a < 1 or b < 1 or b % a != 0:
                 return ()
-            return tuple(d for d in _divisors(b) if d % a == 0)
+            return tuple(d for d in range(a, b + 1, a) if b % d == 0)
 
         def materialize(a, b):
             objs = patch_objs(a, b)

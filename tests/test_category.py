@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from mobiuskit.category import (
     Arrow,
     FinCategory,
+    ValidationReport,
     categories_equal,
     codiscrete_completion,
     coproduct,
@@ -291,6 +294,100 @@ def test_corpus_categories_all_validate():
         assert validate_category(cat).ok, name
     for cat in general_corpus(99, 40):
         assert validate_category(cat).ok
+
+
+# composable_pairs and validate_category as they were before FinCategory
+# kept its arrows by target: every pair and every triple of arrows
+
+
+def all_pairs_composable(c):
+    for g in c.arrows:
+        for f in c.arrows:
+            if f.tgt == g.src:
+                yield g.name, f.name
+
+
+def all_triples_validate(c):
+    for obj, name in c.identity.items():
+        a = c.arrow(name)
+        if a.src != obj or a.tgt != obj:
+            return ValidationReport(False, "identity-endpoints", f"1_{obj!r} = {name!r}: {a.src!r} -> {a.tgt!r}")
+    expected = set(all_pairs_composable(c))
+    actual = set(c.compose)
+    missing = expected - actual
+    if missing:
+        g, f = sorted(missing, key=repr)[0]
+        return ValidationReport(False, "composition-totality", f"missing compose({g!r}, {f!r})")
+    extra = actual - expected
+    if extra:
+        g, f = sorted(extra, key=repr)[0]
+        return ValidationReport(False, "composition-typing", f"compose({g!r}, {f!r}) defined for non-composable pair")
+    for (g, f), gf in c.compose.items():
+        if c.src(gf) != c.src(f) or c.tgt(gf) != c.tgt(g):
+            return ValidationReport(
+                False, "composite-endpoints",
+                f"compose({g!r}, {f!r}) = {gf!r} has endpoints {c.src(gf)!r} -> {c.tgt(gf)!r}",
+            )
+    for a in c.arrows:
+        left = c.compose[(c.identity[a.tgt], a.name)]
+        if left != a.name:
+            return ValidationReport(False, "left-unit", f"1 o {a.name!r} = {left!r}")
+        right = c.compose[(a.name, c.identity[a.src])]
+        if right != a.name:
+            return ValidationReport(False, "right-unit", f"{a.name!r} o 1 = {right!r}")
+    for h in c.arrows:
+        for g in c.arrows:
+            if g.tgt != h.src:
+                continue
+            for f in c.arrows:
+                if f.tgt != g.src:
+                    continue
+                one = c.compose[(h.name, c.compose[(g.name, f.name)])]
+                two = c.compose[(c.compose[(h.name, g.name)], f.name)]
+                if one != two:
+                    return ValidationReport(
+                        False, "associativity",
+                        f"h={h.name!r}, g={g.name!r}, f={f.name!r}: {one!r} != {two!r}",
+                    )
+    return ValidationReport(True)
+
+
+def broken_tables(c, rng):
+    """Composition tables of c with one entry changed: a composite swapped
+    for another arrow with the same endpoints (breaking a unit law or
+    associativity) or with other endpoints, an entry dropped, and an entry
+    for a pair that does not compose."""
+    keys = list(c.compose)
+    for key in rng.sample(keys, min(6, len(keys))):
+        gf = c.compose[key]
+        others = [n for n in c.hom(c.src(gf), c.tgt(gf)) if n != gf]
+        if others:
+            yield {**c.compose, key: rng.choice(others)}
+        elsewhere = [a.name for a in c.arrows if (a.src, a.tgt) != (c.src(gf), c.tgt(gf))]
+        if elsewhere:
+            yield {**c.compose, key: rng.choice(elsewhere)}
+    dropped = rng.choice(keys)
+    yield {k: v for k, v in c.compose.items() if k != dropped}
+    loose = [(g.name, f.name) for g in c.arrows for f in c.arrows if f.tgt != g.src]
+    if loose:
+        yield {**c.compose, rng.choice(loose): c.arrows[0].name}
+
+
+def test_arrow_index_matches_all_pairs_and_triples():
+    rng = random.Random(7)
+    laws = set()
+    cats = list(named_categories().values()) + general_corpus(99, 40)
+    for c in cats:
+        assert list(c.composable_pairs()) == list(all_pairs_composable(c))
+        assert validate_category(c) == all_triples_validate(c)
+        for compose in broken_tables(c, rng):
+            broken = FinCategory(c.objects, c.arrows, c.identity, compose)
+            assert list(broken.composable_pairs()) == list(all_pairs_composable(broken))
+            report = validate_category(broken)
+            assert report == all_triples_validate(broken)
+            laws.add(report.law)
+    # the broken tables reach every law after the identity check
+    assert laws >= {"composition-totality", "composition-typing", "composite-endpoints", "left-unit", "right-unit", "associativity"}
 
 
 def test_full_subcategory():

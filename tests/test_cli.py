@@ -3,6 +3,9 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -10,6 +13,8 @@ from hypothesis import strategies as st
 
 from mobiuskit import cli, fileio
 from mobiuskit.cli import main
+from mobiuskit.matrixrig import RigMatrix
+from mobiuskit.rigs import RAT, REAL
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DATA = os.path.join(HERE, "data")
@@ -581,3 +586,85 @@ def test_unreadable_input_files_exit_1(tmp_path, capfd, content, message):
         err = capfd.readouterr().err
         assert code == 1 and out == ""
         assert err == f"error: {path}: {message}\n"
+
+
+# one parser per process: parse_args carries nothing from one call to the next
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def fresh(argv):
+    """The same command in a new interpreter: (exit code, stdout)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-m", "mobiuskit.cli", *argv], env=env, capture_output=True,
+                          text=True, encoding="utf-8", timeout=120)
+    return done.returncode, done.stdout
+
+
+def test_reused_parser_matches_fresh_processes(monkeypatch):
+    six = ["--category", data("six.json")]
+    fine = run(["mobius", "--algebra", "fine", *six])
+    coarse = run(["mobius", *six])
+    assert parse(coarse[1])["results"]["algebra"] == "coarse"
+    assert fine == fresh(["mobius", "--algebra", "fine", *six])
+    assert coarse == fresh(["mobius", *six])
+
+    code, out = run(["euler", *six, "--timing"])
+    assert code == 0 and "timing_ms" in parse(out)
+    plain = run(["euler", *six])
+    assert "timing_ms" not in parse(plain[1])
+    assert plain == fresh(["euler", *six])
+
+    good = run(["validate", *six])
+    unknown = run(["validate", *six, "--unknown-option"])
+    assert unknown == (1, "")
+    assert run(["validate", *six]) == good == fresh(["validate", *six])
+    assert unknown == fresh(["validate", *six, "--unknown-option"])
+
+    monkeypatch.setenv("MOBIUSKIT_RIG", "int")
+    under_int = run(["euler", *six])
+    assert parse(under_int[1])["rig"] == "int"
+    assert under_int == fresh(["euler", *six])
+    monkeypatch.delenv("MOBIUSKIT_RIG")
+    assert run(["euler", *six]) == plain == fresh(["euler", *six])
+
+
+def test_build_parser_runs_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_zero_entries_render_as_the_rig_zero():
+    # only entries that are rig.zero itself share its text; an equal value
+    # of another identity, such as -0.0 over the reals, renders on its own
+    real = RigMatrix.from_rows(REAL, [[REAL.zero, -0.0], [0.25, 0.0]])
+    assert cli.matrix_json(REAL, real) == [["0", "-0"], ["0.25", "0"]]
+    rat = RigMatrix.from_rows(RAT, [[RAT.zero, Fraction(0)], [Fraction(-1, 2), RAT.zero]])
+    assert cli.matrix_json(RAT, rat) == [["0", "0"], ["-1/2", "0"]]
+
+
+# numpy is imported only where a metric space is built or solved
+
+
+def test_exact_commands_do_not_import_numpy():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = [sys.executable, "-X", "importtime", "-m", "mobiuskit.cli", "euler", "--category", data("six.json")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, encoding="utf-8", timeout=120)
+    assert done.returncode == 0 and parse(done.stdout)["results"]["euler_characteristic"] == "1"
+    assert "mobiuskit.enriched" in done.stderr
+    assert "numpy" not in done.stderr
+    script = f"""
+import contextlib, io, sys
+import mobiuskit
+from mobiuskit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["mobius", "--family", "divisibility", "--from", "1", "--to", "12"]) == 0
+assert "numpy" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert cli.main(["magnitude", "--metric", {data("two_points_d1.json")!r}]) == 0
+assert "numpy" in sys.modules
+print(out.getvalue().count("1.46211715726"), mobiuskit.magnitude(mobiuskit.MetricSpace.from_coords("pq", [[0], [1]])))
+"""
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    count, value = done.stdout.split()
+    assert count == "1" and abs(float(value) - 2 / (1 + math.exp(-1))) < 1e-12

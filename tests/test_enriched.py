@@ -112,6 +112,32 @@ def test_metric_space_validation():
     MetricSpace.from_distances(["p", "q"], [[0, 1], [2, 0]], symmetric=False)
 
 
+def test_numpy_calls_go_through_the_module_global(monkeypatch):
+    # enriched imports numpy on first use; every call still reads the name
+    # np at call time, so a stand-in bound there sees the solve
+    calls = []
+    real = enriched.np
+
+    class Linalg:
+        def __getattr__(self, name):
+            return getattr(real.linalg, name)
+
+        def solve(self, *args):
+            calls.append("solve")
+            return real.linalg.solve(*args)
+
+    class Numpy:
+        linalg = Linalg()
+
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+    monkeypatch.setattr(enriched, "np", Numpy())
+    assert 1 < magnitude(segment_space(3, 2.0)) < 3
+    assert calls == ["solve"]
+    assert isinstance(MetricSpace.from_coords("pq", [[0], [1]]).distances, np.ndarray)
+
+
 def test_magnitude_one_point():
     assert abs(magnitude(MetricSpace.from_distances(["p"], [[0]])) - 1.0) < 1e-12
 

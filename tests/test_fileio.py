@@ -78,6 +78,32 @@ def test_load_category_positional_errors(tmp_path):
         )
 
 
+def test_load_category_missing_and_extra_pair_messages(tmp_path):
+    # several pairs are missing (or extra); the message names the first by repr
+    doc = {
+        "objects": ["a", "b"],
+        "arrows": [
+            {"name": "1a", "src": "a", "tgt": "a"},
+            {"name": "1b", "src": "b", "tgt": "b"},
+            {"name": "f", "src": "a", "tgt": "b"},
+        ],
+        "identities": {"a": "1a", "b": "1b"},
+        "compose": [["1a", "1a", "1a"], ["1b", "1b", "1b"], ["f", "1a", "f"], ["1b", "f", "f"]],
+    }
+    path = write_tmp(tmp_path, "cat.json", doc)
+    assert len(load_category(path).compose) == 4
+    partial = dict(doc, compose=doc["compose"][:1] + doc["compose"][3:])
+    path = write_tmp(tmp_path, "missing.json", partial)
+    with pytest.raises(MalformedInput) as missing:
+        load_category(path)
+    assert str(missing.value) == f"{path}: compose: missing entry for composable pair ('1b', '1b')"
+    loose = dict(doc, compose=doc["compose"] + [["f", "f", "f"], ["1a", "f", "f"], ["1a", "1b", "1a"]])
+    path = write_tmp(tmp_path, "extra.json", loose)
+    with pytest.raises(MalformedInput) as extra:
+        load_category(path)
+    assert str(extra.value) == f"{path}: compose: pair ('1a', '1b') is not composable"
+
+
 def test_load_category_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"objects": [')

@@ -156,6 +156,16 @@ def test_patch_objects_match_hom_counts():
                 assert tuple(oracle.patch_objects(a, b)) == expected, (family, a, b)
 
 
+def test_divisibility_patches_match_trial_division():
+    # the old definition: the divisors of b, by trial division, that a divides
+    divisors = {b: tuple(d for d in range(1, b + 1) if b % d == 0) for b in range(1, 241)}
+    patch_objects = builtin("divisibility").patch_objects
+    for a in range(1, 241):
+        for b in range(1, 241):
+            expected = tuple(d for d in divisors[b] if d % a == 0) if b % a == 0 else ()
+            assert patch_objects(a, b) == expected, (a, b)
+
+
 def test_zero_pattern_inherited_patchwise():
     for family in ("dinj", "dsurj", "nat_leq"):
         oracle = builtin(family)
