@@ -1,8 +1,11 @@
 """Finite categories as explicit data, with validation and standard constructions.
 
-A category is stored as object list, arrow list, identity table and a total
+A category is stored as object list, arrow list, identity table and a
 composition table keyed by arrow-name pairs (g, f) with tgt(f) = src(g),
-mapping to the name of g after f.
+mapping to the name of g after f.  Construction refuses a table that misses
+a composable pair or has an entry for a pair that does not compose;
+validate_category then reports the first violated law: identity endpoints,
+composite endpoints, units or associativity.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ class ValidationReport:
 class FinCategory:
     """Immutable finite category; construct then treat as read-only.
 
-    The constructor performs structural checks only (names resolve, tables
-    reference known arrows); the category *laws* are the business of
-    validate(), which reports rather than raises.
+    The constructor checks structure only and raises MalformedInput: names
+    are unique and resolve, the identity table covers exactly the objects,
+    and compose is defined on exactly the composable pairs.  The category
+    *laws* are the business of validate(), which reports rather than raises.
     """
 
     def __init__(self, objects, arrows, identity, compose):
@@ -91,6 +95,15 @@ class FinCategory:
         # object -> the arrows into it, in arrow order: the f with g o f defined
         self._into = {k: tuple(v) for k, v in into.items()}
         self._factorizations = None
+        composable = set(self.composable_pairs())
+        missing = composable.difference(compose)
+        if missing:
+            g, f = min(missing, key=repr)
+            raise MalformedInput(f"compose: missing entry for composable pair ({g!r}, {f!r})")
+        extra = compose.keys() - composable
+        if extra:
+            g, f = min(extra, key=repr)
+            raise MalformedInput(f"compose: pair ({g!r}, {f!r}) is not composable")
 
     # basic lookups
 
@@ -146,16 +159,6 @@ def validate_category(c: FinCategory) -> ValidationReport:
         a = c.arrow(name)
         if a.src != obj or a.tgt != obj:
             return ValidationReport(False, "identity-endpoints", f"1_{obj!r} = {name!r}: {a.src!r} -> {a.tgt!r}")
-    expected = set(c.composable_pairs())
-    actual = set(c.compose)
-    missing = expected - actual
-    if missing:
-        g, f = sorted(missing, key=repr)[0]
-        return ValidationReport(False, "composition-totality", f"missing compose({g!r}, {f!r})")
-    extra = actual - expected
-    if extra:
-        g, f = sorted(extra, key=repr)[0]
-        return ValidationReport(False, "composition-typing", f"compose({g!r}, {f!r}) defined for non-composable pair")
     for (g, f), gf in c.compose.items():
         if c.src(gf) != c.src(f) or c.tgt(gf) != c.tgt(g):
             return ValidationReport(
@@ -314,21 +317,13 @@ def coproduct(c: FinCategory, d: FinCategory) -> FinCategory:
 
 
 def full_subcategory(c: FinCategory, objs) -> FinCategory:
-    objs = [o for o in c.objects if o in set(objs)]
     keep = set(objs)
-    arrows = [a for a in c.arrows if a.src in keep and a.tgt in keep]
-    names = {a.name for a in arrows}
-    identity = {o: c.identity[o] for o in objs}
-    compose = {k: v for k, v in c.compose.items() if k[0] in names and k[1] in names}
-    return FinCategory(objs, arrows, identity, compose)
+    return subcategory(c, keep, [a.name for a in c.arrows if a.src in keep and a.tgt in keep])
 
 
 def patch(c: FinCategory, a, b) -> FinCategory:
     """Full subcategory on the objects through which some map a -> z -> b passes."""
-    if a not in set(c.objects) or b not in set(c.objects):
-        raise UnknownObject(f"patch endpoints {a!r}, {b!r} must be objects")
-    objs = [z for z in c.objects if c.hom(a, z) and c.hom(z, b)]
-    return full_subcategory(c, objs)
+    return full_subcategory(c, patch_objects(c, a, b))
 
 
 def patch_objects(c: FinCategory, a, b) -> tuple:
@@ -339,7 +334,8 @@ def patch_objects(c: FinCategory, a, b) -> tuple:
 
 def subcategory(c: FinCategory, objs, arrow_names) -> FinCategory:
     """Subcategory on the given objects and arrows (assumed closed)."""
-    objs = [o for o in c.objects if o in set(objs)]
+    keep = set(objs)
+    objs = [o for o in c.objects if o in keep]
     names = set(arrow_names)
     arrows = [a for a in c.arrows if a.name in names]
     identity = {o: c.identity[o] for o in objs}

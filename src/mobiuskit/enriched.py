@@ -215,13 +215,13 @@ def similarity_matrix(m: MetricSpace) -> CoarseElement:
 def magnitude(m: MetricSpace) -> float:
     """Total of all entries of the inverse similarity matrix.
 
-    Symmetric spaces use one linear solve Z w = 1 and sum the weighting w;
-    non-symmetric generalized metrics fall back to a full inverse.  A
+    That total is 1^T Z^-1 1, so one linear solve Z w = 1 and the sum of the
+    weighting w give it for symmetric and non-symmetric spaces alike.  A
     2-norm condition number beyond 1e12 is reported as NotInvertible
-    rather than returning noise.  On the symmetric path that number is the
+    rather than returning noise.  For a symmetric space that number is the
     exact ratio max|lambda| / min|lambda| of Z's eigenvalues (inf when
     min|lambda| = 0), which for a symmetric matrix are its singular values
-    up to sign; the non-symmetric path takes it from an SVD.
+    up to sign; a non-symmetric space takes it from an SVD.
     """
     z = _similarity(m.distances)
     if z.size == 0:
@@ -237,10 +237,8 @@ def magnitude(m: MetricSpace) -> float:
             f"similarity matrix condition estimate {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
             witness=("condition", condition),
         )
-    if m.symmetric:
-        weights = np.linalg.solve(z, np.ones(len(m.points)))
-        return float(weights.sum())
-    return float(np.linalg.inv(z).sum())
+    weights = np.linalg.solve(z, np.ones(len(m.points)))
+    return float(weights.sum())
 
 
 def segment_space(n: int, length: float) -> MetricSpace:
@@ -251,9 +249,9 @@ def segment_space(n: int, length: float) -> MetricSpace:
     return MetricSpace.from_coords(tuple(range(n)), [(x,) for x in xs])
 
 
-def segment_refinement_study(counts, length: float = 2.0):
-    """Magnitude of the length-`length` segment at each refinement count."""
-    return [(n, magnitude(segment_space(n, length))) for n in counts]
+def segment_refinement_study(counts):
+    """Magnitude of the length-2 segment at each refinement count."""
+    return [(n, magnitude(segment_space(n, 2.0))) for n in counts]
 
 
 def metric_disjoint_union(a: MetricSpace, b: MetricSpace) -> MetricSpace:

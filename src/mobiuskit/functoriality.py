@@ -369,14 +369,18 @@ def is_mobius_category(c: FinCategory) -> bool:
     return not report.nontrivial_isos and not report.nontrivial_idempotents
 
 
-def mobius_by_subcategories(c: FinCategory, max_arrows: int = 8):
+# the search solves fine inversion on every subcategory, up to 2^arrows of them
+MAX_SUBCATEGORY_ARROWS = 8
+
+
+def mobius_by_subcategories(c: FinCategory):
     """Exhaustive test: every subcategory has fine inversion over the integers.
 
     Returns (True, None) or (False, witness_subcategory).  Intentionally
     brute-force, so restricted to small categories.
     """
-    if len(c.arrows) > max_arrows:
-        raise BudgetExceeded(f"subcategory search limited to {max_arrows} arrows")
+    if len(c.arrows) > MAX_SUBCATEGORY_ARROWS:
+        raise BudgetExceeded(f"subcategory search limited to {MAX_SUBCATEGORY_ARROWS} arrows")
     for sub in enumerate_subcategories(c):
         try:
             fine_mobius(sub, INT)

@@ -143,9 +143,9 @@ def _permutation_parity(perm) -> int:
     return inversions & 1
 
 
-def _check_budget(m: RigMatrix, limit: int = MAX_PERMUTATION_DIM):
-    if m.n > limit:
-        raise BudgetExceeded(f"permutation enumeration limited to n <= {limit}, got {m.n}")
+def _check_budget(m: RigMatrix):
+    if m.n > MAX_PERMUTATION_DIM:
+        raise BudgetExceeded(f"permutation enumeration limited to n <= {MAX_PERMUTATION_DIM}, got {m.n}")
 
 
 def _det_halves(m: RigMatrix):
@@ -194,24 +194,22 @@ def adj_minus(m: RigMatrix) -> RigMatrix:
     return _adj_halves(m)[1]
 
 
-def is_transitive(m: RigMatrix, max_path: int | None = None):
+def is_transitive(m: RigMatrix):
     """Decide whether nonzero entry products along index paths force nonzero
     direct entries.
 
-    Returns (True, None) or (False, witness_path).  Paths up to max_path
-    edges (default n) are explored breadth-first from every row containing
-    a zero; a running product of zero prunes, and a repeated
-    (node, product-value) state is skipped, which is safe because breadth-
-    first order reaches each state at its minimal depth, so the skipped
-    copy has no continuations the first one lacked.  The default bound n
-    is exact for rigs without zero divisors (a violating path shortens to
-    a simple one); for rigs with zero divisors the bounded search is a
-    sound approximation of the unbounded definition.
+    Returns (True, None) or (False, witness_path).  Paths of up to n edges
+    are explored breadth-first from every row containing a zero; a running
+    product of zero prunes, and a repeated (node, product-value) state is
+    skipped, which is safe because breadth-first order reaches each state
+    at its minimal depth, so the skipped copy has no continuations the
+    first one lacked.  The bound n is exact for rigs without zero divisors
+    (a violating path shortens to a simple one); for rigs with zero
+    divisors the bounded search is a sound approximation of the unbounded
+    definition.
     """
     rig = m.rig
     n = m.n
-    if max_path is None:
-        max_path = n
     trivial_rig = rig.eq(rig.zero, rig.one)
     # p = 0 clause: a zero diagonal entry forces 1 = 0.
     for i in range(n):
@@ -225,7 +223,7 @@ def is_transitive(m: RigMatrix, max_path: int | None = None):
         queue = deque([(start, rig.one, 0, (start,))])
         while queue:
             node, product, depth, path = queue.popleft()
-            if depth >= max_path:
+            if depth >= n:
                 continue
             for nxt in range(n):
                 step = m.rows[node][nxt]
@@ -254,15 +252,19 @@ class LemmaIdentityReport:
         return self.det_identity_holds and self.adjugate_identity_holds
 
 
-def lemma_identity_check(x: RigMatrix, y: RigMatrix, max_dim: int = 5) -> LemmaIdentityReport:
+# three determinant expansions and one adjugate expansion, each over all n! permutations
+MAX_LEMMA_DIM = 5
+
+
+def lemma_identity_check(x: RigMatrix, y: RigMatrix) -> LemmaIdentityReport:
     """Verify both subtraction-free determinant/adjugate identities exactly.
 
     det+X det+Y + det-X det-Y + det-(XY) = det+X det-Y + det-X det+Y + det+(XY)
     and X adj+X + (det-X) I = X adj-X + (det+X) I.
     """
     x._check_compatible(y)
-    if x.n > max_dim:
-        raise BudgetExceeded(f"identity check limited to n <= {max_dim}")
+    if x.n > MAX_LEMMA_DIM:
+        raise BudgetExceeded(f"identity check limited to n <= {MAX_LEMMA_DIM}")
     rig = x.rig
     dpx, dmx = _det_halves(x)
     dpy, dmy = _det_halves(y)

@@ -249,7 +249,7 @@ def test_criterion_08_magnitude():
     for d in (0.25, 1.0, 3.0):
         space = MetricSpace.from_distances(["p", "q"], [[0, d], [d, 0]])
         closed_ok = closed_ok and abs(magnitude(space) - 2.0 / (1.0 + math.exp(-d))) < 1e-10
-    study = segment_refinement_study([11, 101, 1001], length=2.0)
+    study = segment_refinement_study([11, 101, 1001])
     values = [value for _, value in study]
     monotone = values[0] < values[1] < values[2] <= 2.0
     final_ok = abs(values[2] - 2.0) < 0.01

@@ -68,16 +68,14 @@ def test_wrong_endpoint_composite_is_reported():
 
 
 def test_missing_compose_pair_is_reported():
-    cat = FinCategory(
-        objects=["a"],
-        arrows=[Arrow("1a", "a", "a"), Arrow("f", "a", "a")],
-        identity={"a": "1a"},
-        compose={("1a", "1a"): "1a", ("f", "1a"): "f", ("1a", "f"): "f"},
-    )
-    report = validate_category(cat)
-    assert not report.ok
-    assert report.law == "composition-totality"
-    assert "'f'" in report.witness
+    with pytest.raises(MalformedInput) as err:
+        FinCategory(
+            objects=["a"],
+            arrows=[Arrow("1a", "a", "a"), Arrow("f", "a", "a")],
+            identity={"a": "1a"},
+            compose={("1a", "1a"): "1a", ("f", "1a"): "f", ("1a", "f"): "f"},
+        )
+    assert str(err.value) == "compose: missing entry for composable pair ('f', 'f')"
 
 
 def test_broken_associativity_is_reported():
@@ -297,7 +295,8 @@ def test_corpus_categories_all_validate():
 
 
 # composable_pairs and validate_category as they were before FinCategory
-# kept its arrows by target: every pair and every triple of arrows
+# kept its arrows by target: every pair and every triple of arrows (the
+# totality and typing of the table are checked at construction instead)
 
 
 def all_pairs_composable(c):
@@ -312,16 +311,6 @@ def all_triples_validate(c):
         a = c.arrow(name)
         if a.src != obj or a.tgt != obj:
             return ValidationReport(False, "identity-endpoints", f"1_{obj!r} = {name!r}: {a.src!r} -> {a.tgt!r}")
-    expected = set(all_pairs_composable(c))
-    actual = set(c.compose)
-    missing = expected - actual
-    if missing:
-        g, f = sorted(missing, key=repr)[0]
-        return ValidationReport(False, "composition-totality", f"missing compose({g!r}, {f!r})")
-    extra = actual - expected
-    if extra:
-        g, f = sorted(extra, key=repr)[0]
-        return ValidationReport(False, "composition-typing", f"compose({g!r}, {f!r}) defined for non-composable pair")
     for (g, f), gf in c.compose.items():
         if c.src(gf) != c.src(f) or c.tgt(gf) != c.tgt(g):
             return ValidationReport(
@@ -373,21 +362,47 @@ def broken_tables(c, rng):
         yield {**c.compose, rng.choice(loose): c.arrows[0].name}
 
 
+def first_untyped_entry(c, compose):
+    """The construction error for a table on c's arrows that misses a
+    composable pair or has an entry for a pair that does not compose
+    (the first such pair by repr, missing pairs first), or None."""
+    expected = set(all_pairs_composable(c))
+    missing = expected - compose.keys()
+    if missing:
+        g, f = sorted(missing, key=repr)[0]
+        return f"compose: missing entry for composable pair ({g!r}, {f!r})"
+    extra = compose.keys() - expected
+    if extra:
+        g, f = sorted(extra, key=repr)[0]
+        return f"compose: pair ({g!r}, {f!r}) is not composable"
+    return None
+
+
 def test_arrow_index_matches_all_pairs_and_triples():
     rng = random.Random(7)
     laws = set()
+    refused = set()
     cats = list(named_categories().values()) + general_corpus(99, 40)
     for c in cats:
         assert list(c.composable_pairs()) == list(all_pairs_composable(c))
         assert validate_category(c) == all_triples_validate(c)
         for compose in broken_tables(c, rng):
+            message = first_untyped_entry(c, compose)
+            if message is not None:
+                with pytest.raises(MalformedInput) as err:
+                    FinCategory(c.objects, c.arrows, c.identity, compose)
+                assert str(err.value) == message
+                refused.add(message.split(" (")[0])
+                continue
             broken = FinCategory(c.objects, c.arrows, c.identity, compose)
             assert list(broken.composable_pairs()) == list(all_pairs_composable(broken))
             report = validate_category(broken)
             assert report == all_triples_validate(broken)
             laws.add(report.law)
-    # the broken tables reach every law after the identity check
-    assert laws >= {"composition-totality", "composition-typing", "composite-endpoints", "left-unit", "right-unit", "associativity"}
+    # construction refuses dropped and loose entries; the other broken
+    # tables reach every law after the identity check
+    assert refused == {"compose: missing entry for composable pair", "compose: pair"}
+    assert laws >= {"composite-endpoints", "left-unit", "right-unit", "associativity"}
 
 
 def test_full_subcategory():

@@ -567,6 +567,198 @@ def test_any_metric_file_gives_a_report_or_a_positional_error(tmp_path, document
         assert parse(out)["results"]["status"] == status
 
 
+# the category, graph, functor and matrix loaders fuzzed like the metric
+# loader above: example files with entries dropped, duplicated, moved or
+# replaced by arbitrary JSON, through the commands that read them
+
+
+def run_file(tmp_path, document, command):
+    """Run command with {path} bound to a file holding document: a report
+    (exit 0, or 2 for a negative answer) or an error line (exit 1, or 2
+    when no answer exists), never a traceback."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    errors = io.StringIO()
+    with contextlib.redirect_stderr(errors):
+        code, out = run([arg.format(path=path) for arg in command])
+    event(f"{command[0]} exit {code}")
+    assert code in (0, 1, 2)
+    if code == 1 or out == "":
+        assert code != 0 and out == "" and errors.getvalue().startswith("error: ")
+    else:
+        parse(out)
+
+
+def example(name):
+    with open(data(name)) as handle:
+        return json.load(handle)
+
+
+def pick(draw, items):
+    return items[draw(st.integers(0, len(items) - 1))]
+
+
+def junk_slot(draw, doc):
+    """Any value of the document, at any depth, becomes arbitrary JSON."""
+    node = doc
+    while isinstance(node, (list, dict)) and node:
+        key = pick(draw, list(node) if isinstance(node, dict) else range(len(node)))
+        if not isinstance(node[key], (list, dict)) or draw(st.booleans()):
+            node[key] = draw(JSON_VALUES)
+            return
+        node = node[key]
+
+
+def drop_key(draw, doc):
+    if isinstance(doc, dict) and doc:
+        del doc[pick(draw, sorted(doc))]
+
+
+def names_of(entries):
+    return [e.get("name") if isinstance(e, dict) else e for e in entries] or ["x"]
+
+
+def name_edit(draw, doc):
+    """An object, an arrow's name or endpoint, an identity or a name in a
+    compose entry becomes arbitrary JSON."""
+    objects, arrows, identities, compose = (doc.get(k) for k in ("objects", "arrows", "identities", "compose"))
+    groups = [
+        [(objects, i) for i in range(len(objects))] if isinstance(objects, list) else [],
+        [(a, k) for a in arrows if isinstance(a, dict) for k in ("name", "src", "tgt")] if isinstance(arrows, list) else [],
+        [(identities, k) for k in identities] if isinstance(identities, dict) else [],
+        [(e, i) for e in compose if isinstance(e, list) for i in range(len(e))] if isinstance(compose, list) else [],
+    ]
+    groups = [slots for slots in groups if slots]
+    if groups:
+        node, key = pick(draw, pick(draw, groups))
+        node[key] = draw(JSON_VALUES)
+
+
+def compose_edit(kind):
+    """Drop, duplicate or add a compose entry, or change a composite."""
+    def edit(draw, doc):
+        compose, arrows = doc.get("compose"), doc.get("arrows")
+        if not (isinstance(compose, list) and compose and isinstance(arrows, list)):
+            return
+        names = names_of(arrows)
+        i = draw(st.integers(0, len(compose) - 1))
+        if kind == "drop":
+            del compose[i]
+        elif kind == "duplicate":
+            compose.append(compose[i])
+        elif kind == "add":  # for any pair, composable or not
+            compose.append([pick(draw, names), pick(draw, names), pick(draw, names)])
+        elif isinstance(compose[i], list) and len(compose[i]) == 3:
+            compose[i] = [*compose[i][:2], pick(draw, names)]
+    return edit
+
+
+def edited(draw, doc, edits):
+    """doc with up to three drawn edits applied."""
+    for _ in range(draw(st.integers(0, 3))):
+        draw(st.sampled_from(edits))(draw, doc)
+    return doc
+
+
+CATEGORY_FILES = ["six.json", "group_c2.json", "chain3.json", "divisors6.json", "square.json", "parallel_first.json"]
+# changed composites load, so that the law checks and the solves run too
+CATEGORY_EDITS = [compose_edit(kind) for kind in ("drop", "duplicate", "add")] + [compose_edit("composite")] * 3 + [name_edit, junk_slot, drop_key]
+
+
+def edge_edit(draw, doc):
+    """An edge renamed to a clash, or an endpoint moved to any vertex or none."""
+    edges, vertices = doc.get("edges"), doc.get("vertices")
+    if isinstance(edges, list) and edges and isinstance(edges[0], dict) and isinstance(vertices, list):
+        key = draw(st.sampled_from(["name", "src", "tgt"]))
+        edges[0][key] = pick(draw, names_of(edges) if key == "name" else vertices + ["nowhere"])
+
+
+SIX_ARROWS = ["1a", "1b", "s", "i", "e"]
+
+
+def image_edit(draw, doc):
+    """An arrow image moved to any arrow of either target or none, or
+    removed; or an object map added."""
+    arrows = doc.get("arrows")
+    if isinstance(arrows, dict) and arrows and draw(st.booleans()):
+        name = pick(draw, sorted(arrows))
+        if draw(st.booleans()):
+            del arrows[name]
+        else:
+            arrows[name] = pick(draw, ["c_a_a", "c_a_b", "c_b_a", "c_b_b", *SIX_ARROWS, "nothing"])
+    else:
+        doc["objects"] = {"a": pick(draw, ["a", "b", "c"]), "b": pick(draw, ["a", "b"])}
+
+
+# mostly entries every rig reads, so that the operations run too
+MATRIX_ENTRIES = st.integers(0, 2) | st.integers(0, 2) | st.integers(-3, 3) | st.sampled_from(["1/2", "-2/3", "1/0", "x", 0.5, True])
+
+
+@st.composite
+def category_documents(draw):
+    return edited(draw, example(draw(st.sampled_from(CATEGORY_FILES))), CATEGORY_EDITS)
+
+
+@st.composite
+def graph_documents(draw):
+    return edited(draw, example("one_vertex_two_loops.json"), [edge_edit, edge_edit, junk_slot, drop_key])
+
+
+@st.composite
+def functor_documents(draw):
+    """A functor out of six.json and its target: the collapse onto the
+    codiscrete category or the identity, with up to three edits."""
+    if draw(st.booleans()):
+        target, doc = "six_codiscrete.json", example("six_collapse_functor.json")
+    else:
+        target, doc = "six.json", {"arrows": {name: name for name in SIX_ARROWS}}
+    return edited(draw, doc, [image_edit, image_edit, junk_slot, drop_key]), target
+
+
+@st.composite
+def matrix_documents(draw):
+    """Square and ragged tables of small integers, fractions and junk."""
+    n = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(MATRIX_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+    if rows and draw(st.integers(0, 4)) == 0:
+        rows[-1] = rows[-1][:-1]
+    return draw(JSON_VALUES) if draw(st.integers(0, 9)) == 0 else rows
+
+
+FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(category_documents())
+def test_any_category_file_gives_a_report_or_an_error(tmp_path, document):
+    for command in (
+        ["validate", "--category", "{path}"],
+        ["mobius", "--algebra", "fine", "--category", "{path}"],
+        ["euler", "--category", "{path}"],
+    ):
+        run_file(tmp_path, document, command)
+
+
+@FUZZ
+@given(graph_documents(), st.integers(1, 3))
+def test_any_graph_file_gives_a_report_or_an_error(tmp_path, document, degree):
+    run_file(tmp_path, document, ["graded", "--graph", "{path}", "--degree", str(degree)])
+
+
+@FUZZ
+@given(functor_documents())
+def test_any_functor_file_gives_a_report_or_an_error(tmp_path, document_and_target):
+    document, target = document_and_target
+    run_file(tmp_path, document, ["functor-check", "--src", data("six.json"), "--tgt", data(target), "--map", "{path}"])
+
+
+@FUZZ
+@given(matrix_documents(), st.sampled_from(["detpm", "adjpm", "transitive", "zeros"]),
+       st.sampled_from(["rat", "int", "nat", "bool", "real"]))
+def test_any_matrix_file_gives_a_report_or_an_error(tmp_path, document, op, rig):
+    run_file(tmp_path, document, ["matrix", "--op", op, "--in", "{path}", "--rig", rig])
+
+
 @pytest.mark.parametrize(
     "content, message",
     [

@@ -156,6 +156,27 @@ def test_magnitude_of_duplicate_points_is_singular():
     assert err.value.witness[0] == "condition"
 
 
+def test_asymmetric_magnitude_matches_the_inverse_total():
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randrange(1, 40)
+        rows = [[0.0 if i == j else rng.uniform(0.1, 4.0) for j in range(n)] for i in range(n)]
+        space = MetricSpace.from_distances(range(n), rows, symmetric=False)
+        want = float(np.linalg.inv(np.exp(-np.array(rows))).sum())
+        assert abs(magnitude(space) - want) <= 1e-9 * abs(want)
+
+
+def test_ill_conditioned_asymmetric_magnitude_is_refused():
+    # near-twins in both directions at different distances: Z is close to
+    # the all-ones matrix, whose condition is infinite
+    for d in (0.0, 1e-15, 1e-14):
+        space = MetricSpace.from_distances(["p", "q"], [[0, d], [2 * d, 0]], symmetric=False)
+        with pytest.raises(NotInvertible) as err:
+            magnitude(space)
+        assert err.value.witness[0] == "condition"
+        assert err.value.witness[1] > enriched.CONDITION_LIMIT
+
+
 def test_magnitude_permutation_invariance():
     rng = random.Random(79)
     points = ["a", "b", "c", "d", "e"]
@@ -172,7 +193,7 @@ def test_magnitude_permutation_invariance():
 
 
 def test_segment_refinement_approaches_limit():
-    study = segment_refinement_study([11, 101, 1001], length=2.0)
+    study = segment_refinement_study([11, 101, 1001])
     values = [value for _, value in study]
     assert values[0] < values[1] < values[2] < 2.0
     assert abs(values[2] - 2.0) < 0.01

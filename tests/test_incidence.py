@@ -520,6 +520,24 @@ def test_patch_mobius_at_scale_matches_closed_forms(monkeypatch):
                 assert mu.value(a, b) == (classical_mobius(b // a) if b % a == 0 else 0)
 
 
+def test_boolean_lattice_matches_closed_form():
+    # subsets of a 6-element set as bitmasks: mu(A, B) = (-1)^|B - A| for A <= B
+    subsets = range(64)
+    lattice = poset_to_category(subsets, [(a, b) for a in subsets for b in subsets if a & ~b == 0])
+    assert len(lattice.arrows) == 729
+
+    def mu(a, b):
+        return (-1) ** bin(b & ~a).count("1") if a & ~b == 0 else 0
+
+    for rig in (INT, RAT):
+        fine = fine_mobius(lattice, rig)
+        assert all(fine(("le", a, b)) == mu(a, b) for (_, a, b) in fine.values)
+        for mobius in (coarse_mobius, patch_mobius):
+            matrix = mobius(lattice, rig)
+            assert all(matrix.value(a, b) == mu(a, b) for a in subsets for b in subsets)
+        assert euler_characteristic(lattice, rig) == 1
+
+
 def test_patch_element_rejects_offsupport_values():
     from mobiuskit.incidence import PatchElement
 
