@@ -41,7 +41,6 @@ from .errors import (
     DivisionByZero,
     MalformedInput,
     MobiusKitError,
-    NotAPoset,
     NotAnInverse,
     NotInvertible,
     NotNerveFinite,

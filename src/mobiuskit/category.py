@@ -195,17 +195,33 @@ def graphs_equal(g1: DirectedGraph, g2: DirectedGraph) -> bool:
     return set(g1.vertices) == set(g2.vertices) and set(g1.edges) == set(g2.edges)
 
 
+def _thin_category(objects, leq, tag) -> FinCategory:
+    """Category with one arrow (tag, a, b) for each pair a <= b, in the
+    order of leq, a reflexive relation on the objects.
+
+    Raises MalformedInput naming the first pair (a, b) of leq whose up-set
+    misses some c >= b; otherwise compose, one entry per composable pair,
+    is read off the up-sets.
+    """
+    up: dict = {a: [] for a in objects}
+    for a, b in leq:
+        up[a].append(b)
+    up_set = {a: set(bs) for a, bs in up.items()}
+    for a, b in leq:
+        missing = up_set[b].difference(up_set[a])
+        if missing:
+            c = min(missing, key=repr)
+            raise MalformedInput(f"transitivity fails at ({a!r},{b!r},{c!r})")
+    arrows = [Arrow((tag, a, b), a, b) for a, b in leq]
+    identity = {a: (tag, a, a) for a in objects}
+    compose = {((tag, b, c), (tag, a, b)): (tag, a, c) for a, b in leq for c in up[b]}
+    return FinCategory(objects, arrows, identity, compose)
+
+
 def codiscrete_completion(c: FinCategory):
     """The codiscrete category on the same objects plus the canonical functor."""
     objects = c.objects
-    arrows = [Arrow(("co", a, b), a, b) for a in objects for b in objects]
-    identity = {a: ("co", a, a) for a in objects}
-    compose = {}
-    for g in arrows:
-        for f in arrows:
-            if f.tgt == g.src:
-                compose[(g.name, f.name)] = ("co", f.src, g.tgt)
-    cod = FinCategory(objects, arrows, identity, compose)
+    cod = _thin_category(objects, [(a, b) for a in objects for b in objects], "co")
     functor = Functor(
         source=c,
         target=cod,
@@ -218,15 +234,7 @@ def codiscrete_completion(c: FinCategory):
 def preorder_reflection(c: FinCategory):
     """Collapse each nonempty hom-set to a single arrow; canonical functor along."""
     objects = c.objects
-    pairs = [(a, b) for a in objects for b in objects if c.hom(a, b)]
-    arrows = [Arrow(("le", a, b), a, b) for (a, b) in pairs]
-    identity = {a: ("le", a, a) for a in objects}
-    compose = {}
-    for (b, c2) in pairs:
-        for (a, b2) in pairs:
-            if b2 == b:
-                compose[(("le", b, c2), ("le", a, b))] = ("le", a, c2)
-    ref = FinCategory(objects, arrows, identity, compose)
+    ref = _thin_category(objects, [(a, b) for a in objects for b in objects if c.hom(a, b)], "le")
     functor = Functor(
         source=c,
         target=ref,
@@ -240,28 +248,20 @@ def poset_to_category(elements, relation: Iterable[tuple]) -> FinCategory:
     """Category of a finite partial order; relation pairs mean a <= b.
 
     Reflexive pairs may be omitted.  Raises MalformedInput unless the
-    completed relation is transitive and antisymmetric.
+    completed relation is transitive and antisymmetric, naming the first
+    offending pair in repr order.
     """
     elements = tuple(elements)
-    leq = set((a, a) for a in elements) | set(relation)
+    known = set(elements)
+    leq = sorted(set((a, a) for a in elements) | set(relation), key=repr)
     for (a, b) in leq:
-        if a not in elements or b not in elements:
+        if a not in known or b not in known:
             raise MalformedInput(f"relation pair ({a!r},{b!r}) uses unknown elements")
+    pairs = set(leq)
     for (a, b) in leq:
-        if (b, a) in leq and a != b:
+        if a != b and (b, a) in pairs:
             raise MalformedInput(f"antisymmetry fails at ({a!r},{b!r})")
-    for (a, b) in leq:
-        for (b2, c) in leq:
-            if b2 == b and (a, c) not in leq:
-                raise MalformedInput(f"transitivity fails at ({a!r},{b!r},{c!r})")
-    arrows = [Arrow(("le", a, b), a, b) for (a, b) in sorted(leq, key=repr)]
-    identity = {a: ("le", a, a) for a in elements}
-    compose = {}
-    for (b, c) in leq:
-        for (a, b2) in leq:
-            if b2 == b:
-                compose[(("le", b, c), ("le", a, b))] = ("le", a, c)
-    return FinCategory(elements, arrows, identity, compose)
+    return _thin_category(elements, leq, "le")
 
 
 def monoid_to_category(elements, unit, table: dict) -> FinCategory:

@@ -46,7 +46,7 @@ from .incidence import (
     sigma_to_coarse,
 )
 from .infinite import builtin, family_mobius
-from .rigs import INT, NAMED_RIGS, RAT, get_rig, render
+from .rigs import INT, NAMED_RIGS, RAT, get_rig, polynomial_rig, render
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -113,6 +113,7 @@ def _report(command: str, rig_name: str, results: dict, warnings=None) -> dict:
 
 
 def cmd_validate(args):
+    rig = _resolve_rig(args, "rat")
     cat = load_category(args.category)
     report = validate_category(cat)
     results = {
@@ -123,7 +124,6 @@ def cmd_validate(args):
     if not report.ok:
         results["law"] = report.law
         results["witness"] = report.witness
-    rig = _resolve_rig(args, "rat")
     return _report("validate", rig.name, results), EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
@@ -244,6 +244,7 @@ def cmd_graded(args):
     explicit = args.rig or os.environ.get("MOBIUSKIT_RIG")
     if explicit and explicit not in ("poly", f"poly:{args.degree}"):
         raise UnsupportedRig("graded computations run over the truncated series rig")
+    rig = polynomial_rig(args.degree)  # refuses a degree above MAX_SERIES_DEGREE
     graph = load_graph(args.graph)
     graded = GradedGraphCategory(graph, args.degree)
     zeta = graded_zeta(graded)
@@ -254,7 +255,7 @@ def cmd_graded(args):
         "mobius": coarse_json(mobius),
         "mobius_total": render(mobius.rig, mobius.total()),
     }
-    return _report("graded", f"poly:{args.degree}", results), EXIT_OK
+    return _report("graded", rig.name, results), EXIT_OK
 
 
 def cmd_classify(args):

@@ -33,10 +33,6 @@ class BudgetExceeded(MobiusKitError):
     pass
 
 
-class NotAPoset(MobiusKitError):
-    pass
-
-
 class NotNerveFinite(MobiusKitError):
     pass
 

@@ -118,36 +118,30 @@ def pullback_transform(f: Functor, y: FineElement) -> FineElement:
     return FineElement(f.source, y.rig, values)
 
 
-def pushforward_is_homomorphism(f: Functor, rig: Rig):
-    """Definitional check: F_! preserves delta and all basis products."""
-    delta_target = fine_delta(f.target, rig)
-    if not pushforward(f, fine_delta(f.source, rig)).equal(delta_target):
+def _is_homomorphism(transform, domain: FinCategory, codomain: FinCategory, rig: Rig):
+    """Definitional check that transform, from fine elements on domain to
+    fine elements on codomain, preserves delta and all basis products."""
+    if not transform(fine_delta(domain, rig)).equal(fine_delta(codomain, rig)):
         return False, ("delta",)
-    for a in f.source.arrow_names():
-        ea = fine_basis(f.source, rig, a)
-        for b in f.source.arrow_names():
-            eb = fine_basis(f.source, rig, b)
-            lhs = pushforward(f, fine_convolve(ea, eb))
-            rhs = fine_convolve(pushforward(f, ea), pushforward(f, eb))
+    for a in domain.arrow_names():
+        ea = fine_basis(domain, rig, a)
+        for b in domain.arrow_names():
+            eb = fine_basis(domain, rig, b)
+            lhs = transform(fine_convolve(ea, eb))
+            rhs = fine_convolve(transform(ea), transform(eb))
             if not lhs.equal(rhs):
                 return False, (a, b)
     return True, None
+
+
+def pushforward_is_homomorphism(f: Functor, rig: Rig):
+    """Definitional check: F_! preserves delta and all basis products."""
+    return _is_homomorphism(lambda x: pushforward(f, x), f.source, f.target, rig)
 
 
 def pullback_is_homomorphism(f: Functor, rig: Rig):
     """Definitional check: F* preserves delta and all basis products."""
-    delta_source = fine_delta(f.source, rig)
-    if not pullback_transform(f, fine_delta(f.target, rig)).equal(delta_source):
-        return False, ("delta",)
-    for a in f.target.arrow_names():
-        ea = fine_basis(f.target, rig, a)
-        for b in f.target.arrow_names():
-            eb = fine_basis(f.target, rig, b)
-            lhs = pullback_transform(f, fine_convolve(ea, eb))
-            rhs = fine_convolve(pullback_transform(f, ea), pullback_transform(f, eb))
-            if not lhs.equal(rhs):
-                return False, (a, b)
-    return True, None
+    return _is_homomorphism(lambda y: pullback_transform(f, y), f.target, f.source, rig)
 
 
 def category_pullback(f: Functor, g: Functor):

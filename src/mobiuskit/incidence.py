@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .category import FinCategory, endomorphism_report, is_skeletal, patch_objects
+from .category import FinCategory, patch_objects
 from .errors import (
     MalformedInput,
-    NotAPoset,
     NotInvertible,
     NotNerveFinite,
     RigMismatch,
@@ -245,60 +244,56 @@ def fine_mobius(c: FinCategory, rig: Rig) -> FineElement:
     return fine_invert(fine_zeta(c, rig))
 
 
-def _strict_poset_relation(c: FinCategory):
-    """Strict order pairs of a poset-category; NotAPoset if homs are not thin."""
-    for a in c.objects:
-        for b in c.objects:
-            if len(c.hom(a, b)) > 1:
-                raise NotAPoset(f"hom({a!r},{b!r}) has {len(c.hom(a, b))} arrows")
-            if a != b and c.hom(a, b) and c.hom(b, a):
-                raise NotAPoset(f"maps both ways between {a!r} and {b!r}")
-    return {(a, b) for a in c.objects for b in c.objects if a != b and c.hom(a, b)}
+def _chain_counts(c: FinCategory) -> dict:
+    """arrow f -> sum over n of (-1)^n (number of chains of n non-identity
+    arrows composing to f), counted level by level (Leroux 1975).
 
-
-def _alternating_path_counts(adjacency):
-    """sum over k >= 0 of (-1)^k A^k, the alternating count of paths by
-    length, for a square integer matrix A; None when A is not nilpotent."""
-    n = len(adjacency)
-    total = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    power = total
+    level_0 holds the identities, one each, and level_{k+1}(f) sums
+    level_k(g) over the factorizations f = h o g with h not an identity.
+    A chain of n = |objects| non-identity arrows revisits an object, and
+    one exists exactly when the category has a nontrivial endomorphism or
+    an isomorphism between distinct objects; a nonempty level n is
+    therefore the NotNerveFinite refusal, and otherwise the count stops
+    at the first empty level, at most n.
+    """
+    after: dict = {}
+    for f, pairs in c.factorizations().items():
+        for g, h in pairs:
+            if not c.is_identity(h):
+                after.setdefault(g, []).append(f)
+    level = {name: 1 for name in c.identity.values()}
+    counts = dict.fromkeys(c.arrow_names(), 0)
     sign = 1
-    # a nilpotent n x n matrix has A^n = 0; n + 1 steps and not n, so that
-    # the empty matrix (n = 0) is also found nilpotent
-    for _ in range(n + 1):
-        power = [
-            [sum(power[i][k] * adjacency[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        if not any(any(row) for row in power):
-            return total
+    for _ in range(len(c.objects)):
+        if not level:
+            break
+        nxt: dict = {}
+        for g, count in level.items():
+            counts[g] += sign * count
+            for f in after.get(g, ()):
+                nxt[f] = nxt.get(f, 0) + count
+        level = nxt
         sign = -sign
-        total = [[total[i][j] + sign * power[i][j] for j in range(n)] for i in range(n)]
-    return None
+    if level:
+        raise NotNerveFinite(
+            "nerve Euler characteristic needs a skeletal category with no nontrivial endomorphisms"
+        )
+    return counts
 
 
 def fine_mobius_hall(c: FinCategory, rig: Rig = INT) -> FineElement:
-    """Mobius function of a poset-category by alternating chain counts.
+    """Fine Mobius function by alternating chain counts (Leroux's formula).
 
-    mu(a,b) = sum over n of (-1)^n (number of chains a = a0 < ... < an = b).
+    mu(f) = sum over n of (-1)^n (number of chains of n non-identity arrows
+    composing to f), for every finite Mobius category: skeletal, with no
+    nontrivial endomorphisms.  On a poset this is Hall's formula, chains
+    a = a0 < ... < an = b.  Other categories raise NotNerveFinite, from
+    the count itself: a chain of |objects| arrows exists exactly when the
+    precondition fails, and otherwise every chain is shorter.
     """
     if not rig.has_negation:
         raise UnsupportedRig("chain-count Mobius needs a ring")
-    strict = _strict_poset_relation(c)
-    objs = list(c.objects)
-    idx = {o: i for i, o in enumerate(objs)}
-    n = len(objs)
-    adjacency = [[0] * n for _ in range(n)]
-    for (a, b) in strict:
-        adjacency[idx[a]][idx[b]] = 1
-    # a strict order is acyclic, so its adjacency matrix is nilpotent
-    mu = _alternating_path_counts(adjacency)
-    values = {}
-    for a in c.objects:
-        for b in c.objects:
-            for name in c.hom(a, b):
-                values[name] = rig.from_int(mu[idx[a]][idx[b]])
-    return FineElement(c, rig, values)
+    return FineElement(c, rig, {f: rig.from_int(n) for f, n in _chain_counts(c).items()})
 
 
 # coarse level
@@ -443,24 +438,12 @@ def euler_characteristic(c: FinCategory, rig: Rig):
 
 
 def nerve_euler_characteristic(c: FinCategory) -> int:
-    """Alternating count of chains of composable non-identity arrows.
+    """Alternating count of chains of composable non-identity arrows: the
+    sum over all arrows of the chain-count Mobius function.
 
     Requires the category to be skeletal with no nontrivial endomorphisms:
-    then non-identity arrows never revisit an object, chains have length
-    at most the number of objects, and the sum terminates.
+    then non-identity arrows never revisit an object, chains have fewer
+    arrows than there are objects, and the sum terminates.  Otherwise the
+    count finds a chain of |objects| arrows and raises NotNerveFinite.
     """
-    report = endomorphism_report(c)
-    if not is_skeletal(c) or report.nontrivial_endos:
-        raise NotNerveFinite(
-            "nerve Euler characteristic needs a skeletal category with no nontrivial endomorphisms"
-        )
-    objs = list(c.objects)
-    idx = {o: i for i, o in enumerate(objs)}
-    n = len(objs)
-    counts = [[0] * n for _ in range(n)]
-    for name in c.nonidentity_arrows():
-        counts[idx[c.src(name)]][idx[c.tgt(name)]] += 1
-    chains = _alternating_path_counts(counts)
-    if chains is None:
-        raise NotNerveFinite("chain counts did not terminate; precondition violated")
-    return sum(map(sum, chains))
+    return sum(_chain_counts(c).values())

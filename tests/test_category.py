@@ -172,6 +172,22 @@ def test_poset_to_category_rejects_bad_relations():
         poset_to_category([0, 1, 2], [(0, 1), (1, 2)])  # not transitive
 
 
+@pytest.mark.parametrize(
+    "relation, message",
+    [
+        ([("d", "e"), ("a", "z"), ("a", "y")], "relation pair ('a','y') uses unknown elements"),
+        ([("d", "c"), ("b", "a"), ("c", "d"), ("a", "b")], "antisymmetry fails at ('a','b')"),
+        ([("c", "d"), ("b", "c"), ("a", "b")], "transitivity fails at ('a','b','c')"),
+    ],
+    ids=["unknown", "antisymmetry", "transitivity"],
+)
+def test_poset_to_category_names_the_first_bad_pair_in_repr_order(relation, message):
+    # string elements hash differently in every process; the witness must not
+    with pytest.raises(MalformedInput) as err:
+        poset_to_category("abcd", relation)
+    assert str(err.value) == message
+
+
 def test_monoid_to_category():
     assert len(terminal_category().arrows) == 1
     c2 = cyclic_group_category(2)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from mobiuskit import cli, fileio
+from mobiuskit import cli, fileio, rigs
 from mobiuskit.cli import main
 from mobiuskit.matrixrig import RigMatrix
 from mobiuskit.rigs import RAT, REAL
@@ -342,6 +342,28 @@ def test_graded_report():
     assert results["zeta"]["matrix"][0][0].startswith("1 + 2*t + 4*t^2")
 
 
+def test_series_degree_is_capped_before_any_work(capfd, monkeypatch):
+    # refused before the graph file is read or a coefficient allocated
+    limit = rigs.MAX_SERIES_DEGREE
+    huge = 10 ** 9
+    for argv in (
+        ["graded", "--graph", "missing.json", "--degree", str(huge)],
+        ["zeta", "--category", "missing.json", "--rig", f"poly:{huge}"],
+        ["validate", "--category", "missing.json", "--rig", f"poly:{huge}"],
+    ):
+        code, out = run(argv)
+        err = capfd.readouterr().err
+        assert (code, out, err) == (1, "", f"error: truncation degree is limited to {limit}, got {huge}\n")
+    monkeypatch.setattr(rigs, "MAX_SERIES_DEGREE", 5)
+    rigs.polynomial_rig.cache_clear()  # rigs built under the real cap
+    loops = data("one_vertex_two_loops.json")
+    assert run(["graded", "--graph", loops, "--degree", "5"])[0] == 0
+    assert run(["graded", "--graph", loops, "--degree", "6", "--rig", "poly:6"])[0] == 1
+    assert run(["zeta", "--category", data("six.json"), "--rig", "poly:5"])[0] == 0
+    assert run(["zeta", "--category", data("six.json"), "--rig", "poly:6"])[0] == 1
+    assert capfd.readouterr().err.count("error: truncation degree is limited to 5, got 6\n") == 2
+
+
 def test_classify_six_negative_exit():
     code, out = run(["classify", "--category", data("six.json")])
     assert code == 2
@@ -423,8 +445,9 @@ SOLVES = "allowed: int, rat, real"
         (["compare", "--category-a", "missing.json", "--category-b", "missing.json", "--rig", "bool"], f"rig 'bool' is not usable with this command ({SOLVES})"),
         (["matrix", "--op", "zeros", "--in", "missing.json", "--rig", "int"], "rig 'int' is not usable with this command (allowed: rat, real)"),
         (["magnitude", "--metric", "missing.json", "--rig", "rat"], "rig 'rat' is not usable with this command (allowed: real)"),
+        (["validate", "--category", "missing.json", "--rig", "foo"], "unknown rig 'foo'"),
     ],
-    ids=["mobius-bool", "family-nat", "euler-poly", "compare-bool", "zeros-int", "magnitude-rat"],
+    ids=["mobius-bool", "family-nat", "euler-poly", "compare-bool", "zeros-int", "magnitude-rat", "validate-unknown"],
 )
 def test_refused_rigs_exit_1_before_any_file_is_read(capfd, argv, message):
     # the input files do not exist: the rig is refused before they are opened

@@ -11,10 +11,12 @@ from mobiuskit.corpus import (
     discrete_category,
     divisor_poset_category,
     fine_invertible_corpus,
+    free_category_on_acyclic_graph,
     general_corpus,
     idempotent_monoid_category,
     named_categories,
     random_poset_category,
+    random_dag,
     random_poset_relation,
     rig_sampler,
     same_graph_composition_pairs,
@@ -23,7 +25,7 @@ from mobiuskit.corpus import (
     terminal_category,
     walking_iso_category,
 )
-from mobiuskit.errors import NotAPoset, NotInvertible, NotNerveFinite, RigMismatch, UnsupportedRig
+from mobiuskit.errors import NotInvertible, NotNerveFinite, RigMismatch, UnsupportedRig
 from mobiuskit import incidence
 from mobiuskit.incidence import (
     FineElement,
@@ -49,7 +51,7 @@ from mobiuskit.incidence import (
     sigma_to_patch,
     verify_inverse,
 )
-from mobiuskit.infinite import classical_mobius
+from mobiuskit.infinite import builtin, classical_mobius
 from mobiuskit.matrixrig import RigMatrix, invert_counting_matrix, invert_on_support, is_transitive
 from mobiuskit.rigs import BOOL, INT, RAT, REAL, render
 
@@ -167,11 +169,12 @@ def test_fine_mobius_hall_examples():
     assert mu3.values[("le", 0, 2)] == 0
 
 
-def test_fine_mobius_hall_rejects_non_posets():
-    with pytest.raises(NotAPoset):
-        fine_mobius_hall(six_example_category(), INT)
-    with pytest.raises(NotAPoset):
-        fine_mobius_hall(cyclic_group_category(2), INT)
+def test_fine_mobius_hall_refuses_non_mobius_categories():
+    # a nontrivial idempotent, a nontrivial automorphism, an isomorphism
+    # between distinct objects: each gives chains of every length
+    for cat in (six_example_category(), cyclic_group_category(2), walking_iso_category()):
+        with pytest.raises(NotNerveFinite):
+            fine_mobius_hall(cat, INT)
 
 
 def test_hall_oracle_agrees_with_linear_solve():
@@ -203,6 +206,36 @@ def test_block_solve_matches_hall_oracle_at_scale():
         counted = fine_mobius_hall(cat, INT).values
         for rig in (INT, RAT):
             assert fine_mobius(cat, rig).values == counted
+
+
+def random_free_dag_categories(seed, count):
+    """Free categories on random acyclic graphs with 9 or 10 vertices and
+    parallel edges, kept when they have 250 to 400 arrows."""
+    rng = random.Random(seed)
+    cats = []
+    while len(cats) < count:
+        cat = free_category_on_acyclic_graph(random_dag(rng, rng.choice((9, 10)), 0.35, 2))
+        if 250 <= len(cat.arrows) <= 400:
+            cats.append(cat)
+    return cats
+
+
+def test_block_solve_matches_leroux_chain_count_on_non_thin_categories():
+    # Leroux's formula: mu(f) = sum over n of (-1)^n (chains of n
+    # non-identity arrows composing to f), on Mobius categories whose
+    # hom-sets are not thin, at sizes where the block solve matters
+    dinj, dsurj = builtin("dinj"), builtin("dsurj")
+    cats = [
+        dinj.patch_materialize(0, 7),
+        dinj.patch_materialize(0, 8),
+        dsurj.patch_materialize(9, 1),
+        product(chain_category(8), chain_category(8)),
+    ] + random_free_dag_categories(83, 4)
+    for cat in cats:
+        counted = fine_mobius_hall(cat, INT).values
+        for rig in (INT, RAT):
+            assert fine_mobius(cat, rig).values == counted
+    assert max(len(cat.hom(a, b)) for cat in cats for a in cat.objects for b in cat.objects) > 40
 
 
 def test_block_solve_obeys_product_rule():
@@ -538,6 +571,17 @@ def test_boolean_lattice_matches_closed_form():
         assert euler_characteristic(lattice, rig) == 1
 
 
+def test_boolean_lattice_on_eight_elements_by_chain_count():
+    # 256 subsets, 6561 pairs A <= B: the thin-category builder is linear in
+    # the composable pairs, and Hall's chain count gives (-1)^|B - A|
+    subsets = range(256)
+    lattice = poset_to_category(subsets, [(a, b) for a in subsets for b in subsets if a & ~b == 0])
+    assert len(lattice.arrows) == 3 ** 8
+    mu = fine_mobius_hall(lattice, INT)
+    assert all(value == (-1) ** bin(b & ~a).count("1") for (_, a, b), value in mu.values.items())
+    assert nerve_euler_characteristic(lattice) == 1
+
+
 def test_patch_element_rejects_offsupport_values():
     from mobiuskit.incidence import PatchElement
 
@@ -602,11 +646,6 @@ def test_empty_category_has_alternating_counts_too():
     empty = discrete_category(0)
     assert nerve_euler_characteristic(empty) == 0
     assert fine_mobius_hall(empty, INT).values == {}
-    # the shared helper: a nilpotent matrix gives the alternating path
-    # counts, a cycle gives None rather than an endless sum
-    assert incidence._alternating_path_counts([]) == []
-    assert incidence._alternating_path_counts([[0, 1], [0, 0]]) == [[1, -1], [0, 1]]
-    assert incidence._alternating_path_counts([[0, 1], [1, 0]]) is None
 
 
 @pytest.mark.parametrize("rig, kind", [(INT, int), (RAT, Fraction), (REAL, float)], ids=["int", "rat", "real"])
