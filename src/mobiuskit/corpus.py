@@ -219,29 +219,30 @@ def free_category_on_acyclic_graph(g: DirectedGraph) -> FinCategory:
     out_edges: dict = {v: [] for v in g.vertices}
     for e in g.edges:
         out_edges[e.src].append(e)
-    paths = [("path", v, ()) for v in g.vertices]
+    # tip[p] is the vertex where path p ends, recorded as p is made
+    tip = {("path", v, ()): v for v in g.vertices}
+    paths = list(tip)
     frontier = list(paths)
     while frontier:
         new_frontier = []
-        for (_, start, edge_names) in frontier:
-            tip = start if not edge_names else next(e.tgt for e in g.edges if e.name == edge_names[-1])
-            for e in out_edges[tip]:
-                new_frontier.append(("path", start, edge_names + (e.name,)))
+        for p in frontier:
+            _, start, edge_names = p
+            for e in out_edges[tip[p]]:
+                q = ("path", start, edge_names + (e.name,))
+                tip[q] = e.tgt
+                new_frontier.append(q)
         paths.extend(new_frontier)
         frontier = new_frontier
-    edge_by_name = {e.name: e for e in g.edges}
-
-    def path_tip(p):
-        _, start, edge_names = p
-        return start if not edge_names else edge_by_name[edge_names[-1]].tgt
-
-    arrows = [Arrow(p, p[1], path_tip(p)) for p in paths]
+    arrows = [Arrow(p, p[1], tip[p]) for p in paths]
     identity = {v: ("path", v, ()) for v in g.vertices}
+    ending_at: dict = {v: [] for v in g.vertices}
+    for p in paths:
+        ending_at[tip[p]].append(p)
+    # q o p for every path p that ends where q starts
     compose = {}
     for q in paths:
-        for p in paths:
-            if path_tip(p) == q[1]:
-                compose[(q, p)] = ("path", p[1], p[2] + q[2])
+        for p in ending_at[q[1]]:
+            compose[(q, p)] = ("path", p[1], p[2] + q[2])
     return FinCategory(g.vertices, arrows, identity, compose)
 
 

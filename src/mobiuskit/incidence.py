@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .category import FinCategory, patch_objects
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     RigMismatch,
     UnsupportedRig,
 )
-from .matrixrig import RigMatrix, _bareiss_rational, _land, invert_counting_matrix, invert_on_support
+from .matrixrig import RigMatrix, _bareiss, _land, invert_counting_matrix, invert_on_support
 from .rigs import INT, Rig
 
 
@@ -150,36 +151,52 @@ def verify_inverse(x: FineElement, y: FineElement) -> bool:
 def fine_invert(x: FineElement) -> FineElement:
     """Two-sided convolution inverse of a fine element.
 
-    Solves the linear system for a left inverse (one unknown per arrow)
-    exactly, then verifies the right-inverse identity.  The values are
-    converted to exact rationals, and the solution lands in the rig through
-    its from_quotient; over a rig without division (the integers) it must
-    come out integral.  Rigs without from_quotient have no solver, use
-    verify_inverse with a candidate instead.
+    Solves the linear system w * x = delta for a left inverse w (one
+    unknown per arrow) exactly, in plain integers, then certifies the
+    other side.  x is scaled once to integers, X = e x with e the LCM of
+    its denominators (1 for every zeta).  The solution lands in the rig
+    through its from_quotient; over a rig without division (the integers)
+    it must come out integral.  Rigs without from_quotient have no solver,
+    use verify_inverse with a candidate instead.
 
     (w * x)(f) involves only w(g) with src(g) = src(f), so the system is
     block-diagonal: one block per source object, holding the arrows out of
-    that object in global arrow order.  Each block is a dense system whose
-    rows are scaled to integers by the LCM of their denominators and
-    solved by the fraction-free kernel matrixrig._bareiss, the one that
-    also inverts coarse zeta matrices.  For posets and Mobius categories
-    whose arrows are listed along a linear extension, every pivot is 1 and
-    the kernel touches only the nonzero entries.
+    that object in global arrow order.  The row of f sums X(h) over the
+    factorizations h o g = f into the column of g, with right-hand side
+    e [f is an identity], and each block goes to the fraction-free kernel
+    matrixrig._bareiss, the one that also inverts coarse zeta matrices.
+    For posets and Mobius categories whose arrows are listed along a
+    linear extension, every pivot is 1 and the kernel touches only the
+    nonzero entries.
 
-    A singular system names the global index of the first arrow column
-    that depends on earlier columns, which is where elimination over the
-    whole system would stop.  Columns of different blocks share no rows,
-    so that is the smallest first failing column over all blocks.  A
-    composite that does not start where its first factor starts breaks
-    the block structure; it is MalformedInput, as validate_category would
-    report it as composite-endpoints.
+    The certificate checks x * w = delta only.  w * x = delta holds
+    exactly, since the system was solved over the rationals, and in a
+    finite-dimensional associative unital algebra a left inverse is also
+    a right inverse.  A composition table that is not associative, which
+    fine_mobius does not validate, breaks that argument, and there this
+    check is what refuses a one-sided answer.  The check runs on integers: block a solves to W_a / d_a, and
+    with D the LCM of the d_a and W'(h) = W(h) D / d_{src h} it tests
+    sum X(g) W'(h) = e D [f is an identity].  The same exact check serves
+    the floating reals, whose values are the exact solution rounded once.
+
+    The checks run in this order: a singular block, then a non-integral
+    value over a rig without division, then the certificate; only then do
+    the values land in the rig.  A singular system names the global index
+    of the first arrow column that depends on earlier columns, which is
+    where elimination over the whole system would stop.  Columns of
+    different blocks share no rows, so that is the smallest first failing
+    column over all blocks.  A composite that does not start where its
+    first factor starts breaks the block structure; it is MalformedInput,
+    as validate_category would report it as composite-endpoints.
     """
     rig = x.rig
     if rig.from_quotient is None:
         raise UnsupportedRig(f"fine inversion needs a field or the integers, not '{rig.name}'")
     c = x.category
     names = c.arrow_names()
-    exact = {n: Fraction(v) for n, v in x.values.items()}
+    ratios = {n: v.as_integer_ratio() for n, v in x.values.items()}
+    e = lcm(*(q for _, q in ratios.values()))
+    scaled_x = {n: p * (e // q) for n, (p, q) in ratios.items()}
     # columns[a] holds the global indices of the arrows out of a, and
     # position[g] the place of g among them
     columns: dict = {}
@@ -191,7 +208,8 @@ def fine_invert(x: FineElement) -> FineElement:
     # (w * x)(f) = sum_g [sum_{h : h o g = f} x(h)] w(g), with src(g) = src(f)
     rows: dict = {a: [] for a in columns}
     rhs: dict = {a: [] for a in columns}
-    for f_name, pairs in c.factorizations().items():
+    factorizations = c.factorizations()
+    for f_name, pairs in factorizations.items():
         a = c.src(f_name)
         row = [0] * len(columns[a])
         for g, h in pairs:
@@ -200,16 +218,16 @@ def fine_invert(x: FineElement) -> FineElement:
                     f"compose({h!r}, {g!r}) = {f_name!r}: the composite starts at "
                     f"{a!r}, not at the source {c.src(g)!r} of {g!r}"
                 )
-            row[position[g]] += exact[h]
+            row[position[g]] += scaled_x[h]
         rows[a].append(row)
-        rhs[a].append([1 if c.is_identity(f_name) else 0])
+        rhs[a].append([e if c.is_identity(f_name) else 0])
     solved = {}
     failures = []
     for a, block in columns.items():
         try:
-            solved[a] = _bareiss_rational(rows[a], rhs[a])
-        except NotInvertible as e:
-            failures.append(block[e.witness[1]])
+            solved[a] = _bareiss(rows[a], rhs[a])
+        except NotInvertible as err:
+            failures.append(block[err.witness[1]])
     if failures:
         column = min(failures)
         raise NotInvertible(
@@ -217,26 +235,34 @@ def fine_invert(x: FineElement) -> FineElement:
             witness=("column", column),
         )
     if not rig.has_division:
-        non_integral = [(i, Fraction(value, d)) for a, (d, scaled) in solved.items()
+        non_integral = [(i, value, d) for a, (d, scaled) in solved.items()
                         for i, (value,) in zip(columns[a], scaled) if value % d]
         if non_integral:
-            i, val = min(non_integral)
+            i, value, d = min(non_integral)
+            val = Fraction(value, d)
             raise NotInvertible(
                 f"inverse value on arrow {names[i]!r} = {val} is not an integer",
                 witness=("non-integral", names[i], str(val)),
+            )
+    # (x * w)(f) = sum over h o g = f of x(g) w(h), on the common denominator e D
+    common = lcm(*(d for d, _ in solved.values()))
+    scaled_w = {}
+    for a, (d, scaled) in solved.items():
+        k = common // d
+        for i, (value,) in zip(columns[a], scaled):
+            scaled_w[names[i]] = value * k
+    one = e * common
+    for f_name, pairs in factorizations.items():
+        if sum(scaled_x[g] * scaled_w[h] for g, h in pairs) != (one if c.is_identity(f_name) else 0):
+            raise NotInvertible(
+                "left inverse exists but is not two-sided",
+                witness=("one-sided", None),
             )
     solution = [None] * len(names)
     for a, (d, scaled) in solved.items():
         for i, (value,) in zip(columns[a], _land(rig, d, scaled)):
             solution[i] = value
-    values = dict(zip(names, solution))
-    candidate = FineElement(c, rig, values)
-    if not verify_inverse(x, candidate):
-        raise NotInvertible(
-            "left inverse exists but is not two-sided",
-            witness=("one-sided", None),
-        )
-    return candidate
+    return FineElement(c, rig, dict(zip(names, solution)))
 
 
 def fine_mobius(c: FinCategory, rig: Rig) -> FineElement:

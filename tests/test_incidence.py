@@ -230,12 +230,17 @@ def test_block_solve_matches_leroux_chain_count_on_non_thin_categories():
         dinj.patch_materialize(0, 8),
         dsurj.patch_materialize(9, 1),
         product(chain_category(8), chain_category(8)),
-    ] + random_free_dag_categories(83, 4)
-    for cat in cats:
+    ]
+    free = random_free_dag_categories(83, 4)
+    for cat in cats + free:
         counted = fine_mobius_hall(cat, INT).values
         for rig in (INT, RAT):
-            assert fine_mobius(cat, rig).values == counted
-    assert max(len(cat.hom(a, b)) for cat in cats for a in cat.objects for b in cat.objects) > 40
+            mu = fine_mobius(cat, rig)
+            assert mu.values == counted
+            if cat in free:
+                # fine_invert certifies one side; verify_inverse checks both
+                assert verify_inverse(fine_zeta(cat, rig), mu)
+    assert max(len(cat.hom(a, b)) for cat in cats + free for a in cat.objects for b in cat.objects) > 40
 
 
 def test_block_solve_obeys_product_rule():
@@ -321,6 +326,95 @@ def test_fine_invert_general_elements():
     y = FineElement(chain3, INT, values_int)
     inverse_int = fine_invert(y)
     assert verify_inverse(y, inverse_int)
+
+
+def test_a_non_associative_table_fails_the_one_sided_certificate():
+    # unital but not associative: (a o a) o b = b, a o (a o b) = a.  The
+    # constructor checks structure only, so fine_mobius sees this table.
+    # w * zeta = delta solves over Q with w(1) = -2/3, but zeta * w is not
+    # delta; over Z the non-integral value is reported first
+    arrows = [("1", "o", "o"), ("a", "o", "o"), ("b", "o", "o")]
+    compose = {("1", "1"): "1", ("1", "a"): "a", ("a", "1"): "a", ("1", "b"): "b", ("b", "1"): "b",
+               ("a", "a"): "1", ("a", "b"): "1", ("b", "a"): "a", ("b", "b"): "1"}
+    cat = FinCategory(("o",), arrows, {"o": "1"}, compose)
+    assert not cat.validate().ok
+    for rig in (RAT, REAL):
+        with pytest.raises(NotInvertible, match=r"^left inverse exists but is not two-sided$") as err:
+            fine_mobius(cat, rig)
+        assert err.value.witness == ("one-sided", None)
+    with pytest.raises(NotInvertible, match=r"^inverse value on arrow '1' = -2/3 is not an integer$") as err:
+        fine_mobius(cat, INT)
+    assert err.value.witness == ("non-integral", "1", "-2/3")
+
+
+def certificate_corpus():
+    """415 categories: the named ones and two random corpora, with
+    singular, non-integral and invertible fine zeta functions."""
+    return list(named_categories().values()) + general_corpus(5, 300) + fine_invertible_corpus(7, 100)
+
+
+def fine_invert_outcome(x):
+    try:
+        return fine_invert(x)
+    except NotInvertible as err:
+        return str(err), err.witness
+
+
+def test_fine_mobius_passes_the_two_sided_check_on_the_corpus():
+    # fine_invert certifies one side only; verify_inverse checks both.
+    # Over the reals every value is the rational one rounded once
+    outcomes = set()
+    for cat in certificate_corpus():
+        rat_zeta = fine_zeta(cat, RAT)
+        rat = fine_invert_outcome(rat_zeta)
+        real = fine_invert_outcome(fine_zeta(cat, REAL))
+        if isinstance(rat, tuple):
+            assert real == rat
+            assert rat[1][0] == "column"
+            outcomes.add("singular")
+            continue
+        assert verify_inverse(rat_zeta, rat)
+        assert real.values == {n: float(v) for n, v in rat.values.items()}
+        integral = all(v.denominator == 1 for v in rat.values.values())
+        int_zeta = fine_zeta(cat, INT)
+        mu = fine_invert_outcome(int_zeta)
+        assert isinstance(mu, FineElement) == integral
+        if integral:
+            assert verify_inverse(int_zeta, mu)
+        outcomes.add("integral" if integral else "fractional")
+    assert outcomes == {"singular", "integral", "fractional"}
+
+
+def test_fine_invert_of_random_fractional_elements_passes_the_two_sided_check(monkeypatch):
+    # fractional values scale x by e > 1, and dense blocks of random values
+    # end elimination on determinants d other than 1, negative ones too, so
+    # the certificate's common denominator D is not 1.  The values are
+    # dyadic, so the real element holds the rational one exactly
+    denominators = []
+    bareiss = incidence._bareiss
+
+    def recording_bareiss(rows, rhs):
+        d, scaled = bareiss(rows, rhs)
+        denominators.append(d)
+        return d, scaled
+
+    monkeypatch.setattr(incidence, "_bareiss", recording_bareiss)
+    rng = random.Random(29)
+    checked = 0
+    for cat in certificate_corpus():
+        floats = {n: rng.randint(-24, 24) / rng.choice((1, 2, 4, 8)) for n in cat.arrow_names()}
+        x = FineElement(cat, RAT, {n: Fraction(v) for n, v in floats.items()})
+        inverse = fine_invert_outcome(x)
+        real = fine_invert_outcome(FineElement(cat, REAL, floats))
+        if isinstance(inverse, tuple):
+            assert real == inverse
+            assert inverse[1][0] == "column"
+            continue
+        assert verify_inverse(x, inverse)
+        assert real.values == {n: float(v) for n, v in inverse.values.items()}
+        checked += 1
+    assert checked > 300
+    assert min(denominators) < -1 and max(denominators) > 1
 
 
 def test_coarse_zeta_examples():
