@@ -61,6 +61,12 @@ DIVISION_RIGS = tuple(name for name, rig in NAMED_RIGS.items() if rig.has_divisi
 # is counted
 MAX_FAMILY_INDICES = 500
 
+# matrix --op zeros inverts and then multiplies the matrix by its inverse
+# on both sides, cubic work on growing numbers over rat: a dense 40x40
+# matrix takes about 1 s with one-digit integer entries and about 6 s with
+# two-digit fractions
+MAX_ZEROS_DIM = 40
+
 
 def name_str(x) -> str:
     """Canonical printable form of an object / arrow name."""
@@ -90,12 +96,9 @@ def fine_json(element) -> dict:
     return {name_str(k): render(element.rig, v) for k, v in element.values.items()}
 
 
-def _resolve_rig(args, default: str, allowed=None):
-    explicit = getattr(args, "rig", None)
-    if explicit is None:
-        explicit = os.environ.get("MOBIUSKIT_RIG") or None
-    spec = explicit if explicit else default
-    rig = get_rig(spec)
+def _resolve_rig(args, allowed=None):
+    spec = args.rig if args.rig is not None else os.environ.get("MOBIUSKIT_RIG")
+    rig = get_rig(spec or "rat")
     if allowed is not None and rig.name not in allowed:
         raise UnsupportedRig(
             f"rig '{rig.name}' is not usable with this command (allowed: {', '.join(allowed)})"
@@ -103,17 +106,11 @@ def _resolve_rig(args, default: str, allowed=None):
     return rig
 
 
-def _report(command: str, rig_name: str, results: dict, warnings=None) -> dict:
-    return {
-        "command": command,
-        "rig": rig_name,
-        "results": results,
-        "warnings": list(warnings or []),
-    }
+def _report(command: str, rig_name: str, results: dict) -> dict:
+    return {"command": command, "rig": rig_name, "results": results, "warnings": []}
 
 
 def cmd_validate(args):
-    rig = _resolve_rig(args, "rat")
     cat = load_category(args.category)
     report = validate_category(cat)
     results = {
@@ -124,11 +121,11 @@ def cmd_validate(args):
     if not report.ok:
         results["law"] = report.law
         results["witness"] = report.witness
-    return _report("validate", rig.name, results), EXIT_OK if report.ok else EXIT_NEGATIVE
+    return _report("validate", "rat", results), EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
 def cmd_zeta(args):
-    rig = _resolve_rig(args, "rat")
+    rig = _resolve_rig(args)
     cat = load_category(args.category)
     if args.algebra == "fine":
         results = {"algebra": "fine", "zeta": fine_json(fine_zeta(cat, rig))}
@@ -148,7 +145,7 @@ def cmd_mobius(args):
     if args.family and args.category:
         raise MalformedInput("give --category or --family, not both")
     if args.family:
-        rig = _resolve_rig(args, "rat", SOLVE_RIGS)
+        rig = _resolve_rig(args, SOLVE_RIGS)
         if args.start is None or args.end is None:
             raise MalformedInput("--family needs --from and --to")
         if args.end < args.start:
@@ -176,7 +173,7 @@ def cmd_mobius(args):
         return _report("mobius", rig.name, results), EXIT_OK
     if not args.category:
         raise MalformedInput("mobius needs --category or --family")
-    rig = _resolve_rig(args, "rat", SOLVE_RIGS)
+    rig = _resolve_rig(args, SOLVE_RIGS)
     cat = load_category(args.category)
     try:
         if args.algebra == "fine":
@@ -195,7 +192,7 @@ def cmd_mobius(args):
 
 
 def cmd_euler(args):
-    rig = _resolve_rig(args, "rat", SOLVE_RIGS)
+    rig = _resolve_rig(args, SOLVE_RIGS)
     cat = load_category(args.category)
     try:
         value = euler_characteristic(cat, rig)
@@ -206,18 +203,16 @@ def cmd_euler(args):
 
 
 def cmd_nerve_euler(args):
-    rig = _resolve_rig(args, "int")
     cat = load_category(args.category)
     try:
         value = nerve_euler_characteristic(cat)
     except NotNerveFinite as e:
         results = {"status": "not_nerve_finite", "reason": str(e)}
-        return _report("nerve-euler", rig.name, results), EXIT_NEGATIVE
-    return _report("nerve-euler", rig.name, {"status": "ok", "euler_characteristic": str(value)}), EXIT_OK
+        return _report("nerve-euler", "int", results), EXIT_NEGATIVE
+    return _report("nerve-euler", "int", {"status": "ok", "euler_characteristic": str(value)}), EXIT_OK
 
 
 def cmd_magnitude(args):
-    rig = _resolve_rig(args, "real", ("real",))
     try:
         counts = [int(x) for x in (args.study or "").split(",") if x]
     except ValueError:
@@ -234,16 +229,13 @@ def cmd_magnitude(args):
         results["status"] = "ok"
     except NotInvertible as e:
         results = {"status": "not_invertible", "witness": str(e)}
-        return _report("magnitude", rig.name, results), EXIT_NEGATIVE
-    return _report("magnitude", rig.name, results), EXIT_OK
+        return _report("magnitude", "real", results), EXIT_NEGATIVE
+    return _report("magnitude", "real", results), EXIT_OK
 
 
 def cmd_graded(args):
     if args.degree < 1:
         raise MalformedInput("--degree must be >= 1")
-    explicit = args.rig or os.environ.get("MOBIUSKIT_RIG")
-    if explicit and explicit not in ("poly", f"poly:{args.degree}"):
-        raise UnsupportedRig("graded computations run over the truncated series rig")
     rig = polynomial_rig(args.degree)  # refuses a degree above MAX_SERIES_DEGREE
     graph = load_graph(args.graph)
     graded = GradedGraphCategory(graph, args.degree)
@@ -259,7 +251,6 @@ def cmd_graded(args):
 
 
 def cmd_classify(args):
-    rig = _resolve_rig(args, "rat")
     cat = load_category(args.category)
     report = endomorphism_report(cat)
     results = {
@@ -281,11 +272,10 @@ def cmd_classify(args):
         except NotInvertible as e:
             results[f"coarse_inversion_{label}"] = f"not_invertible: {e}"
     code = EXIT_OK if results["mobius_category"] else EXIT_NEGATIVE
-    return _report("classify", rig.name, results), code
+    return _report("classify", "rat", results), code
 
 
 def cmd_functor_check(args):
-    rig = _resolve_rig(args, "rat")
     source = load_category(args.src)
     target = load_category(args.tgt)
     functor = load_functor(args.map, source, target)
@@ -296,7 +286,7 @@ def cmd_functor_check(args):
             "law": validation.law,
             "witness": validation.witness,
         }
-        return _report("functor-check", rig.name, results), EXIT_NEGATIVE
+        return _report("functor-check", "rat", results), EXIT_NEGATIVE
     ulf, witness = is_ulf(functor)
     results = {
         "functor_valid": True,
@@ -311,14 +301,14 @@ def cmd_functor_check(args):
             "factorization": [name_str(g1), name_str(g2)],
             "lifts": count,
         }
-    return _report("functor-check", rig.name, results), EXIT_OK
+    return _report("functor-check", "rat", results), EXIT_OK
 
 
 def cmd_matrix(args):
     if args.op == "zeros":
-        rig = _resolve_rig(args, "rat", DIVISION_RIGS)
+        rig = _resolve_rig(args, DIVISION_RIGS)
     else:
-        rig = _resolve_rig(args, "rat")
+        rig = _resolve_rig(args)
     m = load_matrix(args.infile, rig)
     if args.op == "detpm":
         plus, minus = matrixrig._det_halves(m)
@@ -338,6 +328,8 @@ def cmd_matrix(args):
             results["counterexample_path"] = list(witness)
         return _report("matrix", rig.name, results), EXIT_OK if ok else EXIT_NEGATIVE
     if args.op == "zeros":
+        if m.n > MAX_ZEROS_DIM:
+            raise BudgetExceeded(f"matrix --op zeros is limited to {MAX_ZEROS_DIM} rows, got {m.n}")
         try:
             inverse = matrixrig.invert(m)
         except NotInvertible as e:
@@ -356,7 +348,7 @@ def cmd_matrix(args):
 
 
 def cmd_compare(args):
-    rig = _resolve_rig(args, "rat", SOLVE_RIGS)
+    rig = _resolve_rig(args, SOLVE_RIGS)
     cat_a = load_category(args.category_a)
     cat_b = load_category(args.category_b)
     if not graphs_equal(underlying_graph(cat_a), underlying_graph(cat_b)):
@@ -399,9 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mobiuskit",
         description="Exact Mobius inversion for finite and patch-finite categories",
     )
+    # only the commands whose answer depends on the rig take --rig
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rig", help="nat|int|rat|real|bool|poly[:N] (default from MOBIUSKIT_RIG, then rat)")
     common.add_argument("--timing", action="store_true", help="attach wall-clock timing to the report")
+    rigged = argparse.ArgumentParser(add_help=False, parents=[common])
+    rigged.add_argument("--rig", help="nat|int|rat|real|bool|poly[:N] (default from MOBIUSKIT_RIG, then rat)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -409,12 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category", required=True)
     p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("zeta", parents=[common], help="zeta element of a category")
+    p = sub.add_parser("zeta", parents=[rigged], help="zeta element of a category")
     p.add_argument("--category", required=True)
     p.add_argument("--algebra", choices=["fine", "coarse", "patch"], default="coarse")
     p.set_defaults(handler=cmd_zeta)
 
-    p = sub.add_parser("mobius", parents=[common], help="Mobius function (category file or built-in family)")
+    p = sub.add_parser("mobius", parents=[rigged], help="Mobius function (category file or built-in family)")
     p.add_argument("--category")
     p.add_argument("--algebra", choices=["fine", "coarse", "patch"], default="coarse")
     p.add_argument("--family", choices=["dinj", "dsurj", "divisibility", "nat_leq"])
@@ -422,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="end", type=int)
     p.set_defaults(handler=cmd_mobius)
 
-    p = sub.add_parser("euler", parents=[common], help="Euler characteristic via coarse Mobius inversion")
+    p = sub.add_parser("euler", parents=[rigged], help="Euler characteristic via coarse Mobius inversion")
     p.add_argument("--category", required=True)
     p.set_defaults(handler=cmd_euler)
 
@@ -450,12 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.set_defaults(handler=cmd_functor_check)
 
-    p = sub.add_parser("matrix", parents=[common], help="determinant/adjugate halves, transitivity, zero patterns")
+    p = sub.add_parser("matrix", parents=[rigged], help="determinant/adjugate halves, transitivity, zero patterns")
     p.add_argument("--op", choices=["detpm", "adjpm", "transitive", "zeros"], required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(handler=cmd_matrix)
 
-    p = sub.add_parser("compare", parents=[common], help="Haigh/Menni checks for two categories on one graph")
+    p = sub.add_parser("compare", parents=[rigged], help="Haigh/Menni checks for two categories on one graph")
     p.add_argument("--category-a", required=True)
     p.add_argument("--category-b", required=True)
     p.set_defaults(handler=cmd_compare)

@@ -20,7 +20,7 @@ from .errors import (
     RigMismatch,
     UnsupportedRig,
 )
-from .matrixrig import RigMatrix, _bareiss, _land, invert_counting_matrix, invert_on_support
+from .matrixrig import RigMatrix, _bareiss, _land, _to_integers, invert_counting_matrix, invert_on_support
 from .rigs import INT, Rig
 
 
@@ -194,9 +194,8 @@ def fine_invert(x: FineElement) -> FineElement:
         raise UnsupportedRig(f"fine inversion needs a field or the integers, not '{rig.name}'")
     c = x.category
     names = c.arrow_names()
-    ratios = {n: v.as_integer_ratio() for n, v in x.values.items()}
-    e = lcm(*(q for _, q in ratios.values()))
-    scaled_x = {n: p * (e // q) for n, (p, q) in ratios.items()}
+    e, scaled = _to_integers(x.values.values())
+    scaled_x = dict(zip(x.values, scaled))
     # columns[a] holds the global indices of the arrows out of a, and
     # position[g] the place of g among them
     columns: dict = {}

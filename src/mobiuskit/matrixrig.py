@@ -407,18 +407,14 @@ def _bareiss(rows, rhs):
     return prev, [row[n:] for row in m]
 
 
-def _bareiss_rational(rows, rhs):
-    """_bareiss on rows of ints and Fractions with an integer rhs.
+def _to_integers(values):
+    """(e, [e v for v in values]) with e the LCM of the denominators.
 
-    Each equation is multiplied by the LCM of its row's denominators,
-    which changes no solution.
+    as_integer_ratio reads int, Fraction and float values exactly.
     """
-    integral_rows, integral_rhs = [], []
-    for row, extra in zip(rows, rhs):
-        scale = lcm(*(x.denominator for x in row))
-        integral_rows.append([x.numerator * (scale // x.denominator) for x in row])
-        integral_rhs.append([scale * x for x in extra])
-    return _bareiss(integral_rows, integral_rhs)
+    ratios = [v.as_integer_ratio() for v in values]
+    e = lcm(*(q for _, q in ratios))
+    return e, [p * (e // q) for p, q in ratios]
 
 
 def _identity_rows(n: int):
@@ -429,17 +425,25 @@ def _identity_rows(n: int):
 
 def _inverse(rows):
     """(d, Y) with Y / d the inverse of a square matrix of rationals."""
-    identity = _identity_rows(len(rows))
+    n = len(rows)
     if all(isinstance(x, int) for row in rows for x in row):
-        return _bareiss(rows, identity)
-    return _bareiss_rational([[Fraction(x) for x in row] for row in rows], identity)
+        return _bareiss(rows, _identity_rows(n))
+    # each equation times the LCM of its row's denominators: same solution
+    scales, integral = zip(*map(_to_integers, rows))
+    return _bareiss(integral, ([e if i == j else 0 for j in range(n)] for i, e in enumerate(scales)))
 
 
 def _land(rig: Rig, d: int, rows):
     """Integer rows as the rig elements x / d; over a rig without division
-    d divides every x.  A zero x is rig.zero, never -0.0 when d < 0."""
+    d divides every x.  A zero x is rig.zero, never -0.0 when d < 0.  A
+    quotient beyond the range of a float is NotInvertible."""
     quotient, zero = rig.from_quotient, rig.zero
-    return [[quotient(x, d) if x else zero for x in row] for row in rows]
+    try:
+        return [[quotient(x, d) if x else zero for x in row] for row in rows]
+    except OverflowError:
+        raise NotInvertible(
+            f"an inverse entry is beyond the range of rig '{rig.name}'", witness=("overflow", None)
+        ) from None
 
 
 def invert_counting_matrix(rows, rig: Rig) -> RigMatrix:

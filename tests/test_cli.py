@@ -349,7 +349,7 @@ def test_series_degree_is_capped_before_any_work(capfd, monkeypatch):
     for argv in (
         ["graded", "--graph", "missing.json", "--degree", str(huge)],
         ["zeta", "--category", "missing.json", "--rig", f"poly:{huge}"],
-        ["validate", "--category", "missing.json", "--rig", f"poly:{huge}"],
+        ["euler", "--category", "missing.json", "--rig", f"poly:{huge}"],
     ):
         code, out = run(argv)
         err = capfd.readouterr().err
@@ -358,7 +358,7 @@ def test_series_degree_is_capped_before_any_work(capfd, monkeypatch):
     rigs.polynomial_rig.cache_clear()  # rigs built under the real cap
     loops = data("one_vertex_two_loops.json")
     assert run(["graded", "--graph", loops, "--degree", "5"])[0] == 0
-    assert run(["graded", "--graph", loops, "--degree", "6", "--rig", "poly:6"])[0] == 1
+    assert run(["graded", "--graph", loops, "--degree", "6"])[0] == 1
     assert run(["zeta", "--category", data("six.json"), "--rig", "poly:5"])[0] == 0
     assert run(["zeta", "--category", data("six.json"), "--rig", "poly:6"])[0] == 1
     assert capfd.readouterr().err.count("error: truncation degree is limited to 5, got 6\n") == 2
@@ -402,6 +402,15 @@ def test_matrix_zeros():
     assert parse(out)["results"]["zero_pattern_inherited"] is True
 
 
+def test_matrix_zeros_is_refused_beyond_its_size_limit(capfd, monkeypatch):
+    argv = ["matrix", "--op", "zeros", "--in", data("matrix_3x3.json")]
+    monkeypatch.setattr(cli, "MAX_ZEROS_DIM", 2)
+    assert run(argv) == (1, "")
+    assert capfd.readouterr().err == "error: matrix --op zeros is limited to 2 rows, got 3\n"
+    monkeypatch.setattr(cli, "MAX_ZEROS_DIM", 3)
+    assert run(argv)[0] == 0
+
+
 def test_compare_parallel_compositions():
     code, out = run([
         "compare",
@@ -427,10 +436,6 @@ def test_compare_rejects_different_graphs(capfd):
 def test_incompatible_rig_fails_before_computation(capfd):
     code, _ = run(["mobius", "--algebra", "coarse", "--category", data("six.json"), "--rig", "nat"])
     assert code == 1
-    code, _ = run(["magnitude", "--metric", data("two_points_d1.json"), "--rig", "rat"])
-    assert code == 1
-    code, _ = run(["graded", "--graph", data("one_vertex_two_loops.json"), "--degree", "4", "--rig", "int"])
-    assert code == 1
 
 
 SOLVES = "allowed: int, rat, real"
@@ -444,15 +449,47 @@ SOLVES = "allowed: int, rat, real"
         (["euler", "--category", "missing.json", "--rig", "poly"], f"rig 'poly:16' is not usable with this command ({SOLVES})"),
         (["compare", "--category-a", "missing.json", "--category-b", "missing.json", "--rig", "bool"], f"rig 'bool' is not usable with this command ({SOLVES})"),
         (["matrix", "--op", "zeros", "--in", "missing.json", "--rig", "int"], "rig 'int' is not usable with this command (allowed: rat, real)"),
-        (["magnitude", "--metric", "missing.json", "--rig", "rat"], "rig 'rat' is not usable with this command (allowed: real)"),
-        (["validate", "--category", "missing.json", "--rig", "foo"], "unknown rig 'foo'"),
+        (["zeta", "--category", "missing.json", "--rig", "foo"], "unknown rig 'foo'"),
     ],
-    ids=["mobius-bool", "family-nat", "euler-poly", "compare-bool", "zeros-int", "magnitude-rat", "validate-unknown"],
+    ids=["mobius-bool", "family-nat", "euler-poly", "compare-bool", "zeros-int", "zeta-unknown"],
 )
 def test_refused_rigs_exit_1_before_any_file_is_read(capfd, argv, message):
     # the input files do not exist: the rig is refused before they are opened
     code, out = run(argv)
     assert (code, out, capfd.readouterr().err) == (1, "", f"error: {message}\n")
+
+
+# the commands whose answer does not depend on a rig, each with the rig it reports
+FIXED_RIG_COMMANDS = {
+    "validate": ["validate", "--category", data("six.json")],
+    "classify": ["classify", "--category", data("six.json")],
+    "functor-check": [
+        "functor-check",
+        "--src", data("six.json"),
+        "--tgt", data("six_codiscrete.json"),
+        "--map", data("six_collapse_functor.json"),
+    ],
+    "nerve-euler": ["nerve-euler", "--category", data("square.json")],
+    "magnitude": ["magnitude", "--metric", data("two_points_d1.json")],
+    "graded": ["graded", "--graph", data("one_vertex_two_loops.json"), "--degree", "6"],
+}
+
+
+@pytest.mark.parametrize("command", FIXED_RIG_COMMANDS)
+def test_fixed_rig_commands_take_no_rig_flag(capfd, command):
+    code, out = run([*FIXED_RIG_COMMANDS[command], "--rig", "rat"])
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --rig rat" in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("command", FIXED_RIG_COMMANDS)
+def test_fixed_rig_commands_ignore_the_rig_variable(monkeypatch, command):
+    argv = FIXED_RIG_COMMANDS[command]
+    monkeypatch.delenv("MOBIUSKIT_RIG", raising=False)
+    unset = run(argv)
+    assert unset[0] in (0, 2) and parse(unset[1])["command"] == command
+    for name in ("nat", "int", "rat", "real", "bool"):
+        assert run(argv, env={"MOBIUSKIT_RIG": name}) == unset, name
 
 
 def test_rig_env_variable_and_flag_precedence():

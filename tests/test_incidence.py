@@ -769,3 +769,13 @@ def test_a_negative_elimination_denominator_lands_zero_as_plus_zero():
     assert math.copysign(1, inverse.entry(0, 0)) == 1
     assert render(REAL, inverse.entry(0, 0)) == "0"
     assert invert_counting_matrix([[1, 1], [1, 0]], INT).rows == ((0, 1), (1, -1))
+
+
+def test_a_fine_inverse_beyond_the_float_range_is_not_invertible():
+    point = discrete_category(1)
+    (name,) = point.arrow_names()
+    x = FineElement(point, REAL, {name: 1e-320})
+    with pytest.raises(NotInvertible) as err:
+        fine_invert(x)
+    assert err.value.witness == ("overflow", None)
+    assert fine_invert(FineElement(point, REAL, {name: 2.0 ** -1000})).values == {name: 2.0 ** 1000}

@@ -319,6 +319,22 @@ def test_invert_counting_matrix_accepts_fraction_entries():
     rows = [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(2)]]
     inverse = invert_counting_matrix(rows, RAT)
     assert inverse.rows == ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1, 2)))
+    # a float is read as its exact value
+    assert invert_counting_matrix([[0.5]], RAT).rows == ((Fraction(2),),)
+    assert invert_counting_matrix([[0.1, 0], [Fraction(1, 3), 1]], RAT).rows == (
+        (1 / Fraction(0.1), Fraction(0)),
+        (-Fraction(1, 3) / Fraction(0.1), Fraction(1)),
+    )
+
+
+def test_an_inverse_beyond_the_float_range_is_not_invertible():
+    # 1 / 1e-320 is about 1e320, beyond the largest float
+    with pytest.raises(NotInvertible) as err:
+        invert_counting_matrix([[1e-320]], REAL)
+    assert err.value.witness == ("overflow", None)
+    assert str(err.value) == "an inverse entry is beyond the range of rig 'real'"
+    # the exact inverse itself exists
+    assert invert_counting_matrix([[1e-320]], RAT).rows == ((1 / Fraction(1e-320),),)
 
 
 def test_zero_pattern_inheritance_examples():
