@@ -128,9 +128,6 @@ class FinCategory:
     def arrow_names(self) -> tuple:
         return tuple(a.name for a in self.arrows)
 
-    def nonidentity_arrows(self) -> tuple:
-        return tuple(a.name for a in self.arrows if not self.is_identity(a.name))
-
     def composable_pairs(self) -> Iterator[tuple]:
         """All (g, f) with tgt(f) = src(g), g then f in arrow order."""
         for g in self.arrows:

@@ -219,6 +219,8 @@ def cmd_magnitude(args):
         raise MalformedInput(f"--study must be comma-separated point counts, got {args.study!r}") from None
     if max(counts, default=0) > MAX_METRIC_POINTS:
         raise MalformedInput(f"--study is limited to {MAX_METRIC_POINTS} points, got {max(counts)}")
+    if min(counts, default=1) < 1:
+        raise MalformedInput(f"--study needs at least one point, got {min(counts)}")
     space = load_metric(args.metric)
     results = {}
     try:

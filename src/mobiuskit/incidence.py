@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .category import FinCategory, patch_objects
+from .category import FinCategory
 from .errors import (
     MalformedInput,
     NotInvertible,
@@ -20,7 +20,7 @@ from .errors import (
     RigMismatch,
     UnsupportedRig,
 )
-from .matrixrig import RigMatrix, _bareiss, _land, _to_integers, invert_counting_matrix, invert_on_support
+from .matrixrig import RigMatrix, _bareiss, _land, _to_integers, invert_counting_matrix
 from .rigs import INT, Rig
 
 
@@ -389,69 +389,43 @@ def patch_zeta(c: FinCategory, rig: Rig) -> PatchElement:
 
 
 def patch_multiply(x: PatchElement, y: PatchElement) -> PatchElement:
-    """(x * y)(a,b) = sum over z in the patch of a,b of x(a,z) y(z,b)."""
+    """(x * y)(a,b) = sum over z in the patch of a,b of x(a,z) y(z,b).
+
+    For a finite category this is the matrix product: a term x(a,z) y(z,b)
+    with both factors supported needs maps a -> z -> b, that is, z in the
+    patch of (a,b), and every other term is zero.
+    """
     _check_same_rig(x, y)
     if x.objects != y.objects or x.category is None:
         raise RigMismatch("patch product needs elements over one category")
-    c = x.category
-    rig = x.rig
-    idx = {o: i for i, o in enumerate(x.objects)}
-    rows = []
-    for a in x.objects:
-        row = []
-        for b in x.objects:
-            row.append(
-                rig.sum(
-                    rig.mul(x.matrix.entry(idx[a], idx[z]), y.matrix.entry(idx[z], idx[b]))
-                    for z in patch_objects(c, a, b)
-                )
-            )
-        rows.append(row)
-    return PatchElement(x.objects, rig, RigMatrix.from_rows(rig, rows), x.support, c)
+    return PatchElement(x.objects, x.rig, x.matrix.mul(y.matrix), x.support, x.category)
 
 
 def patch_mobius(c: FinCategory, rig: Rig) -> PatchElement:
-    """Mobius function of the patch algebra.
+    """Mobius function of the patch algebra: the coarse Mobius function.
 
     The value at a supported pair (a,b) is the (a,b) entry of the inverse
-    of the hom-count matrix of the finite patch at (a,b).  The patch
-    algebra exists so that this works one patch at a time, but a finite
-    category needs only one inversion: when the coarse zeta matrix has an
-    inverse mu that is zero wherever zeta is, then for u, v in patch(a,b)
-    every nonzero term mu(u,z) zeta(z,v) has maps a -> u -> z -> v -> b, so
-    z lies in the patch too.  mu restricted to the patch inverts the patch
-    zeta, and mu(a,b) is the patch answer.
+    of the hom-count matrix of the finite patch at (a,b).  For a finite
+    category one coarse inversion answers every pair, and it fails exactly
+    when some patch inversion does.
 
-    When the coarse inverse does not exist, leaves the support, or is not
-    integral over 'int', each supported pair is inverted in its own patch
-    (_patch_mobius_per_pair); a failing patch raises NotInvertible naming
-    it.
+    Zero-pattern inheritance (Leinster, Notions of Mobius inversion): the
+    coarse inverse mu is zero wherever zeta is, which PatchElement checks
+    on every result.  Then for u, v in patch(a,b) every nonzero term
+    mu(u,z) zeta(z,v) has maps a -> u -> z -> v -> b, so z lies in the
+    patch too; mu restricted to the patch inverts the patch zeta, and
+    mu(a,b) is the patch answer.
+
+    The two levels fail together.  With the objects ordered by their
+    strongly connected parts the count matrix is block triangular, so it
+    is singular exactly when the block of some part S is, and for a in S
+    patch(a,a) = S.  Over 'int' a non-integral entry of mu lies where
+    there is a map, since every other entry is 0, and it is the same entry
+    of that pair's patch inverse.  So the NotInvertible of coarse_mobius,
+    message and witness, is the patch refusal.
     """
-    support = coarse_support(c)
-    counts = [[len(c.hom(a, b)) for b in c.objects] for a in c.objects]
-    inverse = invert_on_support(counts, rig)
-    if inverse is None:
-        inverse = _patch_mobius_per_pair(c, rig, support)
-    return PatchElement(c.objects, rig, inverse, support, c)
-
-
-def _patch_mobius_per_pair(c: FinCategory, rig: Rig, support) -> RigMatrix:
-    """Each supported pair (a,b) answered inside the finite patch at (a,b):
-    invert the patch's hom-count matrix and read off the (a,b) entry."""
-    idx = {o: i for i, o in enumerate(c.objects)}
-    rows = [[rig.zero] * len(c.objects) for _ in c.objects]
-    for (a, b) in sorted(support, key=repr):
-        objs = patch_objects(c, a, b)
-        counts = [[len(c.hom(u, v)) for v in objs] for u in objs]
-        try:
-            inverse = invert_counting_matrix(counts, rig)
-        except NotInvertible as e:
-            raise NotInvertible(
-                f"patch at ({a!r},{b!r}) has no coarse Mobius inversion",
-                witness=("patch", a, b),
-            ) from e
-        rows[idx[a]][idx[b]] = inverse.entry(objs.index(a), objs.index(b))
-    return RigMatrix.from_rows(rig, rows)
+    mu = coarse_mobius(c, rig)
+    return PatchElement(c.objects, rig, mu.matrix, coarse_support(c), c)
 
 
 # Euler characteristics

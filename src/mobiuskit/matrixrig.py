@@ -482,9 +482,11 @@ def invert_on_support(counts, rig: Rig):
 
     Returns None when the rig has no from_quotient, when the matrix is
     singular, when an entry is nonzero where the count is zero, or when an
-    entry is not an integer over a rig without division.  Callers then
-    fall back to inverting patch by patch, which reports each of these
-    cases with its own message and witness.
+    entry is not an integer over a rig without division.  Its one caller,
+    infinite.family_mobius, then falls back to inverting patch by patch,
+    which reports each of these cases with its own message and witness;
+    a patch of an oracle family can leave the index set, and only that
+    fallback answers it.
     """
     if rig.from_quotient is None:
         return None

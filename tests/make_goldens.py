@@ -20,6 +20,7 @@ CASES = [
     ("mobius_fine_six", ["mobius", "--algebra", "fine", "--category", "{D}/six.json", "--rig", "rat"]),
     ("mobius_coarse_six", ["mobius", "--algebra", "coarse", "--category", "{D}/six.json", "--rig", "rat"]),
     ("mobius_patch_six", ["mobius", "--algebra", "patch", "--category", "{D}/six.json"]),
+    ("mobius_patch_c2_int", ["mobius", "--algebra", "patch", "--category", "{D}/group_c2.json", "--rig", "int"]),
     ("mobius_fine_c2", ["mobius", "--algebra", "fine", "--category", "{D}/group_c2.json"]),
     ("euler_c2", ["euler", "--category", "{D}/group_c2.json"]),
     ("euler_six", ["euler", "--category", "{D}/six.json"]),

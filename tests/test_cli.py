@@ -570,6 +570,8 @@ def test_magnitude_study_is_capped_and_parsed_before_any_work(capfd, monkeypatch
     for argv, message in (
         (["--study", f"11,{limit + 1}"], f"--study is limited to {limit} points, got {limit + 1}"),
         (["--study", "11,x"], "--study must be comma-separated point counts, got '11,x'"),
+        (["--study", "11,0"], "--study needs at least one point, got 0"),
+        (["--study", "-3"], "--study needs at least one point, got -3"),
     ):
         code, out = run(["magnitude", "--metric", missing] + argv)
         err = capfd.readouterr().err
@@ -795,6 +797,10 @@ def test_any_category_file_gives_a_report_or_an_error(tmp_path, document):
         ["validate", "--category", "{path}"],
         ["mobius", "--algebra", "fine", "--category", "{path}"],
         ["euler", "--category", "{path}"],
+        ["mobius", "--algebra", "patch", "--category", "{path}"],
+        ["mobius", "--algebra", "coarse", "--category", "{path}", "--rig", "int"],
+        ["nerve-euler", "--category", "{path}"],
+        ["classify", "--category", "{path}"],
     ):
         run_file(tmp_path, document, command)
 

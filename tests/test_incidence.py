@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mobiuskit.category import FinCategory, poset_to_category, product, underlying_graph
+from mobiuskit.category import FinCategory, patch_objects, poset_to_category, product, underlying_graph
 from mobiuskit.corpus import (
     chain_category,
     cyclic_group_category,
@@ -29,7 +29,7 @@ from mobiuskit.errors import NotInvertible, NotNerveFinite, RigMismatch, Unsuppo
 from mobiuskit import incidence
 from mobiuskit.incidence import (
     FineElement,
-    _patch_mobius_per_pair,
+    PatchElement,
     coarse_delta,
     coarse_mobius,
     coarse_multiply,
@@ -53,7 +53,7 @@ from mobiuskit.incidence import (
 )
 from mobiuskit.infinite import builtin, classical_mobius
 from mobiuskit.matrixrig import RigMatrix, invert_counting_matrix, invert_on_support, is_transitive
-from mobiuskit.rigs import BOOL, INT, RAT, REAL, render
+from mobiuskit.rigs import BOOL, INT, NAT, RAT, REAL, render
 
 
 def random_fine_element(cat, rig, rng):
@@ -528,28 +528,32 @@ def test_patch_zeta_and_support():
     assert (1, 0) not in z2.support
 
 
-def test_patch_multiply_matches_matrix_product_on_posets():
+def patch_sum_product(x, y):
+    """The patch product by its definition: sum over z in patch(a,b) only."""
+    c, rig = x.category, x.rig
+    rows = [
+        [rig.sum(rig.mul(x.value(a, z), y.value(z, b)) for z in patch_objects(c, a, b)) for b in c.objects]
+        for a in c.objects
+    ]
+    return RigMatrix.from_rows(rig, rows)
+
+
+def test_patch_multiply_matches_the_patch_sum_definition():
     rng = random.Random(67)
-    cat = divisor_poset_category(12)
-    sample = rig_sampler(RAT)
-    support = patch_zeta(cat, RAT).support
-    for _ in range(5):
-        def supported():
-            rows = []
-            for a in cat.objects:
-                rows.append(
-                    [sample(rng) if (a, b) in support else Fraction(0) for b in cat.objects]
-                )
-            return rows
+    corpus = [divisor_poset_category(12), square_poset_category()] + general_corpus(7, 40)
+    for rig in (RAT, BOOL):
+        sample = rig_sampler(rig)
+        for cat in corpus:
+            support = coarse_support(cat)
 
-        x = patch_delta(cat, RAT)
-        from mobiuskit.incidence import PatchElement
+            def supported():
+                rows = [[sample(rng) if (a, b) in support else rig.zero for b in cat.objects] for a in cat.objects]
+                return PatchElement(cat.objects, rig, RigMatrix.from_rows(rig, rows), support, cat)
 
-        xm = PatchElement(cat.objects, RAT, RigMatrix.from_rows(RAT, supported()), support, cat)
-        ym = PatchElement(cat.objects, RAT, RigMatrix.from_rows(RAT, supported()), support, cat)
-        patchwise = patch_multiply(xm, ym)
-        full = xm.matrix.mul(ym.matrix)
-        assert patchwise.matrix.equal(full)
+            x, y = supported(), supported()
+            xy = patch_multiply(x, y)
+            assert xy.support == support
+            assert xy.matrix.equal(patch_sum_product(x, y))
 
 
 def test_patch_mobius_equals_coarse_mobius_for_finite_categories():
@@ -572,12 +576,6 @@ def test_patch_mobius_divisors_matches_hall():
     assert mu.value(1, 6) == hall.values[("le", 1, 6)]
 
 
-def test_patch_mobius_failure_names_patch():
-    with pytest.raises(NotInvertible) as err:
-        patch_mobius(walking_iso_category(), RAT)
-    assert err.value.witness[0] == "patch"
-
-
 def test_patch_mobius_is_inverse_in_patch_algebra():
     for cat in [divisor_poset_category(12), six_example_category(), square_poset_category()]:
         mu = patch_mobius(cat, RAT)
@@ -587,12 +585,26 @@ def test_patch_mobius_is_inverse_in_patch_algebra():
         assert patch_multiply(zeta, mu).matrix.equal(delta.matrix)
 
 
-def patch_outcome(compute):
-    """Entries with their types, or the message and witness of the failure."""
+def per_patch_reference(cat, rig):
+    """The patch Mobius function by its definition: each supported pair
+    (a,b) inverts the hom-count matrix of its own patch and reads off the
+    (a,b) entry.  A failing patch raises its NotInvertible."""
+    rows = [[rig.zero] * len(cat.objects) for _ in cat.objects]
+    for i, a in enumerate(cat.objects):
+        for j, b in enumerate(cat.objects):
+            if cat.hom(a, b):
+                objs = patch_objects(cat, a, b)
+                inverse = invert_counting_matrix([[len(cat.hom(u, v)) for v in objs] for u in objs], rig)
+                rows[i][j] = inverse.entry(objs.index(a), objs.index(b))
+    return RigMatrix.from_rows(rig, rows)
+
+
+def mobius_outcome(compute):
+    """Entries with their types, or None when the inversion is refused."""
     try:
         matrix = compute()
-    except NotInvertible as e:
-        return ("not_invertible", str(e), e.witness)
+    except NotInvertible:
+        return None
     return [[(type(x), x) for x in row] for row in matrix.rows]
 
 
@@ -605,32 +617,47 @@ def test_patch_mobius_matches_per_patch_reference():
         + [random_poset_category(rng, rng.randint(3, 14)) for _ in range(40)]
     )
     for rig in (RAT, INT, REAL):
-        coarse_applies = set()
+        outcomes = set()
         for cat in corpus:
-            counts = [[len(cat.hom(a, b)) for b in cat.objects] for a in cat.objects]
-            coarse_applies.add(invert_on_support(counts, rig) is not None)
-            support = coarse_support(cat)
-            assert patch_outcome(lambda: patch_mobius(cat, rig).matrix) == patch_outcome(
-                lambda: _patch_mobius_per_pair(cat, rig, support)
-            )
-        assert coarse_applies == {True, False}
+            want = mobius_outcome(lambda: per_patch_reference(cat, rig))
+            assert mobius_outcome(lambda: patch_mobius(cat, rig).matrix) == want
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
 
 
-def test_patch_mobius_falls_back_per_patch():
-    # singular coarse zeta, and a coarse inverse that is not integral
-    for cat, rig in ((walking_iso_category(), RAT), (cyclic_group_category(2), INT)):
-        with pytest.raises(NotInvertible) as err:
-            patch_mobius(cat, rig)
-        assert err.value.witness[0] == "patch"
+def patch_refuses(cat, a, b, rig):
+    """Whether inverting the hom-count matrix of patch(a,b) is refused."""
+    objs = patch_objects(cat, a, b)
+    try:
+        invert_counting_matrix([[len(cat.hom(u, v)) for v in objs] for u in objs], rig)
+    except NotInvertible:
+        return True
+    return False
+
+
+def test_patch_mobius_failure_names_patch():
+    # the coarse refusal's witness names a pair with a map whose own patch is refused
+    iso = walking_iso_category()
+    with pytest.raises(NotInvertible) as err:
+        patch_mobius(iso, RAT)
+    assert str(err.value) == "coarse zeta is singular: no pivot for object 'y'"
+    assert err.value.witness == ("column", 1)
+    y = iso.objects[1]
+    assert iso.hom(y, y) and patch_refuses(iso, y, y, RAT)
+    c2 = cyclic_group_category(2)
+    with pytest.raises(NotInvertible) as err:
+        patch_mobius(c2, INT)
+    assert str(err.value) == "inverse entry (0,0) = 1/2 is not an integer"
+    assert err.value.witness == ("non-integral", 0, 0, "1/2")
+    star = c2.objects[0]
+    assert c2.hom(star, star) and patch_refuses(c2, star, star, INT)
     assert patch_mobius(cyclic_group_category(2), RAT).value("*", "*") == Fraction(1, 2)
+    # no solver over a rig without from_quotient, even with no pair to answer
+    with pytest.raises(UnsupportedRig):
+        patch_mobius(discrete_category(0), NAT)
 
 
-def test_patch_mobius_at_scale_matches_closed_forms(monkeypatch):
-    def per_pair(*args):
-        raise AssertionError("the single coarse inversion should apply")
-
-    monkeypatch.setattr(incidence, "_patch_mobius_per_pair", per_pair)
-
+def test_patch_mobius_at_scale_matches_closed_forms():
     def chain_mu(i, j):
         return {0: 1, 1: -1}.get(j - i, 0)
 
@@ -677,8 +704,6 @@ def test_boolean_lattice_on_eight_elements_by_chain_count():
 
 
 def test_patch_element_rejects_offsupport_values():
-    from mobiuskit.incidence import PatchElement
-
     chain2 = chain_category(2)
     support = frozenset({(0, 0), (0, 1), (1, 1)})
     bad_rows = [[Fraction(1), Fraction(0)], [Fraction(5), Fraction(1)]]
