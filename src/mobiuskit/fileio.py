@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import chain, starmap
+from operator import itemgetter
 
 from .category import Arrow, DirectedGraph, FinCategory, Functor
 from .enriched import MetricSpace
@@ -46,6 +48,67 @@ def _require_str(doc: dict, key: str, where: str) -> str:
     return value
 
 
+def _types(values) -> set:
+    return set(map(type, values))
+
+
+_ARROW_FIELDS = itemgetter("name", "src", "tgt")
+
+
+def _arrow_list(entries: list, where: str) -> list:
+    """The {"name", "src", "tgt"} entries as Arrows.
+
+    The types of the whole list are checked in one pass; only when that
+    fails are the entries walked one by one, to name the first bad one as
+    where[i].
+    """
+    if _types(entries) <= {dict}:
+        try:
+            fields = list(map(_ARROW_FIELDS, entries))
+        except KeyError:
+            fields = None
+        if fields is not None and _types(chain.from_iterable(fields)) <= {str}:
+            return list(starmap(Arrow, fields))
+    arrows = []
+    for i, entry in enumerate(entries):
+        at = f"{where}[{i}]"
+        if not isinstance(entry, dict):
+            raise MalformedInput(f"{at}: must be an object")
+        arrows.append(
+            Arrow(_require_str(entry, "name", at), _require_str(entry, "src", at), _require_str(entry, "tgt", at))
+        )
+    return arrows
+
+
+def _compose_table(entries: list, where: str) -> dict:
+    """The [g, f, gf] triples as a table {(g, f): gf}.
+
+    As for arrows, the whole list is checked in one pass, here for types,
+    lengths and duplicate pairs; only when that fails are the entries
+    walked one by one, to name the first bad one as where[i].
+    """
+    if (
+        _types(entries) <= {list}
+        and set(map(len, entries)) <= {3}
+        and _types(chain.from_iterable(entries)) <= {str}
+    ):
+        compose = {(g, f): gf for g, f, gf in entries}
+        if len(compose) == len(entries):
+            return compose
+    compose = {}
+    for i, entry in enumerate(entries):
+        at = f"{where}[{i}]"
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise MalformedInput(f"{at}: must be a triple [g, f, gf]")
+        g, f, gf = entry
+        if not (isinstance(g, str) and isinstance(f, str) and isinstance(gf, str)):
+            raise MalformedInput(f"{at}: arrow names must be strings")
+        if (g, f) in compose:
+            raise MalformedInput(f"{at}: duplicate entry for pair ({g!r}, {f!r})")
+        compose[(g, f)] = gf
+    return compose
+
+
 def load_category(path: str) -> FinCategory:
     """Parse the category file format.
 
@@ -63,15 +126,7 @@ def load_category(path: str) -> FinCategory:
     arrows_doc = _require(doc, "arrows", path)
     if not isinstance(arrows_doc, list):
         raise MalformedInput(f"{path}: 'arrows' must be a list")
-    arrows = []
-    for i, entry in enumerate(arrows_doc):
-        where = f"{path}: arrows[{i}]"
-        if not isinstance(entry, dict):
-            raise MalformedInput(f"{where}: must be an object")
-        name = _require_str(entry, "name", where)
-        src = _require_str(entry, "src", where)
-        tgt = _require_str(entry, "tgt", where)
-        arrows.append(Arrow(name, src, tgt))
+    arrows = _arrow_list(arrows_doc, f"{path}: arrows")
     identities = _require(doc, "identities", path)
     if not isinstance(identities, dict):
         raise MalformedInput(f"{path}: 'identities' must map objects to arrow names")
@@ -81,17 +136,7 @@ def load_category(path: str) -> FinCategory:
     compose_doc = _require(doc, "compose", path)
     if not isinstance(compose_doc, list):
         raise MalformedInput(f"{path}: 'compose' must be a list")
-    compose = {}
-    for i, entry in enumerate(compose_doc):
-        where = f"{path}: compose[{i}]"
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise MalformedInput(f"{where}: must be a triple [g, f, gf]")
-        g, f, gf = entry
-        if not (isinstance(g, str) and isinstance(f, str) and isinstance(gf, str)):
-            raise MalformedInput(f"{where}: arrow names must be strings")
-        if (g, f) in compose:
-            raise MalformedInput(f"{where}: duplicate entry for pair ({g!r}, {f!r})")
-        compose[(g, f)] = gf
+    compose = _compose_table(compose_doc, f"{path}: compose")
     try:
         return FinCategory(objects, arrows, identities, compose)
     except MalformedInput as e:
@@ -109,6 +154,33 @@ _FLOAT_MAX = int(sys.float_info.max)
 def _is_float(value) -> bool:
     """A JSON number (not a bool) that converts to a float without overflow."""
     return isinstance(value, float) or type(value) is int and abs(value) <= _FLOAT_MAX
+
+
+def _distance_row(row: list, where: str) -> list:
+    """A distances row as floats, the string "inf" as math.inf.
+
+    The types of the whole row are checked in one pass; only when that
+    fails are the entries walked one by one, to name the first bad one as
+    where[j].
+    """
+    kinds = _types(row)
+    # min and max compare ints with floats exactly; a NaN among the entries
+    # can only make the bound fail, and is looked for below
+    if kinds <= {float, int} and (int not in kinds or -_FLOAT_MAX <= min(row) <= max(row) <= _FLOAT_MAX):
+        out = list(map(float, row))
+        if float not in kinds or not any(map(math.isnan, out)):
+            return out
+    out = []
+    for j, value in enumerate(row):
+        if value == "inf":
+            out.append(math.inf)
+        elif _is_float(value):
+            if value != value:
+                raise MalformedInput(f"{where}[{j}]: NaN is not a distance")
+            out.append(float(value))
+        else:
+            raise MalformedInput(f"{where}[{j}]: expected a number or \"inf\"")
+    return out
 
 
 def load_metric(path: str) -> MetricSpace:
@@ -131,25 +203,16 @@ def load_metric(path: str) -> MetricSpace:
         distances = doc["distances"]
         if not isinstance(distances, list) or len(distances) != len(points):
             raise MalformedInput(f"{path}: 'distances' must be a list of {len(points)} rows, one per point")
+        symmetric = doc.get("symmetric", True)
+        if not isinstance(symmetric, bool):
+            raise MalformedInput(f"{path}: 'symmetric' must be true or false")
         rows = []
         for i, row in enumerate(distances):
             if not isinstance(row, list) or len(row) != len(points):
                 raise MalformedInput(f"{path}: distances[{i}]: must be a list of {len(points)} distances")
-            out = []
-            for j, value in enumerate(row):
-                if value == "inf":
-                    out.append(math.inf)
-                elif _is_float(value):
-                    if value != value:
-                        raise MalformedInput(f"{path}: distances[{i}][{j}]: NaN is not a distance")
-                    out.append(float(value))
-                else:
-                    raise MalformedInput(
-                        f"{path}: distances[{i}][{j}]: expected a number or \"inf\""
-                    )
-            rows.append(out)
+            rows.append(_distance_row(row, f"{path}: distances[{i}]"))
         try:
-            return MetricSpace.from_distances(points, rows, symmetric=doc.get("symmetric", True))
+            return MetricSpace.from_distances(points, rows, symmetric=symmetric)
         except MalformedInput as e:
             raise MalformedInput(f"{path}: {e}")
     if "coords" in doc:
@@ -180,18 +243,7 @@ def load_graph(path: str) -> DirectedGraph:
     edges_doc = _require(doc, "edges", path)
     if not isinstance(edges_doc, list):
         raise MalformedInput(f"{path}: 'edges' must be a list")
-    edges = []
-    for i, entry in enumerate(edges_doc):
-        where = f"{path}: edges[{i}]"
-        if not isinstance(entry, dict):
-            raise MalformedInput(f"{where}: must be an object")
-        edges.append(
-            Arrow(
-                _require_str(entry, "name", where),
-                _require_str(entry, "src", where),
-                _require_str(entry, "tgt", where),
-            )
-        )
+    edges = _arrow_list(edges_doc, f"{path}: edges")
     names = [e.name for e in edges]
     if len(set(names)) != len(names):
         raise MalformedInput(f"{path}: duplicate edge names")

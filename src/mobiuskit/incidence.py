@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from math import lcm
+from operator import not_
 
 from .category import FinCategory
 from .errors import (
@@ -91,9 +93,11 @@ class PatchElement:
     def __post_init__(self):
         if self.matrix.n != len(self.objects):
             raise RigMismatch("matrix size does not match the object list")
-        for i, a in enumerate(self.objects):
-            for j, b in enumerate(self.objects):
-                if (a, b) not in self.support and not self.rig.is_zero(self.matrix.entry(i, j)):
+        zeros = repeat(self.rig.zero)
+        for a, row in zip(self.objects, self.matrix.rows):
+            # the columns of the nonzero entries of row a, in order
+            for b in compress(self.objects, map(not_, map(self.rig.eq, row, zeros))):
+                if (a, b) not in self.support:
                     raise RigMismatch(
                         f"patch element has a nonzero value off-support at ({a!r},{b!r})"
                     )

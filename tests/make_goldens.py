@@ -17,6 +17,7 @@ GOLDEN = os.path.join(DATA, "golden")
 
 CASES = [
     ("validate_six", ["validate", "--category", "{D}/six.json"]),
+    ("validate_nonassociative", ["validate", "--category", "{D}/nonassociative.json"]),
     ("mobius_fine_six", ["mobius", "--algebra", "fine", "--category", "{D}/six.json", "--rig", "rat"]),
     ("mobius_coarse_six", ["mobius", "--algebra", "coarse", "--category", "{D}/six.json", "--rig", "rat"]),
     ("mobius_patch_six", ["mobius", "--algebra", "patch", "--category", "{D}/six.json"]),

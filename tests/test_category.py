@@ -27,8 +27,10 @@ from mobiuskit.corpus import (
     cyclic_group_category,
     discrete_category,
     divisor_poset_category,
+    free_category_on_acyclic_graph,
     general_corpus,
     named_categories,
+    random_dag,
     six_example_category,
     terminal_category,
     walking_iso_category,
@@ -419,6 +421,34 @@ def test_arrow_index_matches_all_pairs_and_triples():
     # tables reach every law after the identity check
     assert refused == {"compose: missing entry for composable pair", "compose: pair"}
     assert laws >= {"composite-endpoints", "left-unit", "right-unit", "associativity"}
+    # at size, non-thin: every hom-set of C2 x chain(14) has two arrows, and
+    # the free category on a DAG with parallel edges mixes one-arrow and
+    # crowded hom-sets, so the associativity check skips some triples but
+    # must still find the same first witness
+    big = [
+        product(cyclic_group_category(2), chain_category(14)),
+        product(free_category_on_acyclic_graph(random_dag(rng, 6, parallel=2)), chain_category(4)),
+    ]
+    mixed = big[1]
+    sizes = {len(mixed.hom(a, b)) for a in mixed.objects for b in mixed.objects}
+    assert 1 in sizes and max(sizes) >= 2
+    laws = []
+    for c in big:
+        assert len(c.arrows) >= 200
+        assert validate_category(c) == all_triples_validate(c)
+        swappable = [
+            (key, other)
+            for key, gf in c.compose.items()
+            if not (c.is_identity(key[0]) or c.is_identity(key[1]))
+            for other in c.hom(c.src(gf), c.tgt(gf))
+            if other != gf
+        ]
+        for key, other in swappable[:1] + swappable[-1:] + rng.sample(swappable, 6):
+            broken = FinCategory(c.objects, c.arrows, c.identity, {**c.compose, key: other})
+            report = validate_category(broken)
+            assert report == all_triples_validate(broken)
+            laws.append(report.law)
+    assert laws.count("associativity") >= 8
 
 
 def test_full_subcategory():

@@ -711,6 +711,33 @@ def test_patch_element_rejects_offsupport_values():
         PatchElement(chain2.objects, RAT, RigMatrix.from_rows(RAT, bad_rows), support, chain2)
 
 
+def test_patch_element_names_the_first_offsupport_value_in_row_major_order():
+    rng = random.Random(5)
+    for c in (divisor_poset_category(60), chain_category(6), random_poset_category(rng, 9)):
+        objs, support = c.objects, coarse_support(c)
+        off = [(i, j) for i, a in enumerate(objs) for j, b in enumerate(objs) if (a, b) not in support]
+        for rig in (INT, RAT, REAL, BOOL):
+            base = coarse_zeta(c, rig).matrix.rows
+            assert PatchElement(objs, rig, RigMatrix.from_rows(rig, base), support, c).support == support
+            for picks in (off[:1], off[-1:], off[len(off) // 2:], rng.sample(off, 3)):
+                rows = [list(row) for row in base]
+                for i, j in picks:
+                    rows[i][j] = rig.one
+                if rig is REAL:
+                    # within the tolerance of zero, so not a value off the support
+                    i, j = min(picks)
+                    rows[i][j] = 1e-300
+                    picks = sorted(picks)[1:]
+                matrix = RigMatrix.from_rows(rig, rows)
+                if not picks:
+                    assert PatchElement(objs, rig, matrix, support, c).matrix is matrix
+                    continue
+                i, j = min(picks)
+                with pytest.raises(RigMismatch) as err:
+                    PatchElement(objs, rig, matrix, support, c)
+                assert str(err.value) == f"patch element has a nonzero value off-support at ({objs[i]!r},{objs[j]!r})"
+
+
 def test_sigma_to_patch_support_constraint():
     six = six_example_category()
     p = sigma_to_patch(fine_mobius(six, RAT))
