@@ -52,9 +52,9 @@ EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_NEGATIVE = 2
 
-# the named rigs an exact solve lands in, and those with division
+# the named rigs an exact solve lands in (invert_counting_matrix's rig rule),
+# for mobius, euler, compare and matrix --op zeros
 SOLVE_RIGS = tuple(name for name, rig in NAMED_RIGS.items() if rig.from_quotient is not None)
-DIVISION_RIGS = tuple(name for name, rig in NAMED_RIGS.items() if rig.has_division)
 
 # a --family table is inverted and held whole, at a cost that grows faster
 # than the cube of the range; larger requests are refused before any hom-set
@@ -66,6 +66,12 @@ MAX_FAMILY_INDICES = 500
 # matrix takes about 1 s with one-digit integer entries and about 6 s with
 # two-digit fractions
 MAX_ZEROS_DIM = 40
+
+# graded_zeta takes about vertices^3 * degree^2 series steps, 3-6 us each on
+# a 2-vCPU host (16 vertices at degree 16, a request at the limit,
+# took 3.2 s; one vertex at degree 512 took 1.4 s); larger requests are
+# refused after the graph is read and before any series arithmetic
+MAX_GRADED_WORK = 2**20
 
 
 def name_str(x) -> str:
@@ -240,6 +246,12 @@ def cmd_graded(args):
         raise MalformedInput("--degree must be >= 1")
     rig = polynomial_rig(args.degree)  # refuses a degree above MAX_SERIES_DEGREE
     graph = load_graph(args.graph)
+    vertices = len(graph.vertices)
+    if vertices**3 * args.degree**2 > MAX_GRADED_WORK:
+        raise BudgetExceeded(
+            f"graded is limited to vertices^3 * degree^2 <= {MAX_GRADED_WORK}, "
+            f"got {vertices} vertices at degree {args.degree}"
+        )
     graded = GradedGraphCategory(graph, args.degree)
     zeta = graded_zeta(graded)
     mobius = graded_mobius(graded)
@@ -307,10 +319,7 @@ def cmd_functor_check(args):
 
 
 def cmd_matrix(args):
-    if args.op == "zeros":
-        rig = _resolve_rig(args, DIVISION_RIGS)
-    else:
-        rig = _resolve_rig(args)
+    rig = _resolve_rig(args, SOLVE_RIGS if args.op == "zeros" else None)
     m = load_matrix(args.infile, rig)
     if args.op == "detpm":
         plus, minus = matrixrig._det_halves(m)

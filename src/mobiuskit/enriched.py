@@ -16,7 +16,7 @@ from typing import Callable
 from .category import DirectedGraph, product
 from .errors import MalformedInput, NotInvertible, RigMismatch
 from .incidence import CoarseElement
-from .matrixrig import RigMatrix, invert, invert_counting_matrix
+from .matrixrig import RigMatrix, invert
 from .rigs import REAL, Rig, TruncatedSeries, polynomial_rig
 
 CONDITION_LIMIT = 1e12
@@ -117,14 +117,10 @@ def enriched_coarse_zeta(objects, homsizes, rig: Rig, enrichment: str = "finite_
 
 
 def enriched_coarse_mobius(zeta: CoarseElement) -> CoarseElement:
-    """Invert an enriched coarse zeta.
-
-    Over an exact rig the inverse is the exact one of
-    invert_counting_matrix, which must come out integral over a rig
-    without division; the floating reals use invert's float elimination.
-    """
-    inverse = invert_counting_matrix(zeta.matrix.rows, zeta.rig) if zeta.rig.exact else invert(zeta.matrix)
-    return CoarseElement(zeta.objects, zeta.rig, inverse, zeta.category, zeta.enrichment)
+    """Invert an enriched coarse zeta with invert: exact over an exact rig
+    (integral over a rig without division), float elimination over the
+    floating reals."""
+    return CoarseElement(zeta.objects, zeta.rig, invert(zeta.matrix), zeta.category, zeta.enrichment)
 
 
 # metric spaces

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from .category import Arrow, FinCategory, poset_to_category
 from .errors import MalformedInput, NotInvertible, UnsupportedRig
-from .matrixrig import RigMatrix, invert_counting_matrix, invert_on_support
+from .matrixrig import RigMatrix, invert_counting_matrix
 from .rigs import Rig
 
 
@@ -73,17 +73,19 @@ def family_mobius(c: PatchOracleCategory, start: int, end: int, rig: Rig) -> Rig
     """Table of patchwise_mobius(c, m, n, rig) for m, n in start..end.
 
     When the patch of every pair with a map lies inside start..end, one
-    inversion of the hom-count matrix on start..end gives the whole
+    invert_counting_matrix of the hom-counts on start..end gives the whole
     table: if that inverse mu is zero wherever the counts are, then for
     u, v in patch(m,n) every nonzero term mu(u,z) zeta(z,v) has maps
     m -> u -> z -> v -> n, so z lies in the patch, mu restricted to the
     patch inverts the patch zeta, and mu(m,n) is the patch answer.  All
     four built-in families have their patches inside any interval.
 
-    When a patch leaves the interval, or the inverse does not exist,
-    leaves the support or is not integral over 'int', the table is filled
-    pair by pair with patchwise_mobius (_patchwise_table), whose first
-    failing patch raises NotInvertible.
+    When a patch leaves the interval, or the inversion raises
+    NotInvertible, or the inverse is not rig.zero where a count is zero
+    (by identity: _land lands every zero as rig.zero, and rig.eq would
+    forgive a small float), the table is filled pair by pair with
+    patchwise_mobius, whose first failing patch raises NotInvertible.  A
+    rig without from_quotient raises UnsupportedRig, even with no maps.
     """
     indices = range(start, end + 1)
     counts = [[c.hom_count(m, n) for n in indices] for m in indices]
@@ -94,11 +96,20 @@ def family_mobius(c: PatchOracleCategory, start: int, end: int, rig: Rig) -> Rig
         for n, count in zip(indices, row)
         if count
     )
-    inverse = invert_on_support(counts, rig) if closed else None
-    return inverse if inverse is not None else _patchwise_table(c, indices, rig)
-
-
-def _patchwise_table(c: PatchOracleCategory, indices, rig: Rig) -> RigMatrix:
+    if closed:
+        try:
+            inverse = invert_counting_matrix(counts, rig)
+        except NotInvertible:
+            pass
+        else:
+            zero = rig.zero
+            if all(
+                x is zero
+                for count_row, row in zip(counts, inverse.rows)
+                for count, x in zip(count_row, row)
+                if not count
+            ):
+                return inverse
     return RigMatrix.from_rows(
         rig, [[patchwise_mobius(c, m, n, rig) for n in indices] for m in indices]
     )

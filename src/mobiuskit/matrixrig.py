@@ -3,12 +3,14 @@
 Provides the subtraction-free determinant and adjugate halves (even/odd
 permutation sums), the transitive-matrix predicate, the two identities
 they satisfy, zero-pattern inheritance for inverses, and inversion.
-Every exact solve in the package (coarse inverses, inverses over exact
-fields, fine convolution blocks) goes through one fraction-free
-elimination, _bareiss, and lands its integer result Y / d in a rig through
-the rig's from_quotient (_land).  A rig whose equality has a tolerance
-(Rig.exact False, the floating reals) has its own magnitude-pivot
-elimination in invert.
+Every exact solve in the package (coarse inverses, family tables, invert
+over an exact rig, fine convolution blocks) goes through one
+fraction-free elimination, _bareiss, and lands its integer result Y / d
+in a rig through the rig's from_quotient (_land).  Every count-matrix
+inverse is invert_counting_matrix's, under one rig rule: the rig needs
+from_quotient, and over a rig without division the inverse must be
+integral.  A rig whose equality has a tolerance (Rig.exact False, the
+floating reals) has its own magnitude-pivot elimination in invert.
 """
 
 from __future__ import annotations
@@ -92,9 +94,6 @@ class RigMatrix:
     def scale(self, c) -> "RigMatrix":
         rig = self.rig
         return RigMatrix.from_rows(rig, [[rig.mul(c, x) for x in row] for row in self.rows])
-
-    def transpose(self) -> "RigMatrix":
-        return RigMatrix(self.rig, tuple(zip(*self.rows)))
 
     def kronecker(self, other: "RigMatrix") -> "RigMatrix":
         """Kronecker product; block (i,j) is entry(i,j) * other."""
@@ -299,19 +298,17 @@ def inverse_zero_check(z: RigMatrix, zinv: RigMatrix):
 
 
 def invert(m: RigMatrix) -> RigMatrix:
-    """Two-sided inverse over a rig with division.
+    """Two-sided inverse.
 
-    Over an exact rig the inverse is invert_counting_matrix's: each row is
-    scaled to integers by the LCM of its denominators and the system goes
-    through the fraction-free kernel _bareiss.  Over an inexact rig (the
-    floating reals) Gauss-Jordan elimination pivots on the largest
-    magnitude, for stability, and a pivot within the rig's tolerance of
-    zero counts as none.  A singular matrix raises NotInvertible naming
-    the first column with no pivot.
+    Over an exact rig the inverse is invert_counting_matrix's, with its
+    rig rule: the rig needs from_quotient, and over a rig without division
+    (int) a non-integral inverse raises NotInvertible.  Over an inexact
+    rig (the floating reals) Gauss-Jordan elimination pivots on the
+    largest magnitude, for stability, and a pivot within the rig's
+    tolerance of zero counts as none.  A singular matrix raises
+    NotInvertible naming the first column with no pivot.
     """
     rig = m.rig
-    if not rig.has_division:
-        raise UnsupportedRig(f"matrix inversion needs division, rig '{rig.name}' has none")
     if rig.exact:
         return invert_counting_matrix(m.rows, rig)
     n = m.n
@@ -468,36 +465,3 @@ def invert_counting_matrix(rows, rig: Rig) -> RigMatrix:
                     )
     return RigMatrix.from_rows(rig, _land(rig, d, scaled))
 
-
-def invert_on_support(counts, rig: Rig):
-    """Inverse of an integer count matrix that is zero wherever the counts are.
-
-    One Bareiss elimination over the whole matrix.  The support check runs
-    on the integer result, before any entry lands in the rig.  This is the
-    case of zero-pattern inheritance (Leinster, Notions of Mobius
-    inversion): when the index set holds the patch of every pair with a
-    nonzero count, the restriction of the inverse to a patch inverts that
-    patch's count matrix, so every entry is the value a per-patch
-    inversion would give.
-
-    Returns None when the rig has no from_quotient, when the matrix is
-    singular, when an entry is nonzero where the count is zero, or when an
-    entry is not an integer over a rig without division.  Its one caller,
-    infinite.family_mobius, then falls back to inverting patch by patch,
-    which reports each of these cases with its own message and witness;
-    a patch of an oracle family can leave the index set, and only that
-    fallback answers it.
-    """
-    if rig.from_quotient is None:
-        return None
-    try:
-        d, scaled = _bareiss(counts, _identity_rows(len(counts)))
-    except NotInvertible:
-        return None
-    for count_row, row in zip(counts, scaled):
-        for count, x in zip(count_row, row):
-            if x and not count:
-                return None
-    if not rig.has_division and any(x % d for row in scaled for x in row):
-        return None
-    return RigMatrix.from_rows(rig, _land(rig, d, scaled))

@@ -36,6 +36,7 @@ CASES = [
     ("matrix_adjpm", ["matrix", "--op", "adjpm", "--in", "{D}/matrix_3x3.json"]),
     ("matrix_transitive_no", ["matrix", "--op", "transitive", "--in", "{D}/matrix_nontransitive.json"]),
     ("matrix_zeros", ["matrix", "--op", "zeros", "--in", "{D}/matrix_3x3.json"]),
+    ("matrix_zeros_nontransitive_int", ["matrix", "--op", "zeros", "--in", "{D}/matrix_nontransitive.json", "--rig", "int"]),
     ("compare_parallel", ["compare", "--category-a", "{D}/parallel_first.json", "--category-b", "{D}/parallel_second.json"]),
     ("zeta_coarse_divisors6", ["zeta", "--algebra", "coarse", "--category", "{D}/divisors6.json", "--rig", "int"]),
     ("zeta_fine_chain3", ["zeta", "--algebra", "fine", "--category", "{D}/chain3.json"]),

@@ -364,6 +364,24 @@ def test_series_degree_is_capped_before_any_work(capfd, monkeypatch):
     assert capfd.readouterr().err.count("error: truncation degree is limited to 5, got 6\n") == 2
 
 
+def test_graded_work_is_capped_before_any_series_arithmetic(tmp_path, capfd, monkeypatch):
+    def graded_zeta(graded):
+        raise AssertionError("no series arithmetic for a refused request")
+
+    assert 512**2 <= cli.MAX_GRADED_WORK  # one vertex at the largest degree
+    # three vertices at degree 3: 3^3 * 3^2 = 243
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [{"name": "e", "src": "a", "tgt": "b"}]}))
+    monkeypatch.setattr(cli, "MAX_GRADED_WORK", 242)
+    monkeypatch.setattr(cli, "graded_zeta", graded_zeta)
+    code, out = run(["graded", "--graph", str(path), "--degree", "3"])
+    err = capfd.readouterr().err
+    assert (code, out, err) == (1, "", "error: graded is limited to vertices^3 * degree^2 <= 242, got 3 vertices at degree 3\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_GRADED_WORK", 243)
+    assert run(["graded", "--graph", str(path), "--degree", "3"])[0] == 0
+
+
 def test_classify_six_negative_exit():
     code, out = run(["classify", "--category", data("six.json")])
     assert code == 2
@@ -448,10 +466,10 @@ SOLVES = "allowed: int, rat, real"
         (["mobius", "--family", "dinj", "--from", "0", "--to", "3", "--rig", "nat"], f"rig 'nat' is not usable with this command ({SOLVES})"),
         (["euler", "--category", "missing.json", "--rig", "poly"], f"rig 'poly:16' is not usable with this command ({SOLVES})"),
         (["compare", "--category-a", "missing.json", "--category-b", "missing.json", "--rig", "bool"], f"rig 'bool' is not usable with this command ({SOLVES})"),
-        (["matrix", "--op", "zeros", "--in", "missing.json", "--rig", "int"], "rig 'int' is not usable with this command (allowed: rat, real)"),
+        (["matrix", "--op", "zeros", "--in", "missing.json", "--rig", "nat"], f"rig 'nat' is not usable with this command ({SOLVES})"),
         (["zeta", "--category", "missing.json", "--rig", "foo"], "unknown rig 'foo'"),
     ],
-    ids=["mobius-bool", "family-nat", "euler-poly", "compare-bool", "zeros-int", "zeta-unknown"],
+    ids=["mobius-bool", "family-nat", "euler-poly", "compare-bool", "zeros-nat", "zeta-unknown"],
 )
 def test_refused_rigs_exit_1_before_any_file_is_read(capfd, argv, message):
     # the input files do not exist: the rig is refused before they are opened

@@ -51,8 +51,8 @@ from mobiuskit.incidence import (
     sigma_to_patch,
     verify_inverse,
 )
-from mobiuskit.infinite import builtin, classical_mobius
-from mobiuskit.matrixrig import RigMatrix, invert_counting_matrix, invert_on_support, is_transitive
+from mobiuskit.infinite import builtin, classical_mobius, family_mobius
+from mobiuskit.matrixrig import RigMatrix, invert_counting_matrix, is_transitive
 from mobiuskit.rigs import BOOL, INT, NAT, RAT, REAL, render
 
 
@@ -804,7 +804,7 @@ def test_exact_solves_land_the_rig_element_type(rig, kind):
         "coarse_mobius": [x for row in coarse_mobius(cat, rig).matrix.rows for x in row],
         "patch_mobius": [x for row in patch_mobius(cat, rig).matrix.rows for x in row],
         "invert_counting_matrix": [x for row in invert_counting_matrix(chain, rig).rows for x in row],
-        "invert_on_support": [x for row in invert_on_support(chain, rig).rows for x in row],
+        "family_mobius": [x for row in family_mobius(builtin("divisibility"), 1, 12, rig).rows for x in row],
     }
     for name, values in landed.items():
         assert {type(x) for x in values} == {kind}, name

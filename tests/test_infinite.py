@@ -3,19 +3,20 @@ from math import comb
 
 import pytest
 
+from mobiuskit import infinite
 from mobiuskit.category import validate_category
 from mobiuskit.errors import MalformedInput, NotInvertible, UnsupportedRig
 from mobiuskit.incidence import coarse_mobius, fine_mobius, fine_mobius_hall
 from mobiuskit.infinite import (
     PatchOracleCategory,
-    _patchwise_table,
     builtin,
     classical_mobius,
     family_mobius,
     oracle_zeta,
     patchwise_mobius,
 )
-from mobiuskit.rigs import INT, RAT, REAL, Rig
+from mobiuskit.matrixrig import RigMatrix
+from mobiuskit.rigs import BOOL, INT, NAT, RAT, REAL, Rig
 
 
 def test_oracle_zeta_formulas():
@@ -204,7 +205,10 @@ def table_outcome(compute):
 
 
 def per_pair_table(oracle, start, end, rig):
-    return table_outcome(lambda: _patchwise_table(oracle, range(start, end + 1), rig))
+    indices = range(start, end + 1)
+    return table_outcome(
+        lambda: RigMatrix.from_rows(rig, [[patchwise_mobius(oracle, m, n, rig) for n in indices] for m in indices])
+    )
 
 
 def test_family_table_matches_per_pair_patchwise():
@@ -257,6 +261,36 @@ def test_family_table_falls_back_per_pair():
     assert err.value.witness == ("patch", 0, 1)
     assert family_mobius(reordered, 0, 1, RAT).rows == ((1, 0), (0, 1))
     assert family_mobius(uncomposed, 0, 2, INT).entry(0, 2) == 0
+
+
+def test_builtin_tables_take_one_inversion(monkeypatch):
+    # every built-in family keeps its patches inside any interval and its
+    # inverse on the counts' support, so no table falls back pair by pair
+    def patchwise_mobius(c, a, b, rig):
+        raise AssertionError("a built-in table took the per-pair path")
+
+    monkeypatch.setattr(infinite, "patchwise_mobius", patchwise_mobius)
+    for family in ("dinj", "dsurj", "divisibility", "nat_leq"):
+        oracle = builtin(family)
+        start, end = (1, 240) if family == "divisibility" else (0, 12)
+        for rig in (INT, RAT, REAL):
+            table = family_mobius(oracle, start, end, rig)
+            assert table.n == end - start + 1
+    divisibility = family_mobius(builtin("divisibility"), 1, 240, INT)
+    assert [divisibility.entry(0, n - 1) for n in range(1, 241)] == [classical_mobius(n) for n in range(1, 241)]
+
+
+def test_family_table_needs_a_rig_an_exact_solve_lands_in():
+    message = "inversion of counting matrices unsupported over '{}'"
+    with pytest.raises(UnsupportedRig, match=message.format("nat")):
+        family_mobius(builtin("dinj"), 0, 3, NAT)
+    # also where no inversion is needed: an empty range, and a range of
+    # divisibility with no maps
+    for start, end in ((3, 2), (-2, 0)):
+        with pytest.raises(UnsupportedRig, match=message.format("bool")):
+            family_mobius(builtin("divisibility"), start, end, BOOL)
+    assert family_mobius(builtin("divisibility"), -2, 0, RAT).rows == ((0,) * 3,) * 3
+    assert family_mobius(builtin("divisibility"), 3, 2, RAT).rows == ()
 
 
 def test_unknown_family():

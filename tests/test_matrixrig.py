@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -15,7 +14,6 @@ from mobiuskit.matrixrig import (
     det_plus,
     invert,
     invert_counting_matrix,
-    invert_on_support,
     inverse_zero_check,
     is_transitive,
     lemma_identity_check,
@@ -244,10 +242,18 @@ def test_invert_singular_matrix():
     assert err.value.witness == ("column", 1)
 
 
-def test_invert_needs_division():
-    m = RigMatrix.identity(INT, 2)
-    with pytest.raises(UnsupportedRig):
-        invert(m)
+def test_invert_follows_the_exact_solve_rig_rule():
+    # the rule of invert_counting_matrix: from_quotient, and an integral
+    # inverse over a rig without division
+    unitriangular = RigMatrix.from_rows(INT, [[1, 2, 3], [0, 1, 4], [0, 0, 1]])
+    inverse = invert(unitriangular)
+    assert inverse.rows == ((1, -2, 5), (0, 1, -4), (0, 0, 1))
+    assert {type(x) for row in inverse.rows for x in row} == {int}
+    with pytest.raises(NotInvertible) as err:
+        invert(RigMatrix.from_rows(INT, [[2]]))
+    assert err.value.witness == ("non-integral", 0, 0, "1/2")
+    with pytest.raises(UnsupportedRig, match="inversion of counting matrices unsupported over 'nat'"):
+        invert(RigMatrix.identity(NAT, 2))
 
 
 def test_invert_real_uses_magnitude_pivot():
@@ -295,24 +301,6 @@ def test_fraction_free_inverse_matches_generic_elimination():
             continue
         assert invert_counting_matrix(rows, RAT).equal(reference)
         checked += 1
-
-
-def test_invert_on_support_returns_the_inverse_or_none():
-    chain = [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
-    assert invert_on_support(chain, INT).rows == ((1, -1, 0), (0, 1, -1), (0, 0, 1))
-    rat = invert_on_support(chain, RAT)
-    assert rat.equal(invert_counting_matrix(chain, RAT))
-    assert all(x is RAT.zero for x in (rat.entry(0, 2), rat.entry(1, 0)))
-    real = invert_on_support([[-2, 0], [0, 1]], REAL)
-    assert real.rows == ((-0.5, 0.0), (0.0, 1.0))
-    assert math.copysign(1.0, real.entry(0, 1)) == 1.0
-    assert invert_on_support([], RAT).rows == ()
-    # singular; inverse nonzero where the count is zero; not integral over int
-    assert invert_on_support([[1, 1], [1, 1]], RAT) is None
-    assert invert_on_support([[1, 1, 0], [0, 1, 1], [0, 0, 1]], RAT) is None
-    assert invert_on_support([[2]], INT) is None
-    assert invert_on_support([[2]], RAT).rows == ((Fraction(1, 2),),)
-    assert invert_on_support(chain, NAT) is None
 
 
 def test_invert_counting_matrix_accepts_fraction_entries():
