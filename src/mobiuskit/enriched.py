@@ -20,6 +20,7 @@ from .matrixrig import RigMatrix, invert
 from .rigs import REAL, Rig, TruncatedSeries, polynomial_rig
 
 CONDITION_LIMIT = 1e12
+_EPS = 2.0**-52  # float64 machine epsilon
 
 
 class _Numpy:
@@ -208,31 +209,68 @@ def similarity_matrix(m: MetricSpace) -> CoarseElement:
     return CoarseElement(m.points, REAL, RigMatrix.from_rows(REAL, rows), None, "metric")
 
 
+def _certified_well_conditioned(z: np.ndarray) -> bool:
+    """True when one Cholesky factorisation proves the symmetric z positive
+    definite with 2-norm condition at most CONDITION_LIMIT / 2.
+
+    ``norm``, the largest row sum of z >= 0, bounds its largest eigenvalue.
+    If the Cholesky factorisation of z - s I succeeds in floating point, the
+    factor is exact for a matrix within about n (n + 1) eps norm of z - s I
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3), so
+    with s = norm (2 / CONDITION_LIMIT + 2 n (n + 1) eps) the smallest
+    eigenvalue of z is at least 2 norm / CONDITION_LIMIT.  False means only
+    that the proof failed.  The diagonal of z is shifted in place and
+    restored bit for bit.
+    """
+    limit = CONDITION_LIMIT
+    if not limit > 0:
+        return False
+    n = len(z)
+    norm = float(z.sum(axis=1).max())
+    shift = norm * (2.0 / limit + 2.0 * n * (n + 1) * _EPS)
+    if not shift < norm:
+        return False
+    diagonal = z.diagonal().copy()
+    try:
+        z.flat[:: n + 1] = diagonal - shift
+        np.linalg.cholesky(z)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        z.flat[:: n + 1] = diagonal
+    return True
+
+
 def magnitude(m: MetricSpace) -> float:
     """Total of all entries of the inverse similarity matrix.
 
     That total is 1^T Z^-1 1, so one linear solve Z w = 1 and the sum of the
     weighting w give it for symmetric and non-symmetric spaces alike.  A
-    2-norm condition number beyond 1e12 is reported as NotInvertible
-    rather than returning noise.  For a symmetric space that number is the
-    exact ratio max|lambda| / min|lambda| of Z's eigenvalues (inf when
-    min|lambda| = 0), which for a symmetric matrix are its singular values
-    up to sign; a non-symmetric space takes it from an SVD.
+    2-norm condition number beyond CONDITION_LIMIT is reported as
+    NotInvertible rather than returning noise.  A symmetric space first
+    tries the one-Cholesky certificate of _certified_well_conditioned;
+    only when that fails are Z's eigenvalues computed, and the condition is
+    then the exact ratio max|lambda| / min|lambda| (inf when min|lambda| =
+    0), which for a symmetric matrix is the ratio of its singular values.
+    So a refusal always comes from the eigenvalues, and a space the
+    certificate accepts is one they would accept too.  A non-symmetric
+    space takes the condition from an SVD.
     """
     z = _similarity(m.distances)
     if z.size == 0:
         return 0.0
-    if m.symmetric:
-        eigenvalues = np.abs(np.linalg.eigvalsh(z))
-        smallest = float(eigenvalues.min())
-        condition = float(eigenvalues.max()) / smallest if smallest > 0 else math.inf
-    else:
-        condition = np.linalg.cond(z)
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-        raise NotInvertible(
-            f"similarity matrix condition estimate {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
-            witness=("condition", condition),
-        )
+    if not (m.symmetric and _certified_well_conditioned(z)):
+        if m.symmetric:
+            eigenvalues = np.abs(np.linalg.eigvalsh(z))
+            smallest = float(eigenvalues.min())
+            condition = float(eigenvalues.max()) / smallest if smallest > 0 else math.inf
+        else:
+            condition = np.linalg.cond(z)
+        if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+            raise NotInvertible(
+                f"similarity matrix condition estimate {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
+                witness=("condition", condition),
+            )
     weights = np.linalg.solve(z, np.ones(len(m.points)))
     return float(weights.sum())
 

@@ -143,9 +143,9 @@ def load_category(path: str) -> FinCategory:
         raise MalformedInput(f"{path}: {e}")
 
 
-# magnitude holds several n x n float arrays and runs an O(n^3) eigenvalue
-# decomposition and solve; larger spaces are refused before any distance is
-# read or any array allocated
+# magnitude holds several n x n float arrays and runs an O(n^3) Cholesky
+# factorisation (or eigenvalue decomposition) and solve; larger spaces are
+# refused before any distance is read or any array allocated
 MAX_METRIC_POINTS = 3000
 
 _FLOAT_MAX = int(sys.float_info.max)

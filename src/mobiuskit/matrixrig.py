@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations, repeat
 from math import lcm
 
 from .errors import (
@@ -423,7 +423,7 @@ def _identity_rows(n: int):
 def _inverse(rows):
     """(d, Y) with Y / d the inverse of a square matrix of rationals."""
     n = len(rows)
-    if all(isinstance(x, int) for row in rows for x in row):
+    if all(map(isinstance, chain.from_iterable(rows), repeat(int))):
         return _bareiss(rows, _identity_rows(n))
     # each equation times the LCM of its row's denominators: same solution
     scales, integral = zip(*map(_to_integers, rows))

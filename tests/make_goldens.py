@@ -28,6 +28,8 @@ CASES = [
     ("nerve_euler_square", ["nerve-euler", "--category", "{D}/square.json"]),
     ("nerve_euler_six", ["nerve-euler", "--category", "{D}/six.json"]),
     ("magnitude_two_points", ["magnitude", "--metric", "{D}/two_points_d1.json"]),
+    ("magnitude_two_points_study", ["magnitude", "--metric", "{D}/two_points_d1.json", "--study", "2,10,100"]),
+    ("magnitude_near_twins", ["magnitude", "--metric", "{D}/near_twins.json"]),
     ("graded_two_loops", ["graded", "--graph", "{D}/one_vertex_two_loops.json", "--degree", "6"]),
     ("classify_six", ["classify", "--category", "{D}/six.json"]),
     ("classify_chain3", ["classify", "--category", "{D}/chain3.json"]),

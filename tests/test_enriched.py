@@ -338,7 +338,8 @@ def test_large_line_magnitudes_match_closed_form(n):
         assert abs(magnitude(space) - want) <= 1e-9 * want
 
 
-def test_eigenvalue_condition_matches_svd_condition(monkeypatch):
+def condition_corpus():
+    """Symmetric spaces on both sides of the condition limit."""
     rng = random.Random(5)
     spaces = [[(0.0,), (1.0,), (1.0,)]]  # duplicate points: Z exactly singular
     for k in range(60):
@@ -360,6 +361,11 @@ def test_eigenvalue_condition_matches_svd_condition(monkeypatch):
     for t in (0.2, 0.3, 0.5):
         rows = [[0 if i == j else t * (1 + (a == b)) for j, b in enumerate(side)] for i, a in enumerate(side)]
         spaces.append(MetricSpace.from_distances(range(5), rows))
+    return spaces
+
+
+def test_eigenvalue_condition_matches_svd_condition(monkeypatch):
+    spaces = condition_corpus()
 
     def condition(space):
         """The condition number magnitude reports when it refuses."""
@@ -385,6 +391,60 @@ def test_eigenvalue_condition_matches_svd_condition(monkeypatch):
                 m.setattr(enriched, "CONDITION_LIMIT", 0.0)
                 assert abs(condition(space) - expected) <= tolerance * expected
     assert decisions == {True, False}
+
+
+def test_cholesky_certificate_agrees_with_the_eigenvalue_path(monkeypatch):
+    # the certificate may only skip eigvalsh: on every space, magnitude gives
+    # the same float bits, or the same refusal, with the certificate on and
+    # with it always failing, and a space it accepts is within the limit
+    rng = random.Random(11)
+    spaces = condition_corpus()
+    for n in (1, 2, 3, 5, 17, 64, 150, 300):
+        spaces += [segment_space(n, 2.0), segment_space(n, 1e-3 * n)]
+    for _ in range(30):
+        n = rng.randrange(1, 80)
+        scale = 10.0 ** rng.uniform(-4, 1)
+        spaces.append(MetricSpace.from_coords(range(n), [(scale * rng.random(), scale * rng.random()) for _ in range(n)]))
+    twins = [MetricSpace.from_distances("pq", [[0, d], [d, 0]]) for d in (1e-14, 1e-3, 0.5)]
+    spaces += [metric_disjoint_union(segment_space(4, 1.0), twin) for twin in twins]
+    xs = [0.3 * i for i in range(9)]
+    for k in range(49):  # the twin's distance sweeps every limit below
+        coords = [(x,) for x in xs] + [(xs[k % 9] + 10.0 ** (-k / 3),)]
+        spaces.append(MetricSpace.from_coords(range(10), coords))
+
+    certify = enriched._certified_well_conditioned
+    accepted = []
+
+    def spy(z):
+        before = z.copy()
+        ok = certify(z)
+        assert before.tobytes() == z.tobytes()
+        if ok:
+            accepted.append(before)
+        return ok
+
+    def outcome(space):
+        try:
+            return magnitude(space).hex()
+        except NotInvertible as e:
+            return str(e), repr(e.witness)
+
+    accepted_counts = []
+    for limit in (1e3, 1e6, 1e9, CONDITION_LIMIT):
+        accepted.clear()
+        with monkeypatch.context() as m:
+            m.setattr(enriched, "CONDITION_LIMIT", limit)
+            m.setattr(enriched, "_certified_well_conditioned", spy)
+            fast = [outcome(space) for space in spaces]
+            m.setattr(enriched, "_certified_well_conditioned", lambda z: False)
+            slow = [outcome(space) for space in spaces]
+        assert fast == slow
+        assert all(np.linalg.cond(z) <= limit for z in accepted)
+        refused = sum(isinstance(result, tuple) for result in slow)
+        assert 0 < refused
+        assert 0 < len(accepted) < len(spaces) - refused  # both paths run on accepted spaces
+        accepted_counts.append(len(accepted))
+    assert accepted_counts == sorted(set(accepted_counts))  # each limit moves the boundary
 
 
 def test_from_coords_matches_math_dist():

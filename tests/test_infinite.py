@@ -46,9 +46,14 @@ def test_oracle_zeta_requires_characteristic_zero():
 
 def test_builtin_hom_counts():
     dinj = builtin("dinj")
-    assert dinj.hom_count(2, 4) == 6
-    assert dinj.hom_count(4, 2) == 0
-    assert sum(1 for _ in range(1)) == 1
+    dsurj = builtin("dsurj")
+    for m in range(9):
+        for n in range(9):
+            # a monotone injection [m] -> [n] is its image, an m-subset of [n];
+            # a monotone surjection cuts the m - 1 gaps of [m] in n - 1 places
+            assert dinj.hom_count(m, n) == comb(n, m)
+            surjections = comb(m - 1, n - 1) if m >= n >= 1 else int(m == n == 0)
+            assert dsurj.hom_count(m, n) == surjections
     div = builtin("divisibility")
     assert div.patch_objects(2, 12) == (2, 4, 6, 12)
     nat = builtin("nat_leq")
