@@ -15,6 +15,7 @@ from .category import (
     coproduct,
     endomorphism_report,
     enumerate_subcategories,
+    is_mobius_category,
     is_skeletal,
     monoid_to_category,
     patch,
@@ -61,7 +62,6 @@ from .incidence import (
     fine_delta,
     fine_invert,
     fine_mobius,
-    fine_mobius_hall,
     fine_zeta,
     nerve_euler_characteristic,
     patch_mobius,
@@ -87,7 +87,6 @@ from .functoriality import (
     compose_spans,
     fibre_sizes,
     is_bijective_on_objects,
-    is_mobius_category,
     is_ulf,
     mobius_by_subcategories,
     pullback_transform,

@@ -414,6 +414,19 @@ def endomorphism_report(c: FinCategory) -> EndomorphismReport:
     return EndomorphismReport(isos, idempotents, endos)
 
 
+def is_mobius_category(c: FinCategory) -> bool:
+    """Every isomorphism and idempotent is an identity.
+
+    For a finite category this is being skeletal with no nontrivial
+    endomorphism: some power of an endomorphism e is idempotent, so an
+    identity, and then e is an isomorphism.  Maps f: a -> b and g: b -> a
+    make g o f and f o g identities, so f is an isomorphism and a = b: the
+    hom-count matrix is unitriangular along a linear extension.
+    """
+    report = endomorphism_report(c)
+    return not report.nontrivial_isos and not report.nontrivial_idempotents
+
+
 def enumerate_subcategories(c: FinCategory, max_count: int = 100000) -> Iterator[FinCategory]:
     """All nonempty subcategories: object subsets plus arrow subsets that
     contain the identities of the chosen objects, stay within them, and are

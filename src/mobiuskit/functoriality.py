@@ -4,8 +4,8 @@ Covers bijectivity-on-objects and fibre sizes, unique lifting of
 factorizations (directly and through the two pullback squares of the free
 path construction), pushforward and pullback of fine elements, pullbacks
 of categories, the Beck-Chevalley square, span composition, adjunction
-validation with the adjoint-pair Mobius identity, and the classifier that
-characterizes categories whose every subcategory inverts over the integers.
+validation with the adjoint-pair Mobius identity, and the brute-force
+subcategory search that cross-checks category.is_mobius_category.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from .category import (
     Functor,
     categories_equal,
     compose_functors,
-    endomorphism_report,
     enumerate_subcategories,
+    is_mobius_category,  # re-exported beside mobius_by_subcategories, its exhaustive test
 )
 from .errors import BudgetExceeded, MalformedInput, NotInvertible, RigMismatch
 from .incidence import (
@@ -355,12 +355,6 @@ def rota_check(adj: Adjunction, a, b, rig: Rig = RAT):
 
 
 # Mobius-category classification
-
-
-def is_mobius_category(c: FinCategory) -> bool:
-    """Every isomorphism and idempotent is an identity."""
-    report = endomorphism_report(c)
-    return not report.nontrivial_isos and not report.nontrivial_idempotents
 
 
 # the search solves fine inversion on every subcategory, up to 2^arrows of them

@@ -14,7 +14,7 @@ from itertools import compress, repeat
 from math import lcm
 from operator import not_
 
-from .category import FinCategory
+from .category import FinCategory, is_mobius_category
 from .errors import (
     MalformedInput,
     NotInvertible,
@@ -273,58 +273,6 @@ def fine_mobius(c: FinCategory, rig: Rig) -> FineElement:
     return fine_invert(fine_zeta(c, rig))
 
 
-def _chain_counts(c: FinCategory) -> dict:
-    """arrow f -> sum over n of (-1)^n (number of chains of n non-identity
-    arrows composing to f), counted level by level (Leroux 1975).
-
-    level_0 holds the identities, one each, and level_{k+1}(f) sums
-    level_k(g) over the factorizations f = h o g with h not an identity.
-    A chain of n = |objects| non-identity arrows revisits an object, and
-    one exists exactly when the category has a nontrivial endomorphism or
-    an isomorphism between distinct objects; a nonempty level n is
-    therefore the NotNerveFinite refusal, and otherwise the count stops
-    at the first empty level, at most n.
-    """
-    after: dict = {}
-    for f, pairs in c.factorizations().items():
-        for g, h in pairs:
-            if not c.is_identity(h):
-                after.setdefault(g, []).append(f)
-    level = {name: 1 for name in c.identity.values()}
-    counts = dict.fromkeys(c.arrow_names(), 0)
-    sign = 1
-    for _ in range(len(c.objects)):
-        if not level:
-            break
-        nxt: dict = {}
-        for g, count in level.items():
-            counts[g] += sign * count
-            for f in after.get(g, ()):
-                nxt[f] = nxt.get(f, 0) + count
-        level = nxt
-        sign = -sign
-    if level:
-        raise NotNerveFinite(
-            "nerve Euler characteristic needs a skeletal category with no nontrivial endomorphisms"
-        )
-    return counts
-
-
-def fine_mobius_hall(c: FinCategory, rig: Rig = INT) -> FineElement:
-    """Fine Mobius function by alternating chain counts (Leroux's formula).
-
-    mu(f) = sum over n of (-1)^n (number of chains of n non-identity arrows
-    composing to f), for every finite Mobius category: skeletal, with no
-    nontrivial endomorphisms.  On a poset this is Hall's formula, chains
-    a = a0 < ... < an = b.  Other categories raise NotNerveFinite, from
-    the count itself: a chain of |objects| arrows exists exactly when the
-    precondition fails, and otherwise every chain is shorter.
-    """
-    if not rig.has_negation:
-        raise UnsupportedRig("chain-count Mobius needs a ring")
-    return FineElement(c, rig, {f: rig.from_int(n) for f, n in _chain_counts(c).items()})
-
-
 # coarse level
 
 
@@ -441,12 +389,15 @@ def euler_characteristic(c: FinCategory, rig: Rig):
 
 
 def nerve_euler_characteristic(c: FinCategory) -> int:
-    """Alternating count of chains of composable non-identity arrows: the
-    sum over all arrows of the chain-count Mobius function.
-
-    Requires the category to be skeletal with no nontrivial endomorphisms:
-    then non-identity arrows never revisit an object, chains have fewer
-    arrows than there are objects, and the sum terminates.  Otherwise the
-    count finds a chain of |objects| arrows and raises NotNerveFinite.
+    """Alternating count of chains of non-identity arrows, for a finite
+    Mobius category.  Leroux's chain count is the fine Mobius function,
+    whose sums over hom-sets give the coarse one, so the count is the total
+    of the inverse hom-count matrix: integral, as that matrix is
+    unitriangular up to order.  Any other category has chains of every
+    length and raises NotNerveFinite.
     """
-    return sum(_chain_counts(c).values())
+    if not is_mobius_category(c):
+        raise NotNerveFinite(
+            "nerve Euler characteristic needs a skeletal category with no nontrivial endomorphisms"
+        )
+    return euler_characteristic(c, INT)

@@ -54,9 +54,7 @@ from mobiuskit.functoriality import (
 from mobiuskit.incidence import (
     coarse_mobius,
     coarse_zeta,
-    euler_characteristic,
     fine_mobius,
-    fine_mobius_hall,
     nerve_euler_characteristic,
     sigma_to_coarse,
 )
@@ -69,6 +67,7 @@ from mobiuskit.matrixrig import (
     lemma_identity_check,
 )
 from mobiuskit.rigs import INT, NAT, RAT, TruncatedSeries, polynomial_rig
+from leroux import chain_counts
 
 CORPUS_SEED = 2026
 
@@ -151,8 +150,7 @@ def test_criterion_04_hall_formula_equivalence():
     for _ in range(200):
         cat = random_poset_category(rng, rng.randint(1, 8))
         solved = fine_mobius(cat, INT)
-        counted = fine_mobius_hall(cat, INT)
-        ok = ok and solved.equal(counted)
+        ok = ok and solved.values == chain_counts(cat)
     report(4, ok, f"linear-solve mu = chain-count mu on 200 random posets (seed {seed})")
 
 
@@ -189,7 +187,7 @@ def test_criterion_06_nerve_euler_characteristic():
     for cat in corpus:
         if not is_skeletal(cat) or endomorphism_report(cat).nontrivial_endos:
             continue
-        ok = ok and nerve_euler_characteristic(cat) == euler_characteristic(cat, RAT)
+        ok = ok and nerve_euler_characteristic(cat) == sum(chain_counts(cat).values())
         checked += 1
     pair_values = []
     for n_par, first, second in [(2, 0, 1), (3, 0, 2), (4, 1, 3)]:
@@ -201,7 +199,7 @@ def test_criterion_06_nerve_euler_characteristic():
     report(
         6,
         ok and checked >= 10 and all(pair_values),
-        f"nerve chi = coarse chi on {checked} corpus categories (seed {seed}); "
+        f"nerve chi = alternating chain count on {checked} corpus categories (seed {seed}); "
         f"nerve chi agrees across {len(pair_values)} same-graph composition pairs",
     )
 

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from mobiuskit.category import FinCategory, patch_objects, poset_to_category, product, underlying_graph
+from mobiuskit.category import (
+    FinCategory,
+    is_mobius_category,
+    patch_objects,
+    poset_to_category,
+    product,
+    underlying_graph,
+)
 from mobiuskit.corpus import (
     chain_category,
     cyclic_group_category,
@@ -40,7 +47,6 @@ from mobiuskit.incidence import (
     fine_delta,
     fine_invert,
     fine_mobius,
-    fine_mobius_hall,
     fine_zeta,
     nerve_euler_characteristic,
     patch_delta,
@@ -52,6 +58,7 @@ from mobiuskit.incidence import (
     verify_inverse,
 )
 from mobiuskit.infinite import builtin, classical_mobius, family_mobius
+from leroux import chain_counts
 from mobiuskit.matrixrig import RigMatrix, invert_counting_matrix, is_transitive
 from mobiuskit.rigs import BOOL, INT, NAT, RAT, REAL, render
 
@@ -160,13 +167,13 @@ def test_fine_mobius_unsupported_rig():
 
 def test_fine_mobius_hall_examples():
     div6 = divisor_poset_category(6)
-    mu = fine_mobius_hall(div6, INT)
-    assert mu.values[("le", 1, 6)] == 1
-    assert mu.values[("le", 1, 2)] == -1
-    assert mu.values[("le", 1, 1)] == 1
+    mu = chain_counts(div6)
+    assert mu[("le", 1, 6)] == 1
+    assert mu[("le", 1, 2)] == -1
+    assert mu[("le", 1, 1)] == 1
     chain3 = chain_category(3)
-    mu3 = fine_mobius_hall(chain3, INT)
-    assert mu3.values[("le", 0, 2)] == 0
+    mu3 = chain_counts(chain3)
+    assert mu3[("le", 0, 2)] == 0
 
 
 def test_fine_mobius_hall_refuses_non_mobius_categories():
@@ -174,7 +181,7 @@ def test_fine_mobius_hall_refuses_non_mobius_categories():
     # between distinct objects: each gives chains of every length
     for cat in (six_example_category(), cyclic_group_category(2), walking_iso_category()):
         with pytest.raises(NotNerveFinite):
-            fine_mobius_hall(cat, INT)
+            chain_counts(cat)
 
 
 def test_hall_oracle_agrees_with_linear_solve():
@@ -182,8 +189,8 @@ def test_hall_oracle_agrees_with_linear_solve():
     for _ in range(30):
         cat = random_poset_category(rng, rng.randint(1, 8))
         solved = fine_mobius(cat, INT)
-        counted = fine_mobius_hall(cat, INT)
-        assert solved.equal(counted)
+        counted = chain_counts(cat)
+        assert solved.values == counted
 
 
 def shuffled_random_poset(rng, n):
@@ -203,7 +210,7 @@ def test_block_solve_matches_hall_oracle_at_scale():
         divisor_poset_category(720),
     ] + [shuffled_random_poset(rng, n) for n in (20, 25, 30)]
     for cat in cats:
-        counted = fine_mobius_hall(cat, INT).values
+        counted = chain_counts(cat)
         for rig in (INT, RAT):
             assert fine_mobius(cat, rig).values == counted
 
@@ -233,7 +240,7 @@ def test_block_solve_matches_leroux_chain_count_on_non_thin_categories():
     ]
     free = random_free_dag_categories(83, 4)
     for cat in cats + free:
-        counted = fine_mobius_hall(cat, INT).values
+        counted = chain_counts(cat)
         for rig in (INT, RAT):
             mu = fine_mobius(cat, rig)
             assert mu.values == counted
@@ -572,8 +579,8 @@ def test_patch_mobius_divisors_matches_hall():
     div6 = divisor_poset_category(6)
     mu = patch_mobius(div6, INT)
     assert mu.value(1, 6) == 1
-    hall = fine_mobius_hall(div6, INT)
-    assert mu.value(1, 6) == hall.values[("le", 1, 6)]
+    hall = chain_counts(div6)
+    assert mu.value(1, 6) == hall[("le", 1, 6)]
 
 
 def test_patch_mobius_is_inverse_in_patch_algebra():
@@ -698,8 +705,8 @@ def test_boolean_lattice_on_eight_elements_by_chain_count():
     subsets = range(256)
     lattice = poset_to_category(subsets, [(a, b) for a in subsets for b in subsets if a & ~b == 0])
     assert len(lattice.arrows) == 3 ** 8
-    mu = fine_mobius_hall(lattice, INT)
-    assert all(value == (-1) ** bin(b & ~a).count("1") for (_, a, b), value in mu.values.items())
+    mu = chain_counts(lattice)
+    assert all(value == (-1) ** bin(b & ~a).count("1") for (_, a, b), value in mu.items())
     assert nerve_euler_characteristic(lattice) == 1
 
 
@@ -776,9 +783,37 @@ def test_nerve_matches_coarse_euler_characteristic():
     for cat in general_corpus(73, 30):
         if not is_skeletal(cat) or endomorphism_report(cat).nontrivial_endos:
             continue
-        assert nerve_euler_characteristic(cat) == euler_characteristic(cat, RAT)
+        assert nerve_euler_characteristic(cat) == sum(chain_counts(cat).values())
         checked += 1
     assert checked >= 10
+
+
+def test_nerve_euler_matches_chain_count_oracle_refusal_for_refusal():
+    # nerve-euler is the coarse total behind the Mobius-category predicate;
+    # Leroux's count refuses by finding a chain of |objects| arrows.  The two
+    # must agree on every value and every refusal, so a predicate that let
+    # through an automorphism or an idempotent would show here
+    cats = (
+        list(named_categories().values())
+        + general_corpus(5, 300)
+        + fine_invertible_corpus(7, 100)
+        + [product(chain_category(8), chain_category(8)), divisor_poset_category(720)]
+        + random_free_dag_categories(83, 4)
+    )
+    refused = 0
+    for cat in cats:
+        try:
+            counted = sum(chain_counts(cat).values())
+        except NotNerveFinite as oracle:
+            assert not is_mobius_category(cat)
+            with pytest.raises(NotNerveFinite) as err:
+                nerve_euler_characteristic(cat)
+            assert str(err.value) == str(oracle)
+            refused += 1
+            continue
+        assert is_mobius_category(cat)
+        assert nerve_euler_characteristic(cat) == counted
+    assert len(cats) == 421 and refused == 96
 
 
 def test_real_rig_coarse_mobius():
@@ -791,7 +826,7 @@ def test_real_rig_coarse_mobius():
 def test_empty_category_has_alternating_counts_too():
     empty = discrete_category(0)
     assert nerve_euler_characteristic(empty) == 0
-    assert fine_mobius_hall(empty, INT).values == {}
+    assert chain_counts(empty) == {}
 
 
 @pytest.mark.parametrize("rig, kind", [(INT, int), (RAT, Fraction), (REAL, float)], ids=["int", "rat", "real"])
