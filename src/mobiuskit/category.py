@@ -399,6 +399,11 @@ class EndomorphismReport:
     nontrivial_idempotents: tuple
     nontrivial_endos: tuple
 
+    @property
+    def mobius(self) -> bool:
+        """No isomorphism or idempotent but the identities (is_mobius_category)."""
+        return not self.nontrivial_isos and not self.nontrivial_idempotents
+
 
 def endomorphism_report(c: FinCategory) -> EndomorphismReport:
     """Brute-force search for non-identity isos, idempotents and endos."""
@@ -423,8 +428,7 @@ def is_mobius_category(c: FinCategory) -> bool:
     make g o f and f o g identities, so f is an isomorphism and a = b: the
     hom-count matrix is unitriangular along a linear extension.
     """
-    report = endomorphism_report(c)
-    return not report.nontrivial_isos and not report.nontrivial_idempotents
+    return endomorphism_report(c).mobius
 
 
 def enumerate_subcategories(c: FinCategory, max_count: int = 100000) -> Iterator[FinCategory]:

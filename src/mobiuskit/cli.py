@@ -28,12 +28,7 @@ from .errors import (
     UnsupportedRig,
 )
 from .fileio import MAX_METRIC_POINTS, load_category, load_functor, load_graph, load_matrix, load_metric
-from .functoriality import (
-    fibre_sizes,
-    is_bijective_on_objects,
-    is_mobius_category,
-    is_ulf,
-)
+from .functoriality import fibre_sizes, is_bijective_on_objects, is_ulf
 from .incidence import (
     coarse_mobius,
     coarse_zeta,
@@ -100,6 +95,49 @@ def coarse_json(element) -> dict:
 
 def fine_json(element) -> dict:
     return {name_str(k): render(element.rig, v) for k, v in element.values.items()}
+
+
+# the types json writes as one token; a container of only these is flat
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _dumps(value, indent: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False),
+    byte for byte.
+
+    json.dumps takes its C encoder only when indent is None, so this walks
+    the dicts and lists that hold a container in Python and encodes each
+    flat one with one C-encoder call, whose item separator carries the
+    newline and the indentation.  The keys and scalar values of a walked
+    dict also take one call, separated by "\0", which json writes inside
+    a string only as an escape.  Every call goes through this module's
+    json global, so a stand-in for cli.json sees the encoding.
+    """
+    if isinstance(value, dict):
+        items, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = value, "[]"
+    else:
+        return json.dumps(value, ensure_ascii=False)
+    if not value:
+        return brackets
+    inner = indent + "  "
+    separator = ",\n" + inner
+    if _SCALARS.issuperset(map(type, items)):
+        body = json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(separator, ": "))[1:-1]
+    elif brackets == "[]":
+        body = separator.join([_dumps(item, inner) for item in value])
+    else:
+        # a container is written as 0 here and replaced by its own text
+        flat = {key: item if type(item) in _SCALARS else 0 for key, item in value.items()}
+        pairs = json.dumps(flat, ensure_ascii=False, sort_keys=True, separators=("\0", ": "))[1:-1].split("\0")
+        body = separator.join(
+            [
+                pair if type(item) in _SCALARS else pair[:-1] + _dumps(item, inner)
+                for pair, item in zip(pairs, map(value.__getitem__, sorted(value)))
+            ]
+        )
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
 
 
 def _resolve_rig(args, allowed=None):
@@ -266,27 +304,36 @@ def cmd_graded(args):
 
 def cmd_classify(args):
     cat = load_category(args.category)
+    inversions = {}
+    for label, attempt_rig in (("q", RAT), ("z", INT)):
+        try:
+            fine_mobius(cat, attempt_rig)
+            inversions[f"fine_inversion_{label}"] = "ok"
+        except NotInvertible as e:
+            inversions[f"fine_inversion_{label}"] = f"not_invertible: {e}"
+        try:
+            coarse_mobius(cat, attempt_rig)
+            inversions[f"coarse_inversion_{label}"] = "ok"
+        except NotInvertible as e:
+            inversions[f"coarse_inversion_{label}"] = f"not_invertible: {e}"
+    # the Mobius-category predicate assumes the laws, so a table that breaks
+    # one is reported as validate reports it.  The inversions come first
+    # only so that a composite starting at another object stays malformed
+    # input to the fine solve (exit 1), as in mobius and compare
+    validation = validate_category(cat)
+    if not validation.ok:
+        results = {"category_valid": False, "law": validation.law, "witness": validation.witness}
+        return _report("classify", "rat", results), EXIT_NEGATIVE
     report = endomorphism_report(cat)
     results = {
         "skeletal": is_skeletal(cat),
         "nontrivial_isos": sorted(name_str(x) for x in report.nontrivial_isos),
         "nontrivial_idempotents": sorted(name_str(x) for x in report.nontrivial_idempotents),
         "nontrivial_endos": sorted(name_str(x) for x in report.nontrivial_endos),
-        "mobius_category": is_mobius_category(cat),
+        "mobius_category": report.mobius,
+        **inversions,
     }
-    for label, attempt_rig in (("q", RAT), ("z", INT)):
-        try:
-            fine_mobius(cat, attempt_rig)
-            results[f"fine_inversion_{label}"] = "ok"
-        except NotInvertible as e:
-            results[f"fine_inversion_{label}"] = f"not_invertible: {e}"
-        try:
-            coarse_mobius(cat, attempt_rig)
-            results[f"coarse_inversion_{label}"] = "ok"
-        except NotInvertible as e:
-            results[f"coarse_inversion_{label}"] = f"not_invertible: {e}"
-    code = EXIT_OK if results["mobius_category"] else EXIT_NEGATIVE
-    return _report("classify", "rat", results), code
+    return _report("classify", "rat", results), EXIT_OK if report.mobius else EXIT_NEGATIVE
 
 
 def cmd_functor_check(args):
@@ -485,7 +532,7 @@ def main(argv=None) -> int:
         return EXIT_NEGATIVE
     if args.timing:
         report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
+    sys.stdout.write(_dumps(report) + "\n")
     return code
 
 

@@ -10,9 +10,10 @@ poset, and the chain of naturals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from math import comb
-from typing import Callable, Optional
+from operator import is_not
+from typing import Callable, Iterable, Optional
 
 from .category import Arrow, FinCategory, poset_to_category
 from .errors import MalformedInput, NotInvertible, UnsupportedRig
@@ -27,13 +28,18 @@ class PatchOracleCategory:
     patch_objects(a, b) must list exactly the objects c with maps
     a -> c -> b; hom_count(a, a) >= 1.  patch_materialize, when present,
     builds the patch as an explicit finite category so the fine theory can
-    be exercised on it.
+    be exercised on it.  targets, when present, lists for an integer object
+    m and a range start..end some integers n of that range that include
+    every n with hom_count(m, n) != 0, so family_mobius counts about as
+    many hom-sets as there are maps instead of every pair of the range;
+    family_mobius refuses a listed n outside the range.
     """
 
     name: str
     hom_count: Callable[[object, object], int]
     patch_objects: Callable[[object, object], tuple]
     patch_materialize: Optional[Callable[[object, object], FinCategory]] = None
+    targets: Optional[Callable[[int, int, int], Iterable[int]]] = None
 
 
 def oracle_zeta(c: PatchOracleCategory, a, b, rig: Rig):
@@ -86,15 +92,26 @@ def family_mobius(c: PatchOracleCategory, start: int, end: int, rig: Rig) -> Rig
     forgive a small float), the table is filled pair by pair with
     patchwise_mobius, whose first failing patch raises NotInvertible.  A
     rig without from_quotient raises UnsupportedRig, even with no maps.
+
+    The counts are read at the pairs c.targets names, or at every pair
+    when c has no targets; a listed n outside start..end raises
+    MalformedInput.  The patches are read only where a count is nonzero.
     """
     indices = range(start, end + 1)
-    counts = [[c.hom_count(m, n) for n in indices] for m in indices]
+    listed = c.targets or (lambda m, start, end: indices)
+    counts = []
+    for m in indices:
+        row = [0] * len(indices)
+        for n in listed(m, start, end):
+            if not start <= n <= end:
+                raise MalformedInput(f"targets of {c.name} list {n!r} for {m!r}, outside {start}..{end}")
+            row[n - start] = c.hom_count(m, n)
+        counts.append(row)
     inside = set(indices)
     closed = all(
         inside.issuperset(c.patch_objects(m, n))
         for m, row in zip(indices, counts)
-        for n, count in zip(indices, row)
-        if count
+        for n in compress(indices, row)
     )
     if closed:
         try:
@@ -103,11 +120,12 @@ def family_mobius(c: PatchOracleCategory, start: int, end: int, rig: Rig) -> Rig
             pass
         else:
             zero = rig.zero
+            columns = range(len(indices))
+            # in each row, every column where the inverse is not rig.zero
+            # has a nonzero count
             if all(
-                x is zero
+                all(map(count_row.__getitem__, compress(columns, map(is_not, row, repeat(zero)))))
                 for count_row, row in zip(counts, inverse.rows)
-                for count, x in zip(count_row, row)
-                if not count
             ):
                 return inverse
     return RigMatrix.from_rows(
@@ -180,6 +198,23 @@ def _interval(a, b):
     return tuple(range(a, b + 1))
 
 
+def _targets_from_source(m, start, end):
+    """dinj and nat_leq: maps m -> n only for n >= m."""
+    return range(max(m, start), end + 1)
+
+
+def _dsurj_targets(m, start, end):
+    """Maps m -> n only for 1 <= n <= m, or 0 -> 0."""
+    return range(max(min(m, 1), start), min(m, end) + 1)
+
+
+def _divisibility_targets(m, start, end):
+    """Maps m -> n only for the multiples n >= m of m >= 1."""
+    if m < 1:
+        return ()
+    return range(m * max(1, -(-start // m)), end + 1, m)
+
+
 def builtin(family: str) -> PatchOracleCategory:
     """Built-in patch-finite families: dinj | dsurj | divisibility | nat_leq."""
     if family == "dinj":
@@ -190,6 +225,7 @@ def builtin(family: str) -> PatchOracleCategory:
             patch_materialize=lambda a, b: _map_category(
                 _interval(a, b), _monotone_injections, "inj"
             ),
+            targets=_targets_from_source,
         )
     if family == "dsurj":
         def patch_objs(a, b):
@@ -206,6 +242,7 @@ def builtin(family: str) -> PatchOracleCategory:
             patch_materialize=lambda a, b: _map_category(
                 patch_objs(a, b), _monotone_surjections, "surj"
             ),
+            targets=_dsurj_targets,
         )
     if family == "divisibility":
         def patch_objs(a, b):
@@ -222,6 +259,7 @@ def builtin(family: str) -> PatchOracleCategory:
             hom_count=lambda a, b: 1 if a >= 1 and b >= 1 and b % a == 0 else 0,
             patch_objects=patch_objs,
             patch_materialize=materialize,
+            targets=_divisibility_targets,
         )
     if family == "nat_leq":
         return PatchOracleCategory(
@@ -231,6 +269,7 @@ def builtin(family: str) -> PatchOracleCategory:
             patch_materialize=lambda a, b: poset_to_category(
                 _interval(a, b), [(x, y) for x in _interval(a, b) for y in _interval(a, b) if x <= y]
             ),
+            targets=_targets_from_source,
         )
     raise MalformedInput(f"unknown built-in family '{family}'")
 

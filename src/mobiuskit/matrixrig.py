@@ -6,7 +6,12 @@ they satisfy, zero-pattern inheritance for inverses, and inversion.
 Every exact solve in the package (coarse inverses, family tables, invert
 over an exact rig, fine convolution blocks) goes through one
 fraction-free elimination, _bareiss, and lands its integer result Y / d
-in a rig through the rig's from_quotient (_land).  Every count-matrix
+in a rig through the rig's from_quotient (_land), with one exception
+on the route of invert_counting_matrix: an integer matrix that is
+unitriangular up to a simultaneous permutation of its rows and columns,
+as the hom-counts of a Mobius category are along a linear extension,
+is solved with d = 1 by _unitriangular_inverse, in one forward pass of
+Rota's recursion mu(a,b) = -sum mu(a,c) zeta(c,b).  Every count-matrix
 inverse is invert_counting_matrix's, under one rig rule: the rig needs
 from_quotient, and over a rig without division the inverse must be
 integral.  A rig whose equality has a tolerance (Rig.exact False, the
@@ -18,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations, repeat
+from itertools import chain, compress, permutations, repeat
 from math import lcm
 
 from .errors import (
@@ -119,7 +124,10 @@ class RigMatrix:
         )
 
     def entry_sum(self):
-        return self.rig.sum(x for row in self.rows for x in row)
+        # adding rig.zero changes nothing, and a float total that starts at
+        # 0.0 is never -0.0, so skipping those entries is bit-identical
+        zero = self.rig.zero
+        return self.rig.sum(x for row in self.rows for x in row if x is not zero)
 
     def _check_rig(self, other: "RigMatrix"):
         if self.rig is not other.rig and self.rig.name != other.rig.name:
@@ -420,10 +428,57 @@ def _identity_rows(n: int):
     return ([1 if i == j else 0 for j in range(n)] for i in range(n))
 
 
+def _unitriangular_inverse(rows):
+    """The inverse of an integer matrix with every diagonal entry 1 whose
+    off-diagonal nonzero pattern is acyclic, or None for any other matrix.
+
+    Kahn's algorithm orders the indices so that k comes before j whenever
+    rows[k][j] is a nonzero off-diagonal entry; along that order the
+    matrix is upper unitriangular, and so is its inverse Y.  Row m of
+    Y . X = I then solves forward: y(m,m) = 1, and each nonzero y(m,k),
+    final once every index before k has been pushed, pushes
+    -y(m,k) x(k,j) into the later columns j.  The walk visits every index
+    after m, not only row m's support, because Y may be nonzero where X
+    is zero when the pattern is not transitive.
+    """
+    n = len(rows)
+    later = []  # later[k]: the (j, x) with x = rows[k][j] nonzero, j != k
+    indegree = [0] * n
+    for k, row in enumerate(rows):
+        if row[k] != 1:
+            return None
+        support = [(j, row[j]) for j in compress(range(n), row) if j != k]
+        for j, _ in support:
+            indegree[j] += 1
+        later.append(support)
+    order = [k for k in range(n) if not indegree[k]]
+    for k in order:  # grows while it is walked
+        for j, _ in later[k]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    if len(order) < n:
+        return None
+    inverse = [None] * n
+    for position, m in enumerate(order):
+        y = [0] * n
+        y[m] = 1
+        for k in order[position:]:
+            v = y[k]
+            if v:
+                for j, x in later[k]:
+                    y[j] -= v * x
+        inverse[m] = y
+    return inverse
+
+
 def _inverse(rows):
     """(d, Y) with Y / d the inverse of a square matrix of rationals."""
     n = len(rows)
     if all(map(isinstance, chain.from_iterable(rows), repeat(int))):
+        inverse = _unitriangular_inverse(rows)
+        if inverse is not None:
+            return 1, inverse
         return _bareiss(rows, _identity_rows(n))
     # each equation times the LCM of its row's denominators: same solution
     scales, integral = zip(*map(_to_integers, rows))
@@ -446,15 +501,17 @@ def _land(rig: Rig, d: int, rows):
 def invert_counting_matrix(rows, rig: Rig) -> RigMatrix:
     """Invert a matrix of counts (or other rationals) in the requested rig.
 
-    The exact inverse comes from the fraction-free kernel _bareiss, so the
-    only rational division per entry happens at the very end, when the
-    entries land in the rig (_land).  The rig needs from_quotient; over a
-    rig without division every entry must come out integral.
+    The exact inverse comes from the forward pass of
+    _unitriangular_inverse when the rows are integers that qualify, and
+    from the fraction-free kernel _bareiss otherwise, so the only rational
+    division per entry happens at the very end, when the entries land in
+    the rig (_land).  The rig needs from_quotient; over a rig without
+    division every entry must come out integral.
     """
     if rig.from_quotient is None:
         raise UnsupportedRig(f"inversion of counting matrices unsupported over '{rig.name}'")
     d, scaled = _inverse(rows)
-    if not rig.has_division:
+    if d != 1 and not rig.has_division:
         for i, row in enumerate(scaled):
             for j, x in enumerate(row):
                 if x % d:

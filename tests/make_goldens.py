@@ -33,6 +33,7 @@ CASES = [
     ("graded_two_loops", ["graded", "--graph", "{D}/one_vertex_two_loops.json", "--degree", "6"]),
     ("classify_six", ["classify", "--category", "{D}/six.json"]),
     ("classify_chain3", ["classify", "--category", "{D}/chain3.json"]),
+    ("classify_composite_endpoints", ["classify", "--category", "{D}/composite_endpoints.json"]),
     ("functor_check_collapse", ["functor-check", "--src", "{D}/six.json", "--tgt", "{D}/six_codiscrete.json", "--map", "{D}/six_collapse_functor.json"]),
     ("matrix_detpm", ["matrix", "--op", "detpm", "--in", "{D}/matrix_3x3.json"]),
     ("matrix_adjpm", ["matrix", "--op", "adjpm", "--in", "{D}/matrix_3x3.json"]),
@@ -44,6 +45,7 @@ CASES = [
     ("zeta_fine_chain3", ["zeta", "--algebra", "fine", "--category", "{D}/chain3.json"]),
     ("mobius_family_dinj", ["mobius", "--family", "dinj", "--from", "0", "--to", "4"]),
     ("mobius_family_div", ["mobius", "--family", "divisibility", "--from", "1", "--to", "12", "--rig", "int"]),
+    ("mobius_family_dsurj_int", ["mobius", "--family", "dsurj", "--from", "0", "--to", "6", "--rig", "int"]),
 ]
 
 

@@ -264,6 +264,7 @@ def test_endomorphism_report():
     assert poset.nontrivial_endos == ()
     c2 = endomorphism_report(cyclic_group_category(2))
     assert c2.nontrivial_isos == (("el", 1),)
+    assert (six.mobius, poset.mobius, c2.mobius) == (False, True, False)
 
 
 def test_enumerate_subcategories_counts():

@@ -393,6 +393,17 @@ def test_classify_six_negative_exit():
     assert code == 0
 
 
+def test_classify_reports_a_broken_law_and_nothing_else():
+    # the Mobius-category predicate assumes the laws: g o f = f with
+    # f: a -> b, g: b -> a once classified as a Mobius category
+    for name in ("composite_endpoints.json", "nonassociative.json"):
+        code, out = run(["classify", "--category", data(name)])
+        assert code == 2
+        validated = parse(run(["validate", "--category", data(name)])[1])["results"]
+        assert parse(out)["results"] == {"category_valid": False, "law": validated["law"], "witness": validated["witness"]}
+    assert validated["law"] == "associativity"
+
+
 def test_functor_check_report():
     code, out = run([
         "functor-check",
@@ -916,6 +927,31 @@ def test_zero_entries_render_as_the_rig_zero():
     assert cli.matrix_json(REAL, real) == [["0", "-0"], ["0.25", "0"]]
     rat = RigMatrix.from_rows(RAT, [[RAT.zero, Fraction(0)], [Fraction(-1, 2), RAT.zero]])
     assert cli.matrix_json(RAT, rat) == [["0", "0"], ["-1/2", "0"]]
+
+
+json_scalars = st.one_of(
+    st.text(), st.integers(), st.floats(), st.booleans(), st.none()
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_report_renderer_matches_indented_json_dumps(value):
+    # text covers non-ASCII characters and the escapes json writes;
+    # empty and nested-empty containers come from max_size draws of 0
+    assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+def test_report_renderer_edge_cases():
+    # keys that are not strings are written as strings, after sorting
+    for value in ({}, [], [[]], {"": {}}, [{}, [[], {}]], {"\u00e9\n\"": ["\t", "\u2028", "\ud800"]},
+                  {"b": 1, "a": [1.5, -0.0, 1e300]}, (1, (2,)), {10: {"a": [1]}, 9: "x"}, {0.5: [True, None]}):
+        assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
 
 
 # numpy is imported only where a metric space is built or solved

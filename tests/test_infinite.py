@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -223,9 +224,13 @@ def test_family_table_matches_per_pair_patchwise():
         least = 1 if family == "divisibility" else 0
         for start, end in ((least, least), (least, 12), (3, 9), (5, 17), (least, 24)):
             for rig in (RAT, INT, REAL):
-                assert table_outcome(lambda: family_mobius(oracle, start, end, rig)) == per_pair_table(
-                    oracle, start, end, rig
-                ), (family, start, end, rig.name)
+                expected = per_pair_table(oracle, start, end, rig)
+                assert table_outcome(lambda: family_mobius(oracle, start, end, rig)) == expected, (
+                    family, start, end, rig.name
+                )
+                # the same table from every pair's count, without targets
+                untargeted = replace(oracle, targets=None)
+                assert table_outcome(lambda: family_mobius(untargeted, start, end, rig)) == expected
 
 
 def test_family_table_falls_back_per_pair():
@@ -284,6 +289,32 @@ def test_builtin_tables_take_one_inversion(monkeypatch):
             assert table.n == end - start + 1
     divisibility = family_mobius(builtin("divisibility"), 1, 240, INT)
     assert [divisibility.entry(0, n - 1) for n in range(1, 241)] == [classical_mobius(n) for n in range(1, 241)]
+
+
+def test_builtin_targets_cover_every_map():
+    # targets(m, start, end) lies in start..end and lists every n there
+    # with a map m -> n, also for empty, reversed and negative ranges
+    for family in ("dinj", "dsurj", "divisibility", "nat_leq"):
+        oracle = builtin(family)
+        maps = 0
+        for start, end in ((0, 12), (1, 30), (-5, 7), (-9, -2), (5, 4), (3, 3), (7, 2), (12, 40)):
+            interval = set(range(start, end + 1))
+            for m in range(-6, 45):
+                listed = set(oracle.targets(m, start, end))
+                targets = {n for n in interval if oracle.hom_count(m, n)}
+                assert targets <= listed <= interval, (family, m, start, end)
+                maps += len(targets)
+        assert maps > 100, family
+
+
+def test_family_table_refuses_targets_outside_the_range():
+    # a listed n below start would land in a column counted from the end of
+    # the row, one above end past it
+    nat_leq = builtin("nat_leq")
+    for start, end, listed in ((2, 6, lambda m: (m - 1, m)), (2, 6, lambda m: (m, m + 3)), (0, 3, lambda m: (m, 7))):
+        stray = replace(nat_leq, targets=lambda m, start, end, listed=listed: listed(m))
+        with pytest.raises(MalformedInput, match=f"targets of nat_leq list .* outside {start}..{end}"):
+            family_mobius(stray, start, end, INT)
 
 
 def test_family_table_needs_a_rig_an_exact_solve_lands_in():

@@ -4,8 +4,10 @@ from itertools import permutations
 
 import pytest
 
+from mobiuskit import matrixrig
 from mobiuskit.corpus import random_matrix, random_transitive_invertible_matrix
 from mobiuskit.errors import BudgetExceeded, NotAnInverse, NotInvertible, UnsupportedRig
+from mobiuskit.infinite import builtin
 from mobiuskit.matrixrig import (
     RigMatrix,
     adj_minus,
@@ -301,6 +303,84 @@ def test_fraction_free_inverse_matches_generic_elimination():
             continue
         assert invert_counting_matrix(rows, RAT).equal(reference)
         checked += 1
+
+
+def permuted_unitriangular(rng, n, density):
+    """A unit upper triangular integer matrix, with off-diagonal entries
+    of both signs and above 1 (hom-sets with several arrows), its rows and
+    columns permuted by one permutation."""
+    upper = [
+        [1 if i == j else rng.choice((-3, -1, 1, 2, 5)) if j > i and rng.random() < density else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    order = list(range(n))
+    rng.shuffle(order)
+    return [[upper[i][j] for j in order] for i in order]
+
+
+def bareiss_inverse(rows):
+    d, scaled = matrixrig._bareiss(rows, matrixrig._identity_rows(len(rows)))
+    assert all(x % d == 0 for row in scaled for x in row)
+    return [[x // d for x in row] for row in scaled]
+
+
+def test_unitriangular_pass_matches_bareiss():
+    rng = random.Random(47)
+    for n, density, count in ((1, 0.5, 3), (2, 0.5, 10), (5, 0.6, 40), (12, 0.4, 40), (40, 0.15, 10), (90, 0.05, 4), (240, 0.01, 2), (240, 0.03, 1)):
+        for _ in range(count):
+            rows = permuted_unitriangular(rng, n, density)
+            forward = matrixrig._unitriangular_inverse(rows)
+            assert forward == bareiss_inverse(rows), rows
+            assert matrixrig._inverse(rows) == (1, forward)
+    # a non-transitive pattern: the inverse is nonzero at (0, 2), where
+    # the matrix is zero, so the pass must walk past row 0's support
+    assert matrixrig._unitriangular_inverse([[1, 1, 0], [0, 1, 1], [0, 0, 1]]) == [[1, -1, 1], [0, 1, -1], [0, 0, 1]]
+
+
+def test_family_count_matrices_take_the_forward_pass():
+    for family, start, end in (("dinj", 0, 240), ("dsurj", 0, 240), ("nat_leq", 0, 240), ("divisibility", 1, 500)):
+        oracle = builtin(family)
+        indices = range(start, end + 1)
+        rows = [[oracle.hom_count(m, n) for n in indices] for m in indices]
+        forward = matrixrig._unitriangular_inverse(rows)
+        assert forward is not None, family
+        assert forward == bareiss_inverse(rows), family
+
+
+def test_other_matrices_take_bareiss(monkeypatch):
+    calls = []
+    bareiss = matrixrig._bareiss
+    monkeypatch.setattr(matrixrig, "_bareiss", lambda rows, rhs: calls.append(len(rows)) or bareiss(rows, rhs))
+    rng = random.Random(53)
+    shifted = permuted_unitriangular(rng, 30, 0.2)
+    shifted[7][7] = -1
+    cases = {
+        "diagonal 2": ([[2]], ("non-integral", 0, 0, "1/2")),
+        "diagonal 0": ([[0, 1], [1, 1]], None),
+        "one diagonal entry -1": (shifted, None),
+        "two-cycle, singular": ([[1, 1], [1, 1]], ("column", 1)),
+        "two-cycle": ([[1, 1], [-1, 1]], ("non-integral", 0, 0, "1/2")),
+        "three-cycle": ([[1, 2, 0], [0, 1, 3], [4, 0, 1]], ("non-integral", 0, 0, "1/25")),
+    }
+    for name, (rows, witness) in cases.items():
+        assert matrixrig._unitriangular_inverse(rows) is None, name
+        if witness is None:
+            expected = invert(RigMatrix.from_rows(RAT, [[Fraction(x) for x in row] for row in rows])).rows
+            del calls[:]
+            assert invert_counting_matrix(rows, INT).rows == expected, name
+        else:
+            del calls[:]
+            with pytest.raises(NotInvertible) as err:
+                invert_counting_matrix(rows, INT)
+            assert err.value.witness == witness, name
+        assert calls == [len(rows)], name
+    # the pass needs integer rows: equal Fractions take the elimination
+    del calls[:]
+    assert invert_counting_matrix([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]], INT).rows == ((1, -1), (0, 1))
+    assert calls == [2]
+    del calls[:]
+    assert invert_counting_matrix([[1, 1], [0, 1]], INT).rows == ((1, -1), (0, 1))
+    assert calls == []
 
 
 def test_invert_counting_matrix_accepts_fraction_entries():
