@@ -248,6 +248,12 @@ def cmd_euler(args):
 
 def cmd_nerve_euler(args):
     cat = load_category(args.category)
+    # the chain count is the coarse inverse only for a table that obeys the
+    # laws, so a broken law is reported as classify reports it
+    validation = validate_category(cat)
+    if not validation.ok:
+        results = {"category_valid": False, "law": validation.law, "witness": validation.witness}
+        return _report("nerve-euler", "int", results), EXIT_NEGATIVE
     try:
         value = nerve_euler_characteristic(cat)
     except NotNerveFinite as e:

@@ -247,7 +247,10 @@ def magnitude(m: MetricSpace) -> float:
     That total is 1^T Z^-1 1, so one linear solve Z w = 1 and the sum of the
     weighting w give it for symmetric and non-symmetric spaces alike.  A
     2-norm condition number beyond CONDITION_LIMIT is reported as
-    NotInvertible rather than returning noise.  A symmetric space first
+    NotInvertible rather than returning noise.  Its message names only the
+    limit: near the limit the estimate's 4th digit moves with the order of
+    the points, so the number goes into the witness ("condition", value)
+    alone.  A symmetric space first
     tries the one-Cholesky certificate of _certified_well_conditioned;
     only when that fails are Z's eigenvalues computed, and the condition is
     then the exact ratio max|lambda| / min|lambda| (inf when min|lambda| =
@@ -268,7 +271,7 @@ def magnitude(m: MetricSpace) -> float:
             condition = np.linalg.cond(z)
         if not np.isfinite(condition) or condition > CONDITION_LIMIT:
             raise NotInvertible(
-                f"similarity matrix condition estimate {condition:.3e} exceeds {CONDITION_LIMIT:.0e}",
+                f"similarity matrix condition exceeds {CONDITION_LIMIT:.0e}",
                 witness=("condition", condition),
             )
     weights = np.linalg.solve(z, np.ones(len(m.points)))

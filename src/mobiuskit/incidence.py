@@ -169,9 +169,10 @@ def fine_invert(x: FineElement) -> FineElement:
     factorizations h o g = f into the column of g, with right-hand side
     e [f is an identity], and each block goes to the fraction-free kernel
     matrixrig._bareiss, the one that also inverts coarse zeta matrices.
-    For posets and Mobius categories whose arrows are listed along a
-    linear extension, every pivot is 1 and the kernel touches only the
-    nonzero entries.
+    The kernel touches only the nonzero entries at every step whose pivot
+    equals the previous one.  For posets and Mobius categories whose
+    arrows are listed along a linear extension every pivot is 1, so every
+    step is such a step.
 
     The certificate checks x * w = delta only.  w * x = delta holds
     exactly, since the system was solved over the rationals, and in a

@@ -5,8 +5,9 @@ permutation sums), the transitive-matrix predicate, the two identities
 they satisfy, zero-pattern inheritance for inverses, and inversion.
 Every exact solve in the package (coarse inverses, family tables, invert
 over an exact rig, fine convolution blocks) goes through one
-fraction-free elimination, _bareiss, and lands its integer result Y / d
-in a rig through the rig's from_quotient (_land), with one exception
+fraction-free elimination, _bareiss, sparse at every step whose pivot
+equals the one before, and lands its integer result Y / d in a rig
+through the rig's from_quotient (_land), with one exception
 on the route of invert_counting_matrix: an integer matrix that is
 unitriangular up to a simultaneous permutation of its rows and columns,
 as the hom-counts of a Mobius category are along a linear extension,
@@ -358,6 +359,8 @@ def _bareiss(rows, rhs):
     intermediate division is exact by Sylvester's identity (Bareiss,
     Math. Comp. 22, 1968), which keeps the arithmetic in plain integers
     with no per-step gcd.  This is the package's one exact elimination.
+    A step whose pivot equals the previous one touches only the rows with
+    a nonzero factor and the pivot row's nonzero columns.
 
     The pivot of column k is the first row from k on that is nonzero
     there.  When there is none, column k depends on the columns before it
@@ -379,29 +382,17 @@ def _bareiss(rows, rhs):
             m[k], m[pivot_row] = m[pivot_row], m[k]
         pivot = m[k][k]
         row_k = m[k]
-        if pivot == prev == 1:
-            # the update is row_i[j] -= factor * row_k[j]: rows with a zero
-            # factor and columns where the pivot row is zero stay as they are
-            nonzero = [j for j in range(width) if row_k[j] and j != k]
-            for i in range(n):
-                row_i = m[i]
-                factor = row_i[k]
-                if i == k or not factor:
-                    continue
-                for j in nonzero:
-                    row_i[j] -= factor * row_k[j]
-                row_i[k] = 0
-            continue
+        # when pivot == prev the update leaves row_i[j] as it is wherever
+        # factor or row_k[j] is 0, so those rows and columns are skipped
+        same = pivot == prev
+        columns = [j for j in compress(range(width), row_k) if j != k] if same else range(width)
         for i in range(n):
-            if i == k:
-                continue
             row_i = m[i]
             factor = row_i[k]
-            for j in range(width):
-                if j == k:
-                    continue
-                value = pivot * row_i[j] - factor * row_k[j]
-                quotient, remainder = divmod(value, prev)
+            if i == k or same and not factor:
+                continue
+            for j in columns:
+                quotient, remainder = divmod(pivot * row_i[j] - factor * row_k[j], prev)
                 if remainder:
                     raise ArithmeticError("inexact Bareiss division")
                 row_i[j] = quotient

@@ -27,6 +27,7 @@ CASES = [
     ("euler_six", ["euler", "--category", "{D}/six.json"]),
     ("nerve_euler_square", ["nerve-euler", "--category", "{D}/square.json"]),
     ("nerve_euler_six", ["nerve-euler", "--category", "{D}/six.json"]),
+    ("nerve_euler_composite_endpoints", ["nerve-euler", "--category", "{D}/composite_endpoints.json"]),
     ("magnitude_two_points", ["magnitude", "--metric", "{D}/two_points_d1.json"]),
     ("magnitude_two_points_study", ["magnitude", "--metric", "{D}/two_points_d1.json", "--study", "2,10,100"]),
     ("magnitude_near_twins", ["magnitude", "--metric", "{D}/near_twins.json"]),

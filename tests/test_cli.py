@@ -324,6 +324,19 @@ def test_nerve_euler_square_and_six():
     assert parse(out)["results"]["status"] == "not_nerve_finite"
 
 
+@pytest.mark.parametrize(
+    "name, law",
+    [("composite_endpoints.json", "composite-endpoints"), ("nonassociative.json", "associativity")],
+)
+def test_nerve_euler_names_the_broken_law(name, law):
+    # the Mobius predicate and the coarse total assume the laws
+    code, out = run(["nerve-euler", "--category", data(name)])
+    results = parse(out)["results"]
+    assert code == 2
+    assert results["category_valid"] is False and results["law"] == law
+    assert results["witness"] == parse(run(["validate", "--category", data(name)])[1])["results"]["witness"]
+
+
 def test_magnitude_and_study():
     code, out = run(["magnitude", "--metric", data("two_points_d1.json")])
     assert code == 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -190,6 +191,22 @@ def test_magnitude_permutation_invariance():
             [points[i] for i in perm], [coords[i] for i in perm]
         )
         assert abs(magnitude(shuffled) - base) < 1e-10
+
+
+def test_magnitude_refusal_text_is_permutation_invariant():
+    # a near-twin pair and a third point: the condition estimate's 4th
+    # digit differs between orderings, the refusal text must not
+    points = ["a", "b", "c"]
+    rows = [[0, 1e-13, 1], [1e-13, 0, 1], [1, 1, 0]]
+    messages = set()
+    for perm in itertools.permutations(range(3)):
+        space = MetricSpace.from_distances([points[i] for i in perm], [[rows[i][j] for j in perm] for i in perm])
+        with pytest.raises(NotInvertible) as err:
+            magnitude(space)
+        assert err.value.witness[0] == "condition"
+        assert err.value.witness[1] > CONDITION_LIMIT
+        messages.add(str(err.value))
+    assert messages == {"similarity matrix condition exceeds 1e+12"}
 
 
 def test_segment_refinement_approaches_limit():

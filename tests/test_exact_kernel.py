@@ -1,10 +1,14 @@
 """The fraction-free elimination kernel against sympy's exact inverse.
 
-Every exact solve (rational `invert`, `invert_counting_matrix`, the fine
-convolution blocks of `fine_invert`) runs through `matrixrig._bareiss`;
-sympy is an independent oracle for the values and for the column that a
-singular input reports: the first column where the rank of the leading
-columns stops growing.
+Every exact solve that the forward pass does not take (rational
+`invert`, `invert_counting_matrix`, the fine convolution blocks of
+`fine_invert`) runs through `matrixrig._bareiss`, which walks only the
+nonzero entries at each step whose pivot equals the previous one.
+Divisibility count matrices with a diagonal 2, a 2-cycle or a duplicated
+object keep every pivot after the first such step equal, so they run
+those sparse steps with pivots other than 1.  sympy is an independent
+oracle for the values and for the column that a singular input reports:
+the first column where the rank of the leading columns stops growing.
 """
 
 import random
@@ -30,11 +34,10 @@ def to_fraction(x):
 
 
 def first_dependent_column(a):
-    """The first column that does not raise the rank of the columns before it."""
-    for j in range(a.cols):
-        if a[:, : j + 1].rank() <= j:
-            return j
-    return None
+    """The first column that does not raise the rank of the columns before it:
+    the first one that is not a pivot column of the reduced echelon form."""
+    pivots = a.rref()[1]
+    return next((j for j in range(a.cols) if j >= len(pivots) or pivots[j] != j), None)
 
 
 def random_rational_matrix(rng, n):
@@ -76,49 +79,68 @@ def test_invert_over_rat_matches_sympy():
                 invert(RigMatrix.from_rows(RAT, rows))
             assert err.value.witness == ("column", first_dependent_column(a))
             continue
-        expected = [[to_fraction(x) for x in a.inv().row(i)] for i in range(a.rows)]
+        expected = [[to_fraction(x) for x in row] for row in a.inv().tolist()]
         got = invert(RigMatrix.from_rows(RAT, rows)).rows
         assert [list(row) for row in got] == expected
         assert all(type(x) is Fraction for row in got for x in row)
     assert 10 < singular < 60
 
 
+def divisibility_counts(n):
+    return [[int(b % a == 0) for b in range(1, n + 1)] for a in range(1, n + 1)]
+
+
+def near_divisibility_counts():
+    """Divisibility counts with one more endomorphism on the first or the
+    last object, a 2-cycle between the last two, or the last object twice."""
+    first, last, cycle = divisibility_counts(120), divisibility_counts(90), divisibility_counts(60)
+    first[0][0] = last[-1][-1] = 2
+    cycle[-2][-1] = cycle[-1][-2] = 1
+    cycle[-2][-2] = cycle[-1][-1] = 2
+    twice = [row + row[-1:] for row in divisibility_counts(99)]
+    twice.append(twice[-1])
+    return [first, last, cycle, twice]
+
+
 def test_invert_counting_matrix_matches_sympy():
-    checked = {"rat": 0, "int": 0, "real": 0, "non-integral": 0}
+    checked = {"rat": 0, "int": 0, "real": 0, "non-integral": 0, "singular": 0}
     rng = random.Random(73)
+    cases = []
     for rows in matrices(72, 60):
         # the same matrix with integer entries goes through the integer route
         integral = [[int(x * 60) for x in row] for row in rows]
         if rng.random() < 0.3:
             integral = [[1 if i == j else rng.choice([0, 0, 1, -1]) * (j > i) for j in range(len(rows))] for i in range(len(rows))]
             rng.shuffle(integral)
-        for entries in (rows, integral):
-            a = to_sympy([[Fraction(x) for x in row] for row in entries])
-            if a.det() == 0:
-                for rig in (RAT, INT, REAL):
-                    with pytest.raises(NotInvertible) as err:
-                        invert_counting_matrix(entries, rig)
-                    assert err.value.witness == ("column", first_dependent_column(a))
-                continue
-            expected = [[to_fraction(x) for x in a.inv().row(i)] for i in range(a.rows)]
-            assert [list(r) for r in invert_counting_matrix(entries, RAT).rows] == expected
-            real = invert_counting_matrix(entries, REAL).rows
-            assert [list(r) for r in real] == [[float(x) for x in row] for row in expected]
-            assert all(type(x) is float for row in real for x in row)
-            checked["rat"] += 1
-            checked["real"] += 1
-            fractional = [(i, j, x) for i, row in enumerate(expected) for j, x in enumerate(row) if x.denominator != 1]
-            if fractional:
-                i, j, x = fractional[0]
+        cases += [rows, integral]
+    for entries in cases + near_divisibility_counts():
+        a = to_sympy([[Fraction(x) for x in row] for row in entries])
+        if a.det() == 0:
+            for rig in (RAT, INT, REAL):
                 with pytest.raises(NotInvertible) as err:
-                    invert_counting_matrix(entries, INT)
-                assert err.value.witness == ("non-integral", i, j, str(x))
-                checked["non-integral"] += 1
-            else:
-                got = invert_counting_matrix(entries, INT).rows
-                assert [list(r) for r in got] == expected
-                assert all(type(x) is int for row in got for x in row)
-                checked["int"] += 1
+                    invert_counting_matrix(entries, rig)
+                assert err.value.witness == ("column", first_dependent_column(a))
+            checked["singular"] += 1
+            continue
+        expected = [[to_fraction(x) for x in row] for row in a.inv().tolist()]
+        assert [list(r) for r in invert_counting_matrix(entries, RAT).rows] == expected
+        real = invert_counting_matrix(entries, REAL).rows
+        assert [list(r) for r in real] == [[float(x) for x in row] for row in expected]
+        assert all(type(x) is float for row in real for x in row)
+        checked["rat"] += 1
+        checked["real"] += 1
+        fractional = [(i, j, x) for i, row in enumerate(expected) for j, x in enumerate(row) if x.denominator != 1]
+        if fractional:
+            i, j, x = fractional[0]
+            with pytest.raises(NotInvertible) as err:
+                invert_counting_matrix(entries, INT)
+            assert err.value.witness == ("non-integral", i, j, str(x))
+            checked["non-integral"] += 1
+        else:
+            got = invert_counting_matrix(entries, INT).rows
+            assert [list(r) for r in got] == expected
+            assert all(type(x) is int for row in got for x in row)
+            checked["int"] += 1
     assert min(checked.values()) > 5, checked
 
 
