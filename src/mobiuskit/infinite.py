@@ -10,12 +10,11 @@ poset, and the chain of naturals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, repeat
+from itertools import compress, repeat
 from math import comb
 from operator import is_not
 from typing import Callable, Iterable, Optional
 
-from .category import Arrow, FinCategory, poset_to_category
 from .errors import MalformedInput, NotInvertible, UnsupportedRig
 from .matrixrig import RigMatrix, invert_counting_matrix
 from .rigs import Rig
@@ -26,19 +25,16 @@ class PatchOracleCategory:
     """Category presented by pure oracles.
 
     patch_objects(a, b) must list exactly the objects c with maps
-    a -> c -> b; hom_count(a, a) >= 1.  patch_materialize, when present,
-    builds the patch as an explicit finite category so the fine theory can
-    be exercised on it.  targets, when present, lists for an integer object
-    m and a range start..end some integers n of that range that include
-    every n with hom_count(m, n) != 0, so family_mobius counts about as
-    many hom-sets as there are maps instead of every pair of the range;
-    family_mobius refuses a listed n outside the range.
+    a -> c -> b; hom_count(a, a) >= 1.  targets, when present, lists for
+    an integer object m and a range start..end some integers n of that
+    range that include every n with hom_count(m, n) != 0, so family_mobius
+    counts about as many hom-sets as there are maps instead of every pair
+    of the range; family_mobius refuses a listed n outside the range.
     """
 
     name: str
     hom_count: Callable[[object, object], int]
     patch_objects: Callable[[object, object], tuple]
-    patch_materialize: Optional[Callable[[object, object], FinCategory]] = None
     targets: Optional[Callable[[int, int, int], Iterable[int]]] = None
 
 
@@ -136,50 +132,6 @@ def family_mobius(c: PatchOracleCategory, start: int, end: int, rig: Rig) -> Rig
 # built-in families
 
 
-def _monotone_injections(m: int, n: int):
-    """Images of order-preserving injections {1..m} -> {1..n}."""
-    return combinations(range(1, n + 1), m)
-
-
-def _monotone_surjections(m: int, n: int):
-    """Images of order-preserving surjections {1..m} -> {1..n}.
-
-    Determined by the fibre sizes, a composition of m into n positive
-    parts; yielded as image tuples of length m.
-    """
-    if m == 0 and n == 0:
-        yield ()
-        return
-    if n == 0 or m < n:
-        return
-    for cut in combinations(range(1, m), n - 1):
-        bounds = (0,) + cut + (m,)
-        image = []
-        for value in range(1, n + 1):
-            image.extend([value] * (bounds[value] - bounds[value - 1]))
-        yield tuple(image)
-
-
-def _map_category(objects, maps_between, tag: str) -> FinCategory:
-    """Finite category whose arrows are explicit monotone maps m -> n."""
-    arrows = []
-    for m in objects:
-        for n in objects:
-            for image in maps_between(m, n):
-                arrows.append(Arrow((tag, m, n, image), m, n))
-    identity = {m: (tag, m, m, tuple(range(1, m + 1))) for m in objects}
-    compose = {}
-    for g in arrows:
-        for f in arrows:
-            if f.tgt != g.src:
-                continue
-            g_img = g.name[3]
-            f_img = f.name[3]
-            image = tuple(g_img[v - 1] for v in f_img)
-            compose[(g.name, f.name)] = (tag, f.src, g.tgt, image)
-    return FinCategory(objects, arrows, identity, compose)
-
-
 def _dinj_hom(m, n) -> int:
     if m < 0 or n < 0:
         return 0
@@ -222,9 +174,6 @@ def builtin(family: str) -> PatchOracleCategory:
             name="dinj",
             hom_count=_dinj_hom,
             patch_objects=lambda a, b: _interval(a, b) if a <= b else (),
-            patch_materialize=lambda a, b: _map_category(
-                _interval(a, b), _monotone_injections, "inj"
-            ),
             targets=_targets_from_source,
         )
     if family == "dsurj":
@@ -239,9 +188,6 @@ def builtin(family: str) -> PatchOracleCategory:
             name="dsurj",
             hom_count=_dsurj_hom,
             patch_objects=patch_objs,
-            patch_materialize=lambda a, b: _map_category(
-                patch_objs(a, b), _monotone_surjections, "surj"
-            ),
             targets=_dsurj_targets,
         )
     if family == "divisibility":
@@ -250,15 +196,10 @@ def builtin(family: str) -> PatchOracleCategory:
                 return ()
             return tuple(d for d in range(a, b + 1, a) if b % d == 0)
 
-        def materialize(a, b):
-            objs = patch_objs(a, b)
-            return poset_to_category(objs, [(x, y) for x in objs for y in objs if y % x == 0])
-
         return PatchOracleCategory(
             name="divisibility",
             hom_count=lambda a, b: 1 if a >= 1 and b >= 1 and b % a == 0 else 0,
             patch_objects=patch_objs,
-            patch_materialize=materialize,
             targets=_divisibility_targets,
         )
     if family == "nat_leq":
@@ -266,9 +207,6 @@ def builtin(family: str) -> PatchOracleCategory:
             name="nat_leq",
             hom_count=lambda a, b: 1 if a <= b else 0,
             patch_objects=lambda a, b: _interval(a, b) if a <= b else (),
-            patch_materialize=lambda a, b: poset_to_category(
-                _interval(a, b), [(x, y) for x in _interval(a, b) for y in _interval(a, b) if x <= y]
-            ),
             targets=_targets_from_source,
         )
     raise MalformedInput(f"unknown built-in family '{family}'")

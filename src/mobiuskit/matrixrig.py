@@ -40,6 +40,13 @@ from .rigs import Rig
 # Permutation enumeration is n! work; beyond this it is not worth waiting for.
 MAX_PERMUTATION_DIM = 9
 
+# is_transitive visits each (node, product) state once, but distinct entries
+# such as primes make the products along paths all distinct, so the states
+# grow exponentially with n (14 rows of distinct primes did not finish in a
+# minute).  The largest search in the test suite visits about 24 000 states;
+# 200 000 take about a second on a 2-vCPU x86 machine.
+MAX_TRANSITIVE_STATES = 200_000
+
 
 @dataclass(frozen=True)
 class RigMatrix:
@@ -214,7 +221,8 @@ def is_transitive(m: RigMatrix):
     first one lacked.  The bound n is exact for rigs without zero divisors
     (a violating path shortens to a simple one); for rigs with zero
     divisors the bounded search is a sound approximation of the unbounded
-    definition.
+    definition.  A search that would visit more than MAX_TRANSITIVE_STATES
+    states, summed over the start rows, raises BudgetExceeded.
     """
     rig = m.rig
     n = m.n
@@ -223,6 +231,7 @@ def is_transitive(m: RigMatrix):
     for i in range(n):
         if rig.is_zero(m.rows[i][i]) and not trivial_rig:
             return False, (i,)
+    states = 0
     for start in range(n):
         zero_set = {j for j in range(n) if rig.is_zero(m.rows[start][j])}
         if not zero_set:
@@ -245,6 +254,11 @@ def is_transitive(m: RigMatrix):
                 key = (nxt, new_product)
                 if key in seen:
                     continue
+                states += 1
+                if states > MAX_TRANSITIVE_STATES:
+                    raise BudgetExceeded(
+                        f"transitivity search limited to {MAX_TRANSITIVE_STATES} (node, product) states"
+                    )
                 seen.add(key)
                 queue.append((nxt, new_product, depth + 1, path + (nxt,)))
     return True, None

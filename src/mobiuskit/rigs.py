@@ -346,25 +346,3 @@ def parse_element(rig: Rig, value):
         raise MalformedInput(f"cannot parse rational literal {value!r}")
     raise MalformedInput(f"no literal syntax for rig '{rig.name}'")
 
-
-def verify_rig_laws(rig: Rig, triples) -> None:
-    """Check the rig axioms on sampled (a, b, c) triples; raises on failure.
-
-    Exact rigs use exact equality; the floating-real rig's ``eq`` already
-    carries the 1e-12 relative tolerance.
-    """
-    eq, add, mul = rig.eq, rig.add, rig.mul
-    zero, one = rig.zero, rig.one
-    for a, b, c in triples:
-        assert eq(add(a, b), add(b, a)), f"add not commutative at {a!r},{b!r}"
-        assert eq(add(add(a, b), c), add(a, add(b, c))), "add not associative"
-        assert eq(add(a, zero), a), f"zero not a unit at {a!r}"
-        assert eq(mul(a, b), mul(b, a)), f"mul not commutative at {a!r},{b!r}"
-        assert eq(mul(mul(a, b), c), mul(a, mul(b, c))), "mul not associative"
-        assert eq(mul(a, one), a), f"one not a unit at {a!r}"
-        assert eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c))), "no distributivity"
-        assert eq(mul(a, zero), zero), f"zero not absorbing at {a!r}"
-        if rig.neg is not None:
-            assert eq(add(a, rig.neg(a)), zero), f"neg broken at {a!r}"
-        if rig.inv is not None and not rig.is_zero(a):
-            assert eq(mul(a, rig.inv(a)), one), f"inv broken at {a!r}"

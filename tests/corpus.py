@@ -1,30 +1,42 @@
-"""Named example categories and seeded random generators.
+"""Named example categories and seeded random generators: the corpus that
+the tests hold the library to.
 
 The random generators are deterministic for a fixed seed; tests record the
 seed they use.  Categories come from several strategies: random posets,
 free categories on small acyclic graphs, random composition-table search
 with rejection, and hand-built families (parallel composites, the
 split-idempotent two-object example, monoids, the walking isomorphism).
+The patches of the built-in families are materialized here as explicit
+finite categories, and rig_sampler feeds verify_rig_laws.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from .category import (
+from mobiuskit.category import (
     Arrow,
     DirectedGraph,
     FinCategory,
     Functor,
+    codiscrete_completion,
+    full_subcategory,
+    identity_functor,
     monoid_to_category,
     poset_to_category,
+    preorder_reflection,
     product,
     validate_category,
 )
-from .errors import MalformedInput, NotInvertible
-from .matrixrig import RigMatrix
-from .rigs import RAT, Rig, TruncatedSeries
+from mobiuskit.errors import MalformedInput, NotInvertible
+from mobiuskit.functoriality import Adjunction
+from mobiuskit.incidence import fine_mobius
+from mobiuskit.infinite import builtin
+from mobiuskit.matrixrig import RigMatrix, invert
+from mobiuskit.rigs import RAT, Rig, TruncatedSeries
 
 
 # named categories
@@ -174,12 +186,10 @@ def named_categories() -> dict:
 # random posets and graphs
 
 
-def random_poset_relation(rng: random.Random, n: int, density: float = 0.35):
-    """Random partial order on 0..n-1: random DAG edges i < j, then closure."""
-    leq = {(i, i) for i in range(n)}
-    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density}
+def _transitive_closure(pairs) -> set:
+    """The transitive closure of a relation given as a set of pairs."""
+    closure = set(pairs)
     changed = True
-    closure = set(edges)
     while changed:
         changed = False
         for (a, b) in list(closure):
@@ -187,7 +197,14 @@ def random_poset_relation(rng: random.Random, n: int, density: float = 0.35):
                 if b2 == b and (a, c) not in closure:
                     closure.add((a, c))
                     changed = True
-    return leq | closure
+    return closure
+
+
+def random_poset_relation(rng: random.Random, n: int, density: float = 0.35):
+    """Random partial order on 0..n-1: random DAG edges i < j, then closure."""
+    leq = {(i, i) for i in range(n)}
+    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density}
+    return leq | _transitive_closure(edges)
 
 
 def random_poset_category(rng: random.Random, n: int, density: float = 0.35) -> FinCategory:
@@ -296,8 +313,6 @@ def fine_invertible_corpus(seed: int, count: int) -> list:
 
     Mixes the deterministic strategies and filters by actually inverting.
     """
-    from .incidence import fine_mobius
-
     rng = random.Random(seed)
     out = []
     strategies = ["poset", "free", "table", "parallel", "named"]
@@ -434,14 +449,9 @@ def inclusion_functor(sub: FinCategory, sup: FinCategory) -> Functor:
     )
 
 
-def monotone_functor(src: FinCategory, tgt: FinCategory, object_map: dict) -> Functor:
-    """Functor between poset-categories induced by a monotone map."""
-    arrow_map = {a.name: ("le", object_map[a.src], object_map[a.tgt]) for a in src.arrows}
-    return Functor(src, tgt, dict(object_map), arrow_map)
-
-
 def thin_functor(src: FinCategory, tgt: FinCategory, object_map: dict) -> Functor:
-    """Functor into a thin category, determined by any monotone object map."""
+    """Functor into a thin category (a poset among them), determined by any
+    monotone object map."""
     arrow_map = {}
     for a in src.arrows:
         candidates = tgt.hom(object_map[a.src], object_map[a.tgt])
@@ -479,8 +489,6 @@ def functor_corpus() -> list:
     Returns (label, functor) pairs; predicates are intentionally not
     hard-coded here, tests compute them.
     """
-    from .category import codiscrete_completion, full_subcategory, identity_functor, preorder_reflection
-
     out = []
     six = six_example_category()
     chain3 = chain_category(3)
@@ -536,12 +544,12 @@ def functor_corpus() -> list:
         )
     )
     out.append(
-        ("chain3_to_chain2", monotone_functor(chain3, chain2, {0: 0, 1: 1, 2: 1}))
+        ("chain3_to_chain2", thin_functor(chain3, chain2, {0: 0, 1: 1, 2: 1}))
     )
     out.append(
         (
             "divisors6_to_chain2",
-            monotone_functor(divisors6, chain2, {1: 0, 2: 1, 3: 1, 6: 1}),
+            thin_functor(divisors6, chain2, {1: 0, 2: 1, 3: 1, 6: 1}),
         )
     )
     out.append(("c3_to_terminal", collapse_to_terminal(cyclic_group_category(3))))
@@ -565,19 +573,11 @@ def hasse_free_collapse(chain_len: int) -> Functor:
     vertices = tuple(f"h{i}" for i in range(chain_len))
     edges = tuple(Arrow(f"h{i}{i + 1}", f"h{i}", f"h{i + 1}") for i in range(chain_len - 1))
     free = free_category_on_acyclic_graph(DirectedGraph(vertices, edges))
-    vmap = {f"h{i}": i for i in range(chain_len)}
-    return Functor(
-        free,
-        chain,
-        vmap,
-        {a.name: ("le", vmap[a.src], vmap[a.tgt]) for a in free.arrows},
-    )
+    return thin_functor(free, chain, {f"h{i}": i for i in range(chain_len)})
 
 
 def beck_chevalley_instances() -> list:
     """Cospans (F ULF, G bijective-on-objects) into a common codomain."""
-    from .category import identity_functor
-
     instances = []
     for chain_len in (2, 3):
         for base in range(chain_len):
@@ -595,12 +595,10 @@ def beck_chevalley_instances() -> list:
 
 def galois_chain_adjunction():
     """floor-halving left adjoint between the chains [0..4] and [0..2]."""
-    from .functoriality import Adjunction
-
     a = chain_category(5)
     b = chain_category(3)
-    f = monotone_functor(a, b, {x: x // 2 for x in range(5)})
-    g = monotone_functor(b, a, {y: min(2 * y + 1, 4) for y in range(3)})
+    f = thin_functor(a, b, {x: x // 2 for x in range(5)})
+    g = thin_functor(b, a, {y: min(2 * y + 1, 4) for y in range(3)})
     unit = {x: ("le", x, min(2 * (x // 2) + 1, 4)) for x in range(5)}
     counit = {y: ("le", min(2 * y + 1, 4) // 2, y) for y in range(3)}
     return Adjunction(f, g, unit, counit)
@@ -608,14 +606,10 @@ def galois_chain_adjunction():
 
 def galois_divisor_adjunction():
     """divisors of 6 include into divisors of 12; right adjoint is gcd(-, 6)."""
-    import math
-
-    from .functoriality import Adjunction
-
     small = divisor_poset_category(6)
     large = divisor_poset_category(12)
-    f = monotone_functor(small, large, {d: d for d in small.objects})
-    g = monotone_functor(large, small, {d: math.gcd(d, 6) for d in large.objects})
+    f = thin_functor(small, large, {d: d for d in small.objects})
+    g = thin_functor(large, small, {d: math.gcd(d, 6) for d in large.objects})
     unit = {d: ("le", d, d) for d in small.objects}
     counit = {d: ("le", math.gcd(d, 6), d) for d in large.objects}
     return Adjunction(f, g, unit, counit)
@@ -623,8 +617,6 @@ def galois_divisor_adjunction():
 
 def galois_square_adjunction():
     """emptiness-collapse of the square poset onto the chain 0 < 1."""
-    from .functoriality import Adjunction
-
     square = square_poset_category()
     chain2 = chain_category(2)
     bottom = (0, 0)
@@ -643,6 +635,70 @@ def galois_connection_corpus():
         ("divisors6_divisors12", galois_divisor_adjunction()),
         ("square_chain2", galois_square_adjunction()),
     ]
+
+
+# patches of the built-in families as explicit finite categories
+
+
+def _monotone_injections(m: int, n: int):
+    """Images of order-preserving injections {1..m} -> {1..n}."""
+    return combinations(range(1, n + 1), m)
+
+
+def _monotone_surjections(m: int, n: int):
+    """Images of order-preserving surjections {1..m} -> {1..n}.
+
+    Determined by the fibre sizes, a composition of m into n positive
+    parts; yielded as image tuples of length m.
+    """
+    if m == 0 and n == 0:
+        yield ()
+        return
+    if n == 0 or m < n:
+        return
+    for cut in combinations(range(1, m), n - 1):
+        bounds = (0,) + cut + (m,)
+        image = []
+        for value in range(1, n + 1):
+            image.extend([value] * (bounds[value] - bounds[value - 1]))
+        yield tuple(image)
+
+
+def _map_category(objects, maps_between, tag: str) -> FinCategory:
+    """Finite category whose arrows are explicit monotone maps m -> n."""
+    arrows = []
+    for m in objects:
+        for n in objects:
+            for image in maps_between(m, n):
+                arrows.append(Arrow((tag, m, n, image), m, n))
+    identity = {m: (tag, m, m, tuple(range(1, m + 1))) for m in objects}
+    compose = {}
+    for g in arrows:
+        for f in arrows:
+            if f.tgt != g.src:
+                continue
+            g_img = g.name[3]
+            f_img = f.name[3]
+            image = tuple(g_img[v - 1] for v in f_img)
+            compose[(g.name, f.name)] = (tag, f.src, g.tgt, image)
+    return FinCategory(objects, arrows, identity, compose)
+
+
+def materialize(family: str, a, b) -> FinCategory:
+    """The patch of builtin(family) at (a, b) as an explicit finite category.
+
+    dinj and dsurj get their order-preserving maps as arrows, divisibility
+    and nat_leq are posets, so the fine theory and the chain count can be
+    run on a patch whose coarse Mobius value the oracle also gives.
+    """
+    objects = tuple(builtin(family).patch_objects(a, b))
+    if family == "dinj":
+        return _map_category(objects, _monotone_injections, "inj")
+    if family == "dsurj":
+        return _map_category(objects, _monotone_surjections, "surj")
+    if family == "divisibility":
+        return poset_to_category(objects, [(x, y) for x in objects for y in objects if y % x == 0])
+    return poset_to_category(objects, [(x, y) for x in objects for y in objects if x <= y])
 
 
 # rig element samplers and random matrices
@@ -674,6 +730,29 @@ def rig_sampler(rig: Rig):
     raise MalformedInput(f"no sampler for rig '{name}'")
 
 
+def verify_rig_laws(rig: Rig, triples) -> None:
+    """Check the rig axioms on sampled (a, b, c) triples; raises on failure.
+
+    Exact rigs use exact equality; the floating-real rig's ``eq`` already
+    carries the 1e-12 relative tolerance.
+    """
+    eq, add, mul = rig.eq, rig.add, rig.mul
+    zero, one = rig.zero, rig.one
+    for a, b, c in triples:
+        assert eq(add(a, b), add(b, a)), f"add not commutative at {a!r},{b!r}"
+        assert eq(add(add(a, b), c), add(a, add(b, c))), "add not associative"
+        assert eq(add(a, zero), a), f"zero not a unit at {a!r}"
+        assert eq(mul(a, b), mul(b, a)), f"mul not commutative at {a!r},{b!r}"
+        assert eq(mul(mul(a, b), c), mul(a, mul(b, c))), "mul not associative"
+        assert eq(mul(a, one), a), f"one not a unit at {a!r}"
+        assert eq(mul(a, add(b, c)), add(mul(a, b), mul(a, c))), "no distributivity"
+        assert eq(mul(a, zero), zero), f"zero not absorbing at {a!r}"
+        if rig.neg is not None:
+            assert eq(add(a, rig.neg(a)), zero), f"neg broken at {a!r}"
+        if rig.inv is not None and not rig.is_zero(a):
+            assert eq(mul(a, rig.inv(a)), one), f"inv broken at {a!r}"
+
+
 def random_matrix(rng: random.Random, rig: Rig, n: int) -> RigMatrix:
     sample = rig_sampler(rig)
     return RigMatrix.from_rows(rig, [[sample(rng) for _ in range(n)] for _ in range(n)])
@@ -690,16 +769,7 @@ def random_transitive_invertible_matrix(rng: random.Random, n: int) -> RigMatrix
             for j in range(n)
             if i != j and rng.random() < 0.3
         }
-        closure = set(base)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(closure):
-                for (b2, c) in list(closure):
-                    if b2 == b and (a, c) not in closure:
-                        closure.add((a, c))
-                        changed = True
-        support = reflexive | closure
+        support = reflexive | _transitive_closure(base)
         rows = [
             [
                 Fraction(rng.randint(1, 6), rng.randint(1, 4)) if (i, j) in support else Fraction(0)
@@ -708,8 +778,6 @@ def random_transitive_invertible_matrix(rng: random.Random, n: int) -> RigMatrix
             for i in range(n)
         ]
         matrix = RigMatrix.from_rows(RAT, rows)
-        from .matrixrig import invert
-
         try:
             invert(matrix)
         except NotInvertible:

@@ -17,7 +17,7 @@ from math import comb
 
 from mobiuskit.category import product
 from mobiuskit.category import endomorphism_report, is_skeletal
-from mobiuskit.corpus import (
+from corpus import (
     fine_invertible_corpus,
     galois_connection_corpus,
     general_corpus,
@@ -373,7 +373,7 @@ def test_criterion_11_functoriality_suite():
                 bo_neg += not bo
                 ulf_pos += ulf
                 ulf_neg += not ulf
-    from mobiuskit.corpus import beck_chevalley_instances
+    from corpus import beck_chevalley_instances
 
     bc_count = 0
     bc_ok = True

@@ -22,7 +22,7 @@ from mobiuskit.category import (
     underlying_graph,
     validate_category,
 )
-from mobiuskit.corpus import (
+from corpus import (
     chain_category,
     cyclic_group_category,
     discrete_category,

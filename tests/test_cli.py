@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from mobiuskit import cli, fileio, rigs
+from mobiuskit import cli, fileio, matrixrig, rigs
 from mobiuskit.cli import main
 from mobiuskit.matrixrig import RigMatrix
 from mobiuskit.rigs import RAT, REAL
@@ -586,6 +587,27 @@ def test_budget_exceeded_exits_1(tmp_path, capfd):
     err = capfd.readouterr().err
     assert code == 1 and out == ""
     assert err == "error: permutation enumeration limited to n <= 9, got 10\n"
+
+
+def test_transitive_search_beyond_its_state_budget_exits_1(tmp_path, capfd):
+    # distinct primes on and above the diagonal make every path product
+    # distinct, so the search is exponential in the rows; unbounded, 14 rows
+    # ran for more than a minute
+    primes = [p for p in range(2, 1000) if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+    entries = iter(primes)
+    path = tmp_path / "primes14.json"
+    path.write_text(json.dumps([[next(entries) if i <= j else 0 for j in range(14)] for i in range(14)]))
+    started = time.perf_counter()
+    code, out = run(["matrix", "--op", "transitive", "--rig", "int", "--in", str(path)])
+    assert time.perf_counter() - started < 15
+    err = capfd.readouterr().err
+    assert code == 1 and out == ""
+    assert err == f"error: transitivity search limited to {matrixrig.MAX_TRANSITIVE_STATES} (node, product) states\n"
+    # a triangular 0/1 matrix has one product, so 40 rows answer at once
+    path.write_text(json.dumps([[int(i <= j) for j in range(40)] for i in range(40)]))
+    for rig in ("nat", "bool"):
+        code, out = run(["matrix", "--op", "transitive", "--rig", rig, "--in", str(path)])
+        assert code == 0 and parse(out)["results"]["transitive"] is True
 
 
 def test_magnitude_refuses_too_many_points_before_reading_distances(tmp_path, capfd, monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mobiuskit.category import DirectedGraph, Arrow, coproduct, product
-from mobiuskit.corpus import (
+from corpus import (
     chain_category,
     divisor_poset_category,
     random_dag,

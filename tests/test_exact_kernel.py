@@ -18,7 +18,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from mobiuskit.corpus import general_corpus, named_categories, random_poset_category
+from corpus import general_corpus, named_categories, random_poset_category
 from mobiuskit.errors import NotInvertible
 from mobiuskit.incidence import FineElement, fine_invert
 from mobiuskit.matrixrig import RigMatrix, invert, invert_counting_matrix

@@ -6,7 +6,7 @@ import pytest
 
 from mobiuskit import fileio
 from mobiuskit.category import Arrow, DirectedGraph, FinCategory, categories_equal, graphs_equal, product
-from mobiuskit.corpus import chain_category, cyclic_group_category
+from corpus import chain_category, cyclic_group_category
 from mobiuskit.enriched import MetricSpace
 from mobiuskit.errors import MalformedInput
 from mobiuskit.fileio import load_category, load_functor, load_graph, load_matrix, load_metric

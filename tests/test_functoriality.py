@@ -11,7 +11,7 @@ from mobiuskit.category import (
     identity_functor,
     validate_category,
 )
-from mobiuskit.corpus import (
+from corpus import (
     chain_category,
     cyclic_group_category,
     discrete_category,
@@ -19,9 +19,9 @@ from mobiuskit.corpus import (
     functor_corpus,
     general_corpus,
     idempotent_monoid_category,
-    monotone_functor,
     six_example_category,
     slice_category,
+    thin_functor,
 )
 from mobiuskit.errors import BudgetExceeded, MalformedInput, NotInvertible
 from mobiuskit.functoriality import (
@@ -58,14 +58,14 @@ from mobiuskit.incidence import (
 from mobiuskit.rigs import INT, RAT
 
 
-from mobiuskit.corpus import beck_chevalley_instances, hasse_free_collapse
+from corpus import beck_chevalley_instances, hasse_free_collapse
 
 
 def test_bijective_on_objects_examples():
     six = six_example_category()
     _, collapse = codiscrete_completion(six)
     assert is_bijective_on_objects(collapse)
-    from mobiuskit.corpus import collapse_to_terminal
+    from corpus import collapse_to_terminal
 
     assert not is_bijective_on_objects(collapse_to_terminal(discrete_category(2)))
     ident = identity_functor(six)
@@ -206,7 +206,7 @@ def test_category_pullback_of_inclusions_is_intersection():
     chain3 = chain_category(3)
     lower = full_subcategory(chain3, [0, 1])
     upper = full_subcategory(chain3, [1, 2])
-    from mobiuskit.corpus import inclusion_functor
+    from corpus import inclusion_functor
 
     pulled, _, _ = category_pullback(
         inclusion_functor(lower, chain3), inclusion_functor(upper, chain3)
@@ -321,7 +321,7 @@ def test_ulf_stable_under_pullback():
     others = [
         identity_functor(chain3),
         hasse_free_collapse(3),
-        monotone_functor(chain_category(2), chain3, {0: 0, 1: 2}),
+        thin_functor(chain_category(2), chain3, {0: 0, 1: 2}),
     ]
     for other in others:
         _, _, to_other_source = category_pullback(projection, other)
@@ -369,7 +369,7 @@ def test_identity_adjunction():
 
 
 def test_galois_connections_validate_and_satisfy_rota():
-    from mobiuskit.corpus import galois_connection_corpus
+    from corpus import galois_connection_corpus
 
     for label, adj in galois_connection_corpus():
         ok, why = validate_adjunction(adj)
@@ -383,7 +383,7 @@ def test_galois_connections_validate_and_satisfy_rota():
 
 
 def test_broken_unit_is_rejected():
-    from mobiuskit.corpus import galois_chain_adjunction
+    from corpus import galois_chain_adjunction
 
     adj = galois_chain_adjunction()
     broken_unit = dict(adj.unit)

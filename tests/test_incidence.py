@@ -12,7 +12,7 @@ from mobiuskit.category import (
     product,
     underlying_graph,
 )
-from mobiuskit.corpus import (
+from corpus import (
     chain_category,
     cyclic_group_category,
     discrete_category,
@@ -21,6 +21,7 @@ from mobiuskit.corpus import (
     free_category_on_acyclic_graph,
     general_corpus,
     idempotent_monoid_category,
+    materialize,
     named_categories,
     random_poset_category,
     random_dag,
@@ -233,9 +234,9 @@ def test_block_solve_matches_leroux_chain_count_on_non_thin_categories():
     # hom-sets are not thin, at sizes where the block solve matters
     dinj, dsurj = builtin("dinj"), builtin("dsurj")
     cats = [
-        dinj.patch_materialize(0, 7),
-        dinj.patch_materialize(0, 8),
-        dsurj.patch_materialize(9, 1),
+        materialize("dinj", 0, 7),
+        materialize("dinj", 0, 8),
+        materialize("dsurj", 9, 1),
         product(chain_category(8), chain_category(8)),
     ]
     free = random_free_dag_categories(83, 4)

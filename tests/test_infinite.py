@@ -18,6 +18,7 @@ from mobiuskit.infinite import (
 )
 from mobiuskit.matrixrig import RigMatrix
 from mobiuskit.rigs import BOOL, INT, NAT, RAT, REAL, Rig
+from corpus import materialize
 from leroux import chain_counts
 
 
@@ -115,7 +116,7 @@ def test_classical_mobius_brute_force_values():
 def test_divisibility_cross_checked_by_hall_oracle():
     div = builtin("divisibility")
     for (a, b) in [(1, 12), (2, 24), (1, 30), (3, 36)]:
-        materialized = div.patch_materialize(a, b)
+        materialized = materialize("divisibility", a, b)
         assert validate_category(materialized).ok
         hall = chain_counts(materialized)
         assert patchwise_mobius(div, a, b, INT) == hall[("le", a, b)]
@@ -133,7 +134,7 @@ def test_patchwise_matches_materialized_coarse_mobius():
         else:
             pairs = [(a, b) for a in range(0, 5) for b in range(a, a + 6)]
         for (a, b) in pairs:
-            materialized = oracle.patch_materialize(a, b)
+            materialized = materialize(family, a, b)
             assert validate_category(materialized).ok, (family, a, b)
             coarse = coarse_mobius(materialized, RAT)
             assert patchwise_mobius(oracle, a, b, RAT) == coarse.value(a, b), (family, a, b)
@@ -185,7 +186,7 @@ def test_zero_pattern_inherited_patchwise():
 
 def test_materialized_patches_support_fine_theory():
     dinj = builtin("dinj")
-    patch = dinj.patch_materialize(0, 3)
+    patch = materialize("dinj", 0, 3)
     mu = fine_mobius(patch, RAT)
     from mobiuskit.incidence import fine_zeta, verify_inverse
 

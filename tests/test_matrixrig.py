@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from mobiuskit import matrixrig
-from mobiuskit.corpus import random_matrix, random_transitive_invertible_matrix
+from corpus import random_matrix, random_transitive_invertible_matrix
 from mobiuskit.errors import BudgetExceeded, NotAnInverse, NotInvertible, UnsupportedRig
 from mobiuskit.infinite import builtin
 from mobiuskit.matrixrig import (
@@ -218,7 +218,7 @@ def test_transitive_search_matches_brute_force_enumeration():
 
 
 def test_coarse_zeta_of_categories_is_transitive():
-    from mobiuskit.corpus import named_categories
+    from corpus import named_categories
     from mobiuskit.incidence import coarse_zeta
 
     for name, cat in named_categories().items():
