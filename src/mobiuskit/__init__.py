@@ -97,10 +97,8 @@ from .functoriality import (
 )
 from .matrixrig import (
     RigMatrix,
-    adj_minus,
-    adj_plus,
-    det_minus,
-    det_plus,
+    adj_halves,
+    det_halves,
     inverse_zero_check,
     invert,
     is_transitive,

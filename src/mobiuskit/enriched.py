@@ -9,8 +9,10 @@ multiplicativity of Mobius functions.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable
 
 from .category import DirectedGraph, product
@@ -316,43 +318,44 @@ class GradedGraphCategory:
             raise MalformedInput("truncation degree must be >= 1")
 
 
-def _edge_count_matrix(g: GradedGraphCategory) -> RigMatrix:
-    rig = polynomial_rig(g.truncation_degree)
-    t = TruncatedSeries.variable(g.truncation_degree)
-    vs = g.graph.vertices
-    rows = []
-    for a in vs:
-        row = []
-        for b in vs:
-            count = g.graph.edge_count(a, b)
-            row.append(rig.mul(rig.from_int(count), t))
-        rows.append(row)
-    return RigMatrix.from_rows(rig, rows)
+def _edge_counts(graph: DirectedGraph) -> list:
+    """M[i][j]: the number of edges from the i-th vertex to the j-th,
+    counted in one pass over the edges."""
+    counts = Counter((e.src, e.tgt) for e in graph.edges)
+    vs = graph.vertices
+    return [[counts[a, b] for b in vs] for a in vs]
+
+
+def _series_matrix(g: GradedGraphCategory, coefficients) -> CoarseElement:
+    """The graded element whose (i, j) series has the coefficients[i][j]."""
+    degree = g.truncation_degree
+    rig = polynomial_rig(degree)
+    rows = [[TruncatedSeries(tuple(map(Fraction, entry)), degree) for entry in row] for row in coefficients]
+    return CoarseElement(g.graph.vertices, rig, RigMatrix.from_rows(rig, rows), None, "graded")
 
 
 def graded_zeta(g: GradedGraphCategory) -> CoarseElement:
-    """zeta(a,b) = sum over n of (number of length-n paths a -> b) t^n,
-    truncated at the degree bound."""
-    rig = polynomial_rig(g.truncation_degree)
-    m = _edge_count_matrix(g)
-    total = RigMatrix.identity(rig, m.n)
-    power = RigMatrix.identity(rig, m.n)
+    """zeta(a,b) = sum over k of (number of length-k paths a -> b) t^k,
+    truncated at the degree bound.
+
+    The length-k paths from the i-th vertex to the j-th number M^k[i][j],
+    M the edge-count matrix, so the powers M^0 ... M^d are taken in plain
+    integers and each series is read off one entry of every power.
+    """
+    m = _edge_counts(g.graph)
+    columns = list(zip(*m))
+    powers = [[[int(i == j) for j in range(len(m))] for i in range(len(m))]]
     for _ in range(g.truncation_degree):
-        power = power.mul(m)
-        total = total.add(power)
-    return CoarseElement(g.graph.vertices, rig, total, None, "graded")
+        powers.append([[sum(map(mul, row, column)) for column in columns] for row in powers[-1]])
+    # zip(*powers) gives row i of every power, zip(*rows) entry (i, j) of each
+    return _series_matrix(g, [zip(*rows) for rows in zip(*powers)])
 
 
 def graded_mobius(g: GradedGraphCategory) -> CoarseElement:
     """mu = delta - (edge counts) t, exactly."""
-    rig = polynomial_rig(g.truncation_degree)
-    m = _edge_count_matrix(g)
-    ident = RigMatrix.identity(rig, m.n)
-    rows = [
-        [rig.sub(ident.entry(i, j), m.entry(i, j)) for j in range(m.n)]
-        for i in range(m.n)
-    ]
-    return CoarseElement(g.graph.vertices, rig, RigMatrix.from_rows(rig, rows), None, "graded")
+    zeros = (0,) * (g.truncation_degree - 1)
+    m = _edge_counts(g.graph)
+    return _series_matrix(g, [[(int(i == j), -x, *zeros) for j, x in enumerate(row)] for i, row in enumerate(m)])
 
 
 # tensor products

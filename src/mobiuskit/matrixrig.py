@@ -8,7 +8,7 @@ over an exact rig, fine convolution blocks) goes through one
 fraction-free elimination, _bareiss, sparse at every step whose pivot
 equals the one before, and lands its integer result Y / d in a rig
 through the rig's from_quotient (_land), with one exception
-on the route of invert_counting_matrix: an integer matrix that is
+on the route of invert_counting_matrix: a matrix with int nonzero entries,
 unitriangular up to a simultaneous permutation of its rows and columns,
 as the hom-counts of a Mobius category are along a linear extension,
 is solved with d = 1 by _unitriangular_inverse, in one forward pass of
@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, permutations, repeat
+from itertools import compress, permutations, repeat
 from math import lcm
 
 from .errors import (
@@ -163,7 +163,9 @@ def _check_budget(m: RigMatrix):
         raise BudgetExceeded(f"permutation enumeration limited to n <= {MAX_PERMUTATION_DIM}, got {m.n}")
 
 
-def _det_halves(m: RigMatrix):
+def det_halves(m: RigMatrix):
+    """(det+, det-): the sums over the even and over the odd permutations
+    of the entry products, from one expansion."""
     _check_budget(m)
     rig = m.rig
     halves = [rig.zero, rig.zero]
@@ -174,17 +176,9 @@ def _det_halves(m: RigMatrix):
     return halves[0], halves[1]
 
 
-def det_plus(m: RigMatrix):
-    """Sum over even permutations of the entry products."""
-    return _det_halves(m)[0]
-
-
-def det_minus(m: RigMatrix):
-    """Sum over odd permutations of the entry products."""
-    return _det_halves(m)[1]
-
-
-def _adj_halves(m: RigMatrix):
+def adj_halves(m: RigMatrix):
+    """(adj+, adj-): the even- and odd-permutation halves of the adjugate
+    (classical adjoint), from one expansion."""
     _check_budget(m)
     rig = m.rig
     n = m.n
@@ -198,15 +192,6 @@ def _adj_halves(m: RigMatrix):
             i = perm[j]
             target[i][j] = rig.add(target[i][j], term)
     return RigMatrix.from_rows(rig, plus), RigMatrix.from_rows(rig, minus)
-
-
-def adj_plus(m: RigMatrix) -> RigMatrix:
-    """Even-permutation half of the adjugate (classical adjoint)."""
-    return _adj_halves(m)[0]
-
-
-def adj_minus(m: RigMatrix) -> RigMatrix:
-    return _adj_halves(m)[1]
 
 
 def is_transitive(m: RigMatrix):
@@ -288,14 +273,14 @@ def lemma_identity_check(x: RigMatrix, y: RigMatrix) -> LemmaIdentityReport:
     if x.n > MAX_LEMMA_DIM:
         raise BudgetExceeded(f"identity check limited to n <= {MAX_LEMMA_DIM}")
     rig = x.rig
-    dpx, dmx = _det_halves(x)
-    dpy, dmy = _det_halves(y)
-    dpxy, dmxy = _det_halves(x.mul(y))
+    dpx, dmx = det_halves(x)
+    dpy, dmy = det_halves(y)
+    dpxy, dmxy = det_halves(x.mul(y))
     lhs = rig.sum([rig.mul(dpx, dpy), rig.mul(dmx, dmy), dmxy])
     rhs = rig.sum([rig.mul(dpx, dmy), rig.mul(dmx, dpy), dpxy])
     det_ok = rig.eq(lhs, rhs)
 
-    ap, am = _adj_halves(x)
+    ap, am = adj_halves(x)
     ident = RigMatrix.identity(rig, x.n)
     left = x.mul(ap).add(ident.scale(dmx))
     right = x.mul(am).add(ident.scale(dpx))
@@ -420,22 +405,22 @@ def _bareiss(rows, rhs):
 def _to_integers(values):
     """(e, [e v for v in values]) with e the LCM of the denominators.
 
-    as_integer_ratio reads int, Fraction and float values exactly.
+    All-int values come back as they are, with e = 1; as_integer_ratio
+    reads int, Fraction and float values exactly.
     """
+    if all(map(isinstance, values, repeat(int))):
+        return 1, values
     ratios = [v.as_integer_ratio() for v in values]
     e = lcm(*(q for _, q in ratios))
     return e, [p * (e // q) for p, q in ratios]
 
 
-def _identity_rows(n: int):
-    # a generator, so the identity is not held beside the augmented copy
-    # that _bareiss builds (about 0.5 MB at n = 240)
-    return ([1 if i == j else 0 for j in range(n)] for i in range(n))
-
-
 def _unitriangular_inverse(rows):
-    """The inverse of an integer matrix with every diagonal entry 1 whose
-    off-diagonal nonzero pattern is acyclic, or None for any other matrix.
+    """The inverse of a matrix whose diagonal entries are the int 1, whose
+    other nonzero entries are ints, and whose off-diagonal nonzero pattern
+    is acyclic, or None for any other matrix.  Only the entries the pass
+    reads anyway, the diagonal and the nonzero ones, are type-checked, so
+    a zero of any type (Fraction(0), 0.0) counts as zero.
 
     Kahn's algorithm orders the indices so that k comes before j whenever
     rows[k][j] is a nonzero off-diagonal entry; along that order the
@@ -450,7 +435,7 @@ def _unitriangular_inverse(rows):
     later = []  # later[k]: the (j, x) with x = rows[k][j] nonzero, j != k
     indegree = [0] * n
     for k, row in enumerate(rows):
-        if row[k] != 1:
+        if row[k] != 1 or not all(map(isinstance, compress(row, row), repeat(int))):
             return None
         support = [(j, row[j]) for j in compress(range(n), row) if j != k]
         for j, _ in support:
@@ -479,14 +464,13 @@ def _unitriangular_inverse(rows):
 
 def _inverse(rows):
     """(d, Y) with Y / d the inverse of a square matrix of rationals."""
-    n = len(rows)
-    if all(map(isinstance, chain.from_iterable(rows), repeat(int))):
-        inverse = _unitriangular_inverse(rows)
-        if inverse is not None:
-            return 1, inverse
-        return _bareiss(rows, _identity_rows(n))
-    # each equation times the LCM of its row's denominators: same solution
+    inverse = _unitriangular_inverse(rows)
+    if inverse is not None:
+        return 1, inverse
+    # each equation times the LCM of its row's denominators (1 for a row
+    # of ints): same solution
     scales, integral = zip(*map(_to_integers, rows))
+    n = len(rows)
     return _bareiss(integral, ([e if i == j else 0 for j in range(n)] for i, e in enumerate(scales)))
 
 
@@ -507,7 +491,7 @@ def invert_counting_matrix(rows, rig: Rig) -> RigMatrix:
     """Invert a matrix of counts (or other rationals) in the requested rig.
 
     The exact inverse comes from the forward pass of
-    _unitriangular_inverse when the rows are integers that qualify, and
+    _unitriangular_inverse when the matrix qualifies, and
     from the fraction-free kernel _bareiss otherwise, so the only rational
     division per entry happens at the very end, when the entries land in
     the rig (_land).  The rig needs from_quotient; over a rig without

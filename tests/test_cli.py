@@ -380,19 +380,19 @@ def test_series_degree_is_capped_before_any_work(capfd, monkeypatch):
 
 def test_graded_work_is_capped_before_any_series_arithmetic(tmp_path, capfd, monkeypatch):
     def graded_zeta(graded):
-        raise AssertionError("no series arithmetic for a refused request")
+        raise AssertionError("no path counting for a refused request")
 
-    assert 512**2 <= cli.MAX_GRADED_WORK  # one vertex at the largest degree
-    # three vertices at degree 3: 3^3 * 3^2 = 243
+    assert 512 <= cli.MAX_GRADED_WORK  # one vertex at the largest degree
+    # three vertices at degree 3: 3^3 * 3 = 81
     path = tmp_path / "three.json"
     path.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [{"name": "e", "src": "a", "tgt": "b"}]}))
-    monkeypatch.setattr(cli, "MAX_GRADED_WORK", 242)
+    monkeypatch.setattr(cli, "MAX_GRADED_WORK", 80)
     monkeypatch.setattr(cli, "graded_zeta", graded_zeta)
     code, out = run(["graded", "--graph", str(path), "--degree", "3"])
     err = capfd.readouterr().err
-    assert (code, out, err) == (1, "", "error: graded is limited to vertices^3 * degree^2 <= 242, got 3 vertices at degree 3\n")
+    assert (code, out, err) == (1, "", "error: graded is limited to vertices^3 * degree <= 80, got 3 vertices at degree 3\n")
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "MAX_GRADED_WORK", 243)
+    monkeypatch.setattr(cli, "MAX_GRADED_WORK", 81)
     assert run(["graded", "--graph", str(path), "--degree", "3"])[0] == 0
 
 

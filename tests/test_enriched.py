@@ -9,6 +9,7 @@ from mobiuskit.category import DirectedGraph, Arrow, coproduct, product
 from corpus import (
     chain_category,
     divisor_poset_category,
+    free_category_on_acyclic_graph,
     random_dag,
     random_poset_category,
     six_example_category,
@@ -272,6 +273,61 @@ def test_graded_inverse_law_on_random_graphs():
         ident = RigMatrix.identity(rig, len(graph.vertices))
         assert zeta.matrix.mul(mu.matrix).equal(ident)
         assert mu.matrix.mul(zeta.matrix).equal(ident)
+
+
+def zeta_coefficients(graph, degree):
+    """{(a, b): [coefficient k of zeta(a, b) for k = 0..degree]} as ints."""
+    zeta = graded_zeta(GradedGraphCategory(graph, degree))
+    vs = graph.vertices
+    out = {}
+    for a, row in zip(vs, zeta.matrix.rows):
+        for b, series in zip(vs, row):
+            assert all(c.denominator == 1 for c in series.coefficients)
+            out[a, b] = [int(c) for c in series.coefficients]
+    return out
+
+
+def test_graded_zeta_counts_the_arrows_of_the_free_category():
+    rng = random.Random(101)
+    for _ in range(12):
+        graph = random_dag(rng, rng.randint(1, 6), density=0.5, parallel=2)
+        free = free_category_on_acyclic_graph(graph)  # arrows ("path", start, edge names)
+        degree = rng.randint(1, 7)
+        for (a, b), coefficients in zeta_coefficients(graph, degree).items():
+            lengths = [len(name[2]) for name in free.hom(a, b)]
+            assert coefficients == [lengths.count(k) for k in range(degree + 1)], (a, b)
+
+
+def test_graded_zeta_of_m_loops_at_the_largest_degree():
+    for m in (1, 2, 3, 7):
+        loops = DirectedGraph(("v",), tuple(Arrow(f"l{k}", "v", "v") for k in range(m)))
+        assert zeta_coefficients(loops, 512)["v", "v"] == [m**k for k in range(513)]
+
+
+def test_graded_zeta_matches_walk_enumeration_on_a_cyclic_graph():
+    edges = (("a", "b"), ("b", "c"), ("c", "a"), ("a", "a"), ("b", "a"), ("b", "a"), ("c", "c"))
+    graph = DirectedGraph(("a", "b", "c"), tuple(Arrow(f"e{i}", s, t) for i, (s, t) in enumerate(edges)))
+    degree = 6
+    walks = {(v, v): [1] + [0] * degree for v in graph.vertices}
+    for length in range(1, degree + 1):
+        for path in itertools.product(graph.edges, repeat=length):
+            if all(f.tgt == g.src for f, g in zip(path, path[1:])):
+                walks.setdefault((path[0].src, path[-1].tgt), [0] * (degree + 1))[length] += 1
+    got = zeta_coefficients(graph, degree)
+    assert {pair: c for pair, c in got.items() if any(c)} == walks
+
+
+def test_graded_zeta_does_no_series_arithmetic(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("series arithmetic in graded_zeta")
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", refuse)
+    monkeypatch.setattr(TruncatedSeries, "__add__", refuse)
+    graph = random_dag(random.Random(103), 5, density=0.6, parallel=3)
+    cyclic = DirectedGraph(graph.vertices, graph.edges + (Arrow("back", "v4", "v0"),))
+    for g in (graph, cyclic):
+        zeta = graded_zeta(GradedGraphCategory(g, 40))
+        assert len(zeta.matrix.rows) == 5
 
 
 def test_graded_total_evaluates_to_graph_euler_characteristic():

@@ -10,10 +10,8 @@ from mobiuskit.errors import BudgetExceeded, NotAnInverse, NotInvertible, Unsupp
 from mobiuskit.infinite import builtin
 from mobiuskit.matrixrig import (
     RigMatrix,
-    adj_minus,
-    adj_plus,
-    det_minus,
-    det_plus,
+    adj_halves,
+    det_halves,
     invert,
     invert_counting_matrix,
     inverse_zero_check,
@@ -59,20 +57,23 @@ def reference_adjugate(rows):
 
 def test_det_halves_identity():
     ident = RigMatrix.identity(NAT, 4)
-    assert det_plus(ident) == 1
-    assert det_minus(ident) == 0
+    plus, minus = det_halves(ident)
+    assert plus == 1
+    assert minus == 0
 
 
 def test_det_halves_2x2_split():
     m = RigMatrix.from_rows(INT, [[5, 7], [2, 3]])
-    assert det_plus(m) == 15  # ad
-    assert det_minus(m) == 14  # bc
+    plus, minus = det_halves(m)
+    assert plus == 15  # ad
+    assert minus == 14  # bc
 
 
 def test_det_halves_all_ones_3x3():
     m = RigMatrix.from_rows(NAT, [[1] * 3] * 3)
-    assert det_plus(m) == 3
-    assert det_minus(m) == 3
+    plus, minus = det_halves(m)
+    assert plus == 3
+    assert minus == 3
 
 
 def test_det_halves_match_reference_determinant():
@@ -80,31 +81,34 @@ def test_det_halves_match_reference_determinant():
     for _ in range(40):
         n = rng.randint(1, 5)
         m = random_matrix(rng, INT, n)
-        assert det_plus(m) - det_minus(m) == reference_determinant(m.rows)
+        plus, minus = det_halves(m)
+        assert plus - minus == reference_determinant(m.rows)
     for _ in range(10):
         m = random_matrix(rng, RAT, 4)
-        assert det_plus(m) - det_minus(m) == reference_determinant(m.rows)
+        plus, minus = det_halves(m)
+        assert plus - minus == reference_determinant(m.rows)
 
 
 def test_adj_halves_identity():
     ident = RigMatrix.identity(NAT, 3)
-    assert adj_plus(ident).equal(ident)
-    assert adj_minus(ident).equal(RigMatrix.zeros(NAT, 3))
+    plus, minus = adj_halves(ident)
+    assert plus.equal(ident)
+    assert minus.equal(RigMatrix.zeros(NAT, 3))
 
 
 def test_adj_halves_2x2():
     a, b, c, d = 2, 3, 5, 7
     m = RigMatrix.from_rows(INT, [[a, b], [c, d]])
-    assert adj_plus(m).rows == ((d, 0), (0, a))
-    assert adj_minus(m).rows == ((0, b), (c, 0))
+    plus, minus = adj_halves(m)
+    assert plus.rows == ((d, 0), (0, a))
+    assert minus.rows == ((0, b), (c, 0))
 
 
 def test_adj_halves_match_reference_adjugate():
     rng = random.Random(13)
     for _ in range(25):
         m = random_matrix(rng, INT, 3)
-        plus = adj_plus(m)
-        minus = adj_minus(m)
+        plus, minus = adj_halves(m)
         expected = reference_adjugate(m.rows)
         got = [
             [plus.entry(i, j) - minus.entry(i, j) for j in range(3)]
@@ -116,9 +120,9 @@ def test_adj_halves_match_reference_adjugate():
 def test_permutation_budget():
     big = RigMatrix.identity(NAT, 10)
     with pytest.raises(BudgetExceeded):
-        det_plus(big)
+        det_halves(big)
     with pytest.raises(BudgetExceeded):
-        adj_plus(big)
+        adj_halves(big)
 
 
 def test_lemma_identities_identity_case():
@@ -319,7 +323,8 @@ def permuted_unitriangular(rng, n, density):
 
 
 def bareiss_inverse(rows):
-    d, scaled = matrixrig._bareiss(rows, matrixrig._identity_rows(len(rows)))
+    n = len(rows)
+    d, scaled = matrixrig._bareiss(rows, [[int(i == j) for j in range(n)] for i in range(n)])
     assert all(x % d == 0 for row in scaled for x in row)
     return [[x // d for x in row] for row in scaled]
 
@@ -381,6 +386,17 @@ def test_other_matrices_take_bareiss(monkeypatch):
     del calls[:]
     assert invert_counting_matrix([[1, 1], [0, 1]], INT).rows == ((1, -1), (0, 1))
     assert calls == []
+    # only the diagonal and the nonzero entries need to be ints: zeros
+    # written as Fraction(0) take the pass and land what elimination lands
+    counts = permuted_unitriangular(rng, 12, 0.4)
+    zeros = [[x or Fraction(0) for x in row] for row in counts]
+    eliminated = [[Fraction(x) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(zeros)]
+    for rig in (INT, RAT, REAL):
+        del calls[:]
+        forward = invert_counting_matrix(zeros, rig).rows
+        assert calls == [], rig
+        assert repr(forward) == repr(invert_counting_matrix(eliminated, rig).rows), rig
+        assert calls == [12], rig
 
 
 def test_invert_counting_matrix_accepts_fraction_entries():
