@@ -32,13 +32,14 @@ class DirectedGraph:
     edges: tuple  # of Arrow
 
     def __post_init__(self):
+        if len({e.name for e in self.edges}) != len(self.edges):
+            raise MalformedInput("duplicate edge names")
         vs = set(self.vertices)
+        if len(vs) != len(self.vertices):
+            raise MalformedInput("duplicate vertex identifiers")
         for e in self.edges:
             if e.src not in vs or e.tgt not in vs:
                 raise MalformedInput(f"edge {e.name!r} has an endpoint outside the vertex list")
-
-    def edge_count(self, a, b) -> int:
-        return sum(1 for e in self.edges if e.src == a and e.tgt == b)
 
 
 @dataclass(frozen=True)

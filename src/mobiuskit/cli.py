@@ -68,10 +68,10 @@ MAX_ZEROS_DIM = 40
 # graded_zeta takes the degree's powers of the vertices x vertices edge-count
 # matrix, about vertices^3 * degree integer products, whose entries grow to
 # degree * log2(vertices * edges per pair) bits.  End to end on a 2-vCPU
-# host, 12 vertices at degree 512 took 2.2 s with 8 edges per ordered pair,
-# 3.0 s with 64 and 5.1 s with 512 (a 73 728-edge graph), most of it
+# host, 12 vertices at degree 512 took 1.8-2.0 s with 8 edges per ordered
+# pair, 3.1 s with 64 and 4.8 s with 512 (a 73 728-edge graph), most of it
 # rendering reports of 38, 55 and 72 MB; 16 vertices at degree 256 took
-# 1.0-1.8 s and 101 vertices at degree 1 0.5 s.  Larger requests are
+# 0.7-1.5 s and 101 vertices at degree 1 0.5 s.  Larger requests are
 # refused after the graph is read and before any path is counted
 MAX_GRADED_WORK = 2**20
 
@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--timing", action="store_true", help="attach wall-clock timing to the report")
     rigged = argparse.ArgumentParser(add_help=False, parents=[common])
-    rigged.add_argument("--rig", help="nat|int|rat|real|bool|poly[:N] (default from MOBIUSKIT_RIG, then rat)")
+    rigged.add_argument("--rig", help="nat|int|rat|real|bool (default from MOBIUSKIT_RIG, then rat)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

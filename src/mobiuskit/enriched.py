@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Callable
 
@@ -83,10 +82,10 @@ def graded_sizes(degree: int) -> SizeAssignment:
     rig = polynomial_rig(degree)
 
     def size(counts):
-        coeffs = [Fraction(0)] * (degree + 1)
+        coeffs = [0] * (degree + 1)
         for k, c in enumerate(counts):
             if k <= degree:
-                coeffs[k] = Fraction(c)
+                coeffs[k] = c
         return TruncatedSeries(tuple(coeffs), degree)
 
     def tensor(x, y):
@@ -330,7 +329,7 @@ def _series_matrix(g: GradedGraphCategory, coefficients) -> CoarseElement:
     """The graded element whose (i, j) series has the coefficients[i][j]."""
     degree = g.truncation_degree
     rig = polynomial_rig(degree)
-    rows = [[TruncatedSeries(tuple(map(Fraction, entry)), degree) for entry in row] for row in coefficients]
+    rows = [[TruncatedSeries(tuple(entry), degree) for entry in row] for row in coefficients]
     return CoarseElement(g.graph.vertices, rig, RigMatrix.from_rows(rig, rows), None, "graded")
 
 

@@ -244,9 +244,6 @@ def load_graph(path: str) -> DirectedGraph:
     if not isinstance(edges_doc, list):
         raise MalformedInput(f"{path}: 'edges' must be a list")
     edges = _arrow_list(edges_doc, f"{path}: edges")
-    names = [e.name for e in edges]
-    if len(set(names)) != len(names):
-        raise MalformedInput(f"{path}: duplicate edge names")
     try:
         return DirectedGraph(tuple(vertices), tuple(edges))
     except MalformedInput as e:

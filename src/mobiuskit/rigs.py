@@ -82,8 +82,9 @@ class Rig:
 class TruncatedSeries:
     """Polynomial in one variable t, truncated at a fixed degree.
 
-    Coefficients are exact rationals indexed by degree 0..N; products are
-    Cauchy products with degrees above N discarded.
+    Coefficients are exact numbers indexed by degree 0..N; the series the
+    package builds (graded path counts) hold ints.  Products are Cauchy
+    products with degrees above N discarded.
     """
 
     coefficients: tuple
@@ -98,15 +99,13 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value, degree: int) -> "TruncatedSeries":
-        coeffs = (Fraction(value),) + (Fraction(0),) * degree
-        return cls(coeffs, degree)
+        return cls((value,) + (0,) * degree, degree)
 
     @classmethod
     def variable(cls, degree: int) -> "TruncatedSeries":
         if degree < 1:
             raise MalformedInput("variable needs truncation degree >= 1")
-        coeffs = (Fraction(0), Fraction(1)) + (Fraction(0),) * (degree - 1)
-        return cls(coeffs, degree)
+        return cls((0, 1) + (0,) * (degree - 1), degree)
 
     def _check(self, other: "TruncatedSeries"):
         if self.truncation_degree != other.truncation_degree:
@@ -126,7 +125,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         self._check(other)
         n = self.truncation_degree
-        coeffs = [Fraction(0)] * (n + 1)
+        coeffs = [0] * (n + 1)
         for i, a in enumerate(self.coefficients):
             if a == 0:
                 continue
@@ -244,17 +243,18 @@ BOOL = Rig(
     from_int=lambda n: 1 if _nat_from_int(n) > 0 else 0,
 )
 
-DEFAULT_SERIES_DEGREE = 16
-# a product of two series costs up to (N+1)^2 coefficient products: two
-# dense series take about 0.66 s at degree 512 and 2.7 s at degree 1000 on
-# a 2-vCPU host.  graded reads its series off integer path counts and
-# multiplies none; it bounds its own work with cli.MAX_GRADED_WORK
+# graded's series hold path counts: one vertex with m loops has m^k paths
+# of length k, and at degree N the largest has N * log10(m) digits.  Up to
+# degree 512 that stays within CPython's 4300-digit int-to-str limit for
+# every m below 2.5e8 loops; without this cap cli.MAX_GRADED_WORK alone
+# would let one vertex run to degree 2^20, where 2 loops give 315 000 digits
 MAX_SERIES_DEGREE = 512
 
 
 @functools.lru_cache(maxsize=None)
-def polynomial_rig(degree: int = DEFAULT_SERIES_DEGREE) -> Rig:
-    """Rig of rational polynomials truncated at the given degree bound.
+def polynomial_rig(degree: int) -> Rig:
+    """Rig of polynomials truncated at the given degree bound, the rig of
+    graded's reports (named poly:N).
 
     A degree above MAX_SERIES_DEGREE is refused before any coefficient is
     allocated.
@@ -279,18 +279,10 @@ NAMED_RIGS = {"nat": NAT, "int": INT, "rat": RAT, "real": REAL, "bool": BOOL}
 
 
 def get_rig(spec: str) -> Rig:
-    """Look a rig up by CLI spelling: nat|int|rat|real|bool|poly[:N]."""
-    if spec in NAMED_RIGS:
-        return NAMED_RIGS[spec]
-    if spec == "poly":
-        return polynomial_rig(DEFAULT_SERIES_DEGREE)
-    if spec.startswith("poly:"):
-        try:
-            degree = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise MalformedInput(f"bad polynomial degree in rig spec '{spec}'")
-        return polynomial_rig(degree)
-    raise MalformedInput(f"unknown rig '{spec}'")
+    """Look a rig up by CLI spelling: nat|int|rat|real|bool."""
+    if spec not in NAMED_RIGS:
+        raise MalformedInput(f"unknown rig '{spec}'")
+    return NAMED_RIGS[spec]
 
 
 def render(rig: Rig, x) -> str:

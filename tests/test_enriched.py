@@ -315,6 +315,10 @@ def test_graded_zeta_matches_walk_enumeration_on_a_cyclic_graph():
                 walks.setdefault((path[0].src, path[-1].tgt), [0] * (degree + 1))[length] += 1
     got = zeta_coefficients(graph, degree)
     assert {pair: c for pair, c in got.items() if any(c)} == walks
+    graded = GradedGraphCategory(graph, degree)
+    for element in (graded_zeta(graded), graded_mobius(graded)):
+        series = [s for row in element.matrix.rows for s in row] + [element.total()]
+        assert {type(c) for s in series for c in s.coefficients} == {int}
 
 
 def test_graded_zeta_does_no_series_arithmetic(monkeypatch):

@@ -179,7 +179,15 @@ def test_load_graph(tmp_path):
         {"vertices": ["u", "v"], "edges": [{"name": "e", "src": "u", "tgt": "v"}]},
     )
     graph = load_graph(path)
-    assert graph.edge_count("u", "v") == 1
+    assert sum(1 for e in graph.edges if (e.src, e.tgt) == ("u", "v")) == 1
+    with pytest.raises(MalformedInput, match="^duplicate vertex identifiers$"):
+        DirectedGraph(("u", "v", "u"), ())
+    with pytest.raises(MalformedInput, match="^duplicate edge names$"):
+        DirectedGraph(("u",), (Arrow("e", "u", "u"), Arrow("e", "u", "u")))
+    dupe_vertex = write_tmp(tmp_path, "dupe_vertex.json", {"vertices": ["a", "a"], "edges": []})
+    with pytest.raises(MalformedInput) as refused:
+        load_graph(dupe_vertex)
+    assert str(refused.value) == f"{dupe_vertex}: duplicate vertex identifiers"
     with pytest.raises(MalformedInput, match="duplicate edge names"):
         load_graph(
             write_tmp(
