@@ -4,6 +4,11 @@ Fine elements live on arrows, coarse elements on object pairs, patch
 elements on object pairs with support restricted to nonempty hom-sets.
 Zeta, Mobius, the summation homomorphisms between the levels, Euler
 characteristic, and the nerve Euler characteristic all live here.
+
+Fine inversion solves one linear system in integers.  When that system is
+unitriangular along some order of the arrows, as zeta's is in a Mobius
+category (Leroux), it is solved in one forward pass along Kahn's order;
+every other system goes, one block per object, to matrixrig._bareiss.
 """
 
 from __future__ import annotations
@@ -22,7 +27,14 @@ from .errors import (
     RigMismatch,
     UnsupportedRig,
 )
-from .matrixrig import RigMatrix, _bareiss, _land, _to_integers, invert_counting_matrix
+from .matrixrig import (
+    RigMatrix,
+    _bareiss,
+    _kahn_order,
+    _land,
+    _to_integers,
+    invert_counting_matrix,
+)
 from .rigs import INT, Rig
 
 
@@ -163,84 +175,93 @@ def fine_invert(x: FineElement) -> FineElement:
     it must come out integral.  Rigs without from_quotient have no solver,
     use verify_inverse with a candidate instead.
 
-    (w * x)(f) involves only w(g) with src(g) = src(f), so the system is
-    block-diagonal: one block per source object, holding the arrows out of
-    that object in global arrow order.  The row of f sums X(h) over the
-    factorizations h o g = f into the column of g, with right-hand side
-    e [f is an identity], and each block goes to the fraction-free kernel
-    matrixrig._bareiss, the one that also inverts coarse zeta matrices.
-    The kernel touches only the nonzero entries at every step whose pivot
-    equals the previous one.  For posets and Mobius categories whose
-    arrows are listed along a linear extension every pivot is 1, so every
-    step is such a step.
+    The row of f sums X(h) over the factorizations h o g = f into the
+    coefficient of w(g), with right-hand side e [f is an identity].  One
+    walk over the factorizations, on arrow indices, collects the
+    coefficients.  When e = 1, every diagonal coefficient is 1 and the
+    off-diagonal terms, read as "g before f", have a Kahn order, the
+    system is unitriangular along that order and solves forward with
+    d = 1 (_forward_pass).  In a Mobius category zeta always qualifies
+    (Leroux): h o f = f forces h to be an identity, and h o g = f with h
+    not an identity leads from the target of g to another target, up a
+    partial order of the objects.  Groups, nontrivial idempotents and
+    scaled elements do not qualify.  The rule reads the system, not the
+    category, since fine_mobius does not validate the laws: a table that
+    breaks them either has a system that qualifies, with the same unique
+    solution on either route, or goes to the blocks as before.
+
+    Every other system is block-diagonal: (w * x)(f) involves only w(g)
+    with src(g) = src(f), so each source object has one block, holding
+    the arrows out of it in global arrow order, and each block goes to
+    the fraction-free kernel matrixrig._bareiss, the one that also
+    inverts coarse zeta matrices (_block_solve).  Both routes give the
+    unique solution of the same system, and share every later step.
 
     The certificate checks x * w = delta only.  w * x = delta holds
     exactly, since the system was solved over the rationals, and in a
     finite-dimensional associative unital algebra a left inverse is also
     a right inverse.  A composition table that is not associative, which
-    fine_mobius does not validate, breaks that argument, and there this
-    check is what refuses a one-sided answer.  The check runs on integers: block a solves to W_a / d_a, and
-    with D the LCM of the d_a and W'(h) = W(h) D / d_{src h} it tests
+    fine_mobius does not validate, breaks that argument, even when the
+    system has an order, and there this check is what refuses a
+    one-sided answer.  The check runs on integers: the solution comes as
+    values W / d, one d per block (d = 1 on the forward pass), and with D
+    the LCM of the d and W' = W D / d it tests
     sum X(g) W'(h) = e D [f is an identity].  The same exact check serves
     the floating reals, whose values are the exact solution rounded once.
 
-    The checks run in this order: a singular block, then a non-integral
-    value over a rig without division, then the certificate; only then do
-    the values land in the rig.  A singular system names the global index
-    of the first arrow column that depends on earlier columns, which is
+    The checks run in this order: a composite that does not start where
+    its first factor starts, then a singular block, then a non-integral
+    value over a rig without division, then the certificate; only then
+    do the values land in the rig.  The composite breaks the block
+    structure; it is MalformedInput, as validate_category would report it
+    as composite-endpoints.  A singular system names the global index of
+    the first arrow column that depends on earlier columns, which is
     where elimination over the whole system would stop.  Columns of
     different blocks share no rows, so that is the smallest first failing
-    column over all blocks.  A composite that does not start where its
-    first factor starts breaks the block structure; it is MalformedInput,
-    as validate_category would report it as composite-endpoints.
+    column over all blocks.
     """
     rig = x.rig
     if rig.from_quotient is None:
         raise UnsupportedRig(f"fine inversion needs a field or the integers, not '{rig.name}'")
     c = x.category
     names = c.arrow_names()
+    n = len(names)
     e, scaled = _to_integers(x.values.values())
     scaled_x = dict(zip(x.values, scaled))
-    # columns[a] holds the global indices of the arrows out of a, and
-    # position[g] the place of g among them
-    columns: dict = {}
-    position = {}
-    for i, name in enumerate(names):
-        block = columns.setdefault(c.src(name), [])
-        position[name] = len(block)
-        block.append(i)
-    # (w * x)(f) = sum_g [sum_{h : h o g = f} x(h)] w(g), with src(g) = src(f)
-    rows: dict = {a: [] for a in columns}
-    rhs: dict = {a: [] for a in columns}
+    index = {name: i for i, name in enumerate(names)}
+    sources = [arrow.src for arrow in c.arrows]
+    # (w * x)(f) = sum_g [sum_{h : h o g = f} x(h)] w(g), with src(g) = src(f):
+    # the coefficient of w(f) in row f sums into diagonal[f], and each other
+    # term is an entry (f, X(h)) of later[g].  factorizations() keys the
+    # arrows in arrow order, so f counts along the arrow indices
+    diagonal = [0] * n
+    later = [[] for _ in range(n)]
+    indegree = [0] * n
     factorizations = c.factorizations()
-    for f_name, pairs in factorizations.items():
-        a = c.src(f_name)
-        row = [0] * len(columns[a])
-        for g, h in pairs:
-            if c.src(g) != a:
+    for f, (f_name, pairs) in enumerate(factorizations.items()):
+        a = sources[f]
+        for g_name, h in pairs:
+            g = index[g_name]
+            if sources[g] != a:
                 raise MalformedInput(
-                    f"compose({h!r}, {g!r}) = {f_name!r}: the composite starts at "
-                    f"{a!r}, not at the source {c.src(g)!r} of {g!r}"
+                    f"compose({h!r}, {g_name!r}) = {f_name!r}: the composite starts at "
+                    f"{a!r}, not at the source {sources[g]!r} of {g_name!r}"
                 )
-            row[position[g]] += scaled_x[h]
-        rows[a].append(row)
-        rhs[a].append([e if c.is_identity(f_name) else 0])
-    solved = {}
-    failures = []
-    for a, block in columns.items():
-        try:
-            solved[a] = _bareiss(rows[a], rhs[a])
-        except NotInvertible as err:
-            failures.append(block[err.witness[1]])
-    if failures:
-        column = min(failures)
-        raise NotInvertible(
-            f"singular convolution system: no pivot in column {column}",
-            witness=("column", column),
-        )
+            if g == f:
+                diagonal[f] += scaled_x[h]
+            else:
+                later[g].append((f, scaled_x[h]))
+                indegree[f] += 1
+    rhs = [e if c.is_identity(name) else 0 for name in names]
+    w = _forward_pass(diagonal, later, indegree, rhs) if e == 1 else None
+    # solved holds (global indices, d, scaled values), the values W / d
+    if w is not None:
+        solved = [(range(n), 1, w)]
+    else:
+        solved = _block_solve(sources, diagonal, later, rhs)
     if not rig.has_division:
-        non_integral = [(i, value, d) for a, (d, scaled) in solved.items()
-                        for i, (value,) in zip(columns[a], scaled) if value % d]
+        non_integral = [(i, value, d) for columns, d, values in solved
+                        for i, value in zip(columns, values) if value % d]
         if non_integral:
             i, value, d = min(non_integral)
             val = Fraction(value, d)
@@ -249,24 +270,84 @@ def fine_invert(x: FineElement) -> FineElement:
                 witness=("non-integral", names[i], str(val)),
             )
     # (x * w)(f) = sum over h o g = f of x(g) w(h), on the common denominator e D
-    common = lcm(*(d for d, _ in solved.values()))
+    common = lcm(*(d for _, d, _ in solved))
     scaled_w = {}
-    for a, (d, scaled) in solved.items():
+    for columns, d, values in solved:
         k = common // d
-        for i, (value,) in zip(columns[a], scaled):
+        for i, value in zip(columns, values):
             scaled_w[names[i]] = value * k
-    one = e * common
-    for f_name, pairs in factorizations.items():
-        if sum(scaled_x[g] * scaled_w[h] for g, h in pairs) != (one if c.is_identity(f_name) else 0):
+    for pairs, b in zip(factorizations.values(), rhs):
+        if sum(scaled_x[g] * scaled_w[h] for g, h in pairs) != b * common:
             raise NotInvertible(
                 "left inverse exists but is not two-sided",
                 witness=("one-sided", None),
             )
-    solution = [None] * len(names)
-    for a, (d, scaled) in solved.items():
-        for i, (value,) in zip(columns[a], _land(rig, d, scaled)):
+    solution = [None] * n
+    for columns, d, values in solved:
+        for i, value in zip(columns, _land(rig, d, [values])[0]):
             solution[i] = value
     return FineElement(c, rig, dict(zip(names, solution)))
+
+
+def _forward_pass(diagonal, later, indegree, rhs):
+    """The solution w of the system when every diagonal coefficient is 1
+    and the off-diagonal terms form no cycle, else None.
+
+    Along Kahn's order every g with a term in row f comes before f, so
+    w(f) = rhs(f) - sum over those terms of w(g) X(h) is final when f is
+    reached, and pushes its own terms forward.
+    """
+    if any(coefficient != 1 for coefficient in diagonal):
+        return None
+    order = _kahn_order(later, indegree)
+    if order is None:
+        return None
+    w = list(rhs)
+    for g in order:
+        value = w[g]
+        if value:
+            for f, x in later[g]:
+                w[f] -= value * x
+    return w
+
+
+def _block_solve(sources, diagonal, later, rhs):
+    """Bareiss on each per-source block of the system; [(global indices,
+    d, scaled values)] with w = values / d on those arrows.
+
+    Block a holds the arrows out of a in global order, its rows and
+    columns alike.  A singular system names the smallest global column
+    with no pivot over all blocks.
+    """
+    columns: dict = {}
+    position = []
+    for i, a in enumerate(sources):
+        block = columns.setdefault(a, [])
+        position.append(len(block))
+        block.append(i)
+    rows = [[0] * len(columns[a]) for a in sources]
+    for f, coefficient in enumerate(diagonal):
+        rows[f][position[f]] = coefficient
+    for g, terms in enumerate(later):
+        column = position[g]
+        for f, x in terms:
+            rows[f][column] += x
+    solved = []
+    failures = []
+    for block in columns.values():
+        try:
+            d, values = _bareiss([rows[f] for f in block], [[rhs[f]] for f in block])
+        except NotInvertible as err:
+            failures.append(block[err.witness[1]])
+            continue
+        solved.append((block, d, [value for value, in values]))
+    if failures:
+        column = min(failures)
+        raise NotInvertible(
+            f"singular convolution system: no pivot in column {column}",
+            witness=("column", column),
+        )
+    return solved
 
 
 def fine_mobius(c: FinCategory, rig: Rig) -> FineElement:

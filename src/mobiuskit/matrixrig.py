@@ -7,12 +7,15 @@ Every exact solve in the package (coarse inverses, family tables, invert
 over an exact rig, fine convolution blocks) goes through one
 fraction-free elimination, _bareiss, sparse at every step whose pivot
 equals the one before, and lands its integer result Y / d in a rig
-through the rig's from_quotient (_land), with one exception
-on the route of invert_counting_matrix: a matrix with int nonzero entries,
-unitriangular up to a simultaneous permutation of its rows and columns,
-as the hom-counts of a Mobius category are along a linear extension,
-is solved with d = 1 by _unitriangular_inverse, in one forward pass of
-Rota's recursion mu(a,b) = -sum mu(a,c) zeta(c,b).  Every count-matrix
+through the rig's from_quotient (_land), with two exceptions that
+find their order with one helper, _kahn_order.  On the route of
+invert_counting_matrix, a matrix with int nonzero entries, unitriangular
+up to a simultaneous permutation of its rows and columns, as the
+hom-counts of a Mobius category are along a linear extension, is solved
+with d = 1 by _unitriangular_inverse, in one forward pass of Rota's
+recursion mu(a,b) = -sum mu(a,c) zeta(c,b).  A fine convolution system
+of the same shape, zeta's in a Mobius category among them, is solved
+forward in incidence.fine_invert.  Every count-matrix
 inverse is invert_counting_matrix's, under one rig rule: the rig needs
 from_quotient, and over a rig without division the inverse must be
 integral.  A rig whose equality has a tolerance (Rig.exact False, the
@@ -415,6 +418,19 @@ def _to_integers(values):
     return e, [p * (e // q) for p, q in ratios]
 
 
+def _kahn_order(later, indegree):
+    """The indices 0..n-1 in an order where k comes before j for every
+    (j, _) in later[k], or None when those pairs form a cycle (Kahn's
+    algorithm).  indegree[j] counts the pairs naming j, and is used up."""
+    order = [k for k, count in enumerate(indegree) if not count]
+    for k in order:  # grows while it is walked
+        for j, _ in later[k]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+    return order if len(order) == len(later) else None
+
+
 def _unitriangular_inverse(rows):
     """The inverse of a matrix whose diagonal entries are the int 1, whose
     other nonzero entries are ints, and whose off-diagonal nonzero pattern
@@ -441,13 +457,8 @@ def _unitriangular_inverse(rows):
         for j, _ in support:
             indegree[j] += 1
         later.append(support)
-    order = [k for k in range(n) if not indegree[k]]
-    for k in order:  # grows while it is walked
-        for j, _ in later[k]:
-            indegree[j] -= 1
-            if not indegree[j]:
-                order.append(j)
-    if len(order) < n:
+    order = _kahn_order(later, indegree)
+    if order is None:
         return None
     inverse = [None] * n
     for position, m in enumerate(order):

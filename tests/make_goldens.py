@@ -23,6 +23,7 @@ CASES = [
     ("mobius_patch_six", ["mobius", "--algebra", "patch", "--category", "{D}/six.json"]),
     ("mobius_patch_c2_int", ["mobius", "--algebra", "patch", "--category", "{D}/group_c2.json", "--rig", "int"]),
     ("mobius_fine_c2", ["mobius", "--algebra", "fine", "--category", "{D}/group_c2.json"]),
+    ("mobius_fine_square_int", ["mobius", "--algebra", "fine", "--category", "{D}/square.json", "--rig", "int"]),
     ("euler_c2", ["euler", "--category", "{D}/group_c2.json"]),
     ("euler_six", ["euler", "--category", "{D}/six.json"]),
     ("nerve_euler_square", ["nerve-euler", "--category", "{D}/square.json"]),

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -33,7 +34,8 @@ from corpus import (
     terminal_category,
     walking_iso_category,
 )
-from mobiuskit.errors import NotInvertible, NotNerveFinite, RigMismatch, UnsupportedRig
+from mobiuskit.errors import MalformedInput, NotInvertible, NotNerveFinite, RigMismatch, UnsupportedRig
+from mobiuskit.fileio import load_category
 from mobiuskit import incidence
 from mobiuskit.incidence import (
     FineElement,
@@ -196,24 +198,34 @@ def test_hall_oracle_agrees_with_linear_solve():
 
 def shuffled_random_poset(rng, n):
     """Random poset whose objects are listed in a random order, so the
-    arrows out of an object are not sorted by a linear extension and the
-    block solve has to pivot off the diagonal."""
+    arrows out of an object are not sorted by a linear extension: the
+    forward pass has to find its order, and the block solve has to pivot
+    off the diagonal."""
     relation = random_poset_relation(rng, n)
     elements = list(range(n))
     rng.shuffle(elements)
     return poset_to_category(elements, relation)
 
 
-def test_block_solve_matches_hall_oracle_at_scale():
+def decline(*args):
+    """Stands in for incidence._forward_pass, so that every system goes to
+    the Bareiss blocks."""
+    return None
+
+
+def test_block_solve_matches_hall_oracle_at_scale(monkeypatch):
     rng = random.Random(61)
     cats = [
         product(chain_category(6), chain_category(6)),
         divisor_poset_category(720),
     ] + [shuffled_random_poset(rng, n) for n in (20, 25, 30)]
-    for cat in cats:
-        counted = chain_counts(cat)
-        for rig in (INT, RAT):
-            assert fine_mobius(cat, rig).values == counted
+    counts = [chain_counts(cat) for cat in cats]
+    for forward in (True, False):
+        if not forward:
+            monkeypatch.setattr(incidence, "_forward_pass", decline)
+        for cat, counted in zip(cats, counts):
+            for rig in (INT, RAT):
+                assert fine_mobius(cat, rig).values == counted
 
 
 def random_free_dag_categories(seed, count):
@@ -228,18 +240,26 @@ def random_free_dag_categories(seed, count):
     return cats
 
 
-def test_block_solve_matches_leroux_chain_count_on_non_thin_categories():
+def no_bareiss(rows, rhs):
+    raise AssertionError("a Bareiss block ran")
+
+
+def test_forward_pass_matches_leroux_chain_count_on_non_thin_categories(monkeypatch):
     # Leroux's formula: mu(f) = sum over n of (-1)^n (chains of n
     # non-identity arrows composing to f), on Mobius categories whose
-    # hom-sets are not thin, at sizes where the block solve matters
-    dinj, dsurj = builtin("dinj"), builtin("dsurj")
+    # hom-sets are not thin, up to free categories of 2000+ arrows.  The
+    # Bareiss blocks are patched to fail, so the forward pass served all
+    monkeypatch.setattr(incidence, "_bareiss", no_bareiss)
     cats = [
         materialize("dinj", 0, 7),
         materialize("dinj", 0, 8),
         materialize("dsurj", 9, 1),
         product(chain_category(8), chain_category(8)),
     ]
-    free = random_free_dag_categories(83, 4)
+    free = random_free_dag_categories(83, 4) + [
+        free_category_on_acyclic_graph(random_dag(random.Random(seed), 13, 0.35, 2)) for seed in (1, 4)
+    ]
+    assert [len(cat.arrows) for cat in free[-2:]] == [2101, 2310]
     for cat in cats + free:
         counted = chain_counts(cat)
         for rig in (INT, RAT):
@@ -299,6 +319,112 @@ def test_first_dependent_column_wins_across_singular_blocks():
         with pytest.raises(NotInvertible, match=r"^singular convolution system: no pivot in column 5$") as err:
             fine_mobius(cat, rig)
         assert err.value.witness == ("column", 5)
+
+
+def test_forward_pass_matches_the_block_solve_on_the_corpus(monkeypatch):
+    # the forward pass and the Bareiss blocks solve the same system, so
+    # values, refusals, messages and witnesses agree, on zeta and on a
+    # random integer element that is 1 on identities, over int, rat and
+    # real; the blocks run when _forward_pass declines
+    solve = incidence._forward_pass
+    served = []
+
+    def recording_pass(*args):
+        w = solve(*args)
+        served.append(w is not None)
+        return w
+
+    rng = random.Random(17)
+    forward = 0
+    for cat in certificate_corpus():
+        values = {n: 1 if cat.is_identity(n) else rng.randint(-2, 2) for n in cat.arrow_names()}
+        elements = [fine_zeta(cat, rig) for rig in (INT, RAT, REAL)] + [
+            FineElement(cat, INT, values),
+            FineElement(cat, RAT, {n: Fraction(v) for n, v in values.items()}),
+            FineElement(cat, REAL, {n: float(v) for n, v in values.items()}),
+        ]
+        monkeypatch.setattr(incidence, "_forward_pass", recording_pass)
+        fast = [fine_invert_outcome(x) for x in elements]
+        forward += served[0]  # zeta over int
+        served.clear()
+        monkeypatch.setattr(incidence, "_forward_pass", decline)
+        blocks = [fine_invert_outcome(x) for x in elements]
+        # repr: the same values, of the same types, in the same order
+        assert repr(blocks) == repr(fast)
+    assert forward >= 300
+
+
+def non_associative_table_with_an_order():
+    """Objects 0 < 1 < 2 < 3 with a: 0 -> 1, b: 1 -> 2, c: 2 -> 3 and the
+    parallel pairs p, p' : 0 -> 2, q, q' : 1 -> 3 and r, r' : 0 -> 3, where
+    c o (b o a) = c o p = r but (c o b) o a = q o a = r'.  Every non-identity
+    factorization runs along 0 < 1 < 2 < 3, so the system has an order."""
+    arrows = [(f"1{o}", o, o) for o in range(4)] + [
+        ("a", 0, 1), ("b", 1, 2), ("c", 2, 3), ("p", 0, 2), ("p'", 0, 2),
+        ("q", 1, 3), ("q'", 1, 3), ("r", 0, 3), ("r'", 0, 3),
+    ]
+    compose = {("b", "a"): "p", ("c", "b"): "q", ("c", "p"): "r", ("q", "a"): "r'",
+               ("c", "p'"): "r'", ("q'", "a"): "r"}
+    for name, s, t in arrows:
+        compose[(f"1{t}", name)] = name
+        compose[(name, f"1{s}")] = name
+    return FinCategory(range(4), arrows, {o: f"1{o}" for o in range(4)}, compose)
+
+
+def test_a_non_associative_table_with_an_order_fails_the_certificate(monkeypatch):
+    cat = non_associative_table_with_an_order()
+    assert cat.validate().law == "associativity"
+    monkeypatch.setattr(incidence, "_bareiss", no_bareiss)
+    for rig in (INT, RAT, REAL):
+        with pytest.raises(NotInvertible, match=r"^left inverse exists but is not two-sided$") as err:
+            fine_mobius(cat, rig)
+        assert err.value.witness == ("one-sided", None)
+
+
+def test_a_composite_starting_elsewhere_is_malformed_on_both_paths(monkeypatch):
+    # 1b o 1b lands on 1a, an arrow out of another object
+    arrows = [("1a", "a", "a"), ("1b", "b", "b")]
+    cat = FinCategory(("a", "b"), arrows, {"a": "1a", "b": "1b"}, {("1a", "1a"): "1a", ("1b", "1b"): "1a"})
+    message = r"^compose\('1b', '1b'\) = '1a': the composite starts at 'a', not at the source 'b' of '1b'$"
+    with pytest.raises(MalformedInput, match=message):
+        fine_mobius(cat, RAT)
+    monkeypatch.setattr(incidence, "_forward_pass", decline)
+    with pytest.raises(MalformedInput, match=message):
+        fine_mobius(cat, RAT)
+
+
+def test_systems_without_a_unit_diagonal_order_take_the_blocks(monkeypatch):
+    # e != 1, a diagonal coefficient 2 (composite_endpoints.json, where
+    # g o f = f adds x(g) to the coefficient of w(f)), and the cycle of a
+    # group of order 2 under zeta and under 1 + 2s, both unit-diagonal
+    solve, bareiss = incidence._forward_pass, incidence._bareiss
+    calls = []
+    monkeypatch.setattr(incidence, "_forward_pass", lambda *args: calls.append("pass") or solve(*args))
+    monkeypatch.setattr(incidence, "_bareiss", lambda rows, rhs: calls.append("block") or bareiss(rows, rhs))
+
+    chain3 = chain_category(3)
+    half = FineElement(chain3, RAT, {n: Fraction(1, 2) for n in chain3.arrow_names()})
+    assert fine_invert(half).values == {n: 2 * v for n, v in chain_counts(chain3).items()}
+    assert calls == ["block"] * 3
+
+    calls.clear()
+    endpoints = load_category(os.path.join(os.path.dirname(__file__), "data", "composite_endpoints.json"))
+    with pytest.raises(NotInvertible, match=r"^singular convolution system: no pivot in column 3$") as err:
+        fine_mobius(endpoints, RAT)
+    assert err.value.witness == ("column", 3)
+    assert calls == ["pass", "block", "block"]
+
+    c2 = cyclic_group_category(2)
+    calls.clear()
+    with pytest.raises(NotInvertible, match=r"^singular convolution system: no pivot in column 1$"):
+        fine_mobius(c2, RAT)
+    assert calls == ["pass", "block"]
+    calls.clear()
+    one, s = c2.arrow_names()
+    assert c2.is_identity(one)
+    x = FineElement(c2, RAT, {one: Fraction(1), s: Fraction(2)})
+    assert fine_invert(x).values == {one: Fraction(-1, 3), s: Fraction(2, 3)}
+    assert calls == ["pass", "block"]
 
 
 def test_verify_inverse_examples():

@@ -342,6 +342,13 @@ def test_unitriangular_pass_matches_bareiss():
     assert matrixrig._unitriangular_inverse([[1, 1, 0], [0, 1, 1], [0, 0, 1]]) == [[1, -1, 1], [0, 1, -1], [0, 0, 1]]
 
 
+def test_kahn_order():
+    # k comes before j for every (j, _) in later[k]; a cycle gives None
+    assert matrixrig._kahn_order([[(2, 1)], [(0, 5), (2, -1)], []], [1, 0, 2]) == [1, 0, 2]
+    assert matrixrig._kahn_order([[(1, 1)], [(0, 1)], []], [1, 1, 0]) is None
+    assert matrixrig._kahn_order([], []) == []
+
+
 def test_family_count_matrices_take_the_forward_pass():
     for family, start, end in (("dinj", 0, 240), ("dsurj", 0, 240), ("nat_leq", 0, 240), ("divisibility", 1, 500)):
         oracle = builtin(family)
