@@ -66,7 +66,7 @@ class FinCategory:
         arrows = tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows)
         if len(set(objects)) != len(objects):
             raise MalformedInput("duplicate object identifiers")
-        names = [a.name for a in arrows]
+        names = tuple(a.name for a in arrows)
         if len(set(names)) != len(names):
             raise MalformedInput("duplicate arrow names")
         by_name = {a.name: a for a in arrows}
@@ -92,6 +92,7 @@ class FinCategory:
                     raise MalformedInput(f"compose entry ({g!r},{f!r})->{gf!r} names unknown arrows")
         self.objects = objects
         self.arrows = arrows
+        self._names = names
         self.identity = identity
         self.compose = compose
         self._by_name = by_name
@@ -138,7 +139,7 @@ class FinCategory:
         return name in self._identity_names
 
     def arrow_names(self) -> tuple:
-        return tuple(a.name for a in self.arrows)
+        return self._names
 
     def composable_pairs(self) -> Iterator[tuple]:
         """All (g, f) with tgt(f) = src(g), g then f in arrow order."""

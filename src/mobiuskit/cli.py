@@ -161,6 +161,15 @@ def _report(command: str, rig_name: str, results: dict) -> dict:
     return {"command": command, "rig": rig_name, "results": results, "warnings": []}
 
 
+def _broken_law(command: str, rig_name: str, cat):
+    """The report and exit code of the first category law cat breaks, as
+    validate names it, or None when it obeys them all."""
+    validation = validate_category(cat)
+    if not validation.ok:
+        results = {"category_valid": False, "law": validation.law, "witness": validation.witness}
+        return _report(command, rig_name, results), EXIT_NEGATIVE
+
+
 def cmd_validate(args):
     cat = load_category(args.category)
     report = validate_category(cat)
@@ -257,10 +266,8 @@ def cmd_nerve_euler(args):
     cat = load_category(args.category)
     # the chain count is the coarse inverse only for a table that obeys the
     # laws, so a broken law is reported as classify reports it
-    validation = validate_category(cat)
-    if not validation.ok:
-        results = {"category_valid": False, "law": validation.law, "witness": validation.witness}
-        return _report("nerve-euler", "int", results), EXIT_NEGATIVE
+    if broken := _broken_law("nerve-euler", "int", cat):
+        return broken
     try:
         value = nerve_euler_characteristic(cat)
     except NotNerveFinite as e:
@@ -333,10 +340,8 @@ def cmd_classify(args):
     # one is reported as validate reports it.  The inversions come first
     # only so that a composite starting at another object stays malformed
     # input to the fine solve (exit 1), as in mobius and compare
-    validation = validate_category(cat)
-    if not validation.ok:
-        results = {"category_valid": False, "law": validation.law, "witness": validation.witness}
-        return _report("classify", "rat", results), EXIT_NEGATIVE
+    if broken := _broken_law("classify", "rat", cat):
+        return broken
     report = endomorphism_report(cat)
     results = {
         "skeletal": is_skeletal(cat),

@@ -5,10 +5,13 @@ elements on object pairs with support restricted to nonempty hom-sets.
 Zeta, Mobius, the summation homomorphisms between the levels, Euler
 characteristic, and the nerve Euler characteristic all live here.
 
-Fine inversion solves one linear system in integers.  When that system is
-unitriangular along some order of the arrows, as zeta's is in a Mobius
-category (Leroux), it is solved in one forward pass along Kahn's order;
-every other system goes, one block per object, to matrixrig._bareiss.
+Fine inversion solves one linear system in integers, to one (d, W) with
+solution W / d.  When that system is unitriangular along some order of
+the arrows, as zeta's is in a Mobius category (Leroux), it is solved with
+d = 1 in one forward pass along Kahn's order, by the push that also
+inverts unitriangular count matrices (matrixrig._push_forward); every
+other system goes, one block per object, to matrixrig._bareiss, and d is
+the LCM of the block determinants.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .matrixrig import (
     _bareiss,
     _kahn_order,
     _land,
+    _push_forward,
     _to_integers,
     invert_counting_matrix,
 )
@@ -181,21 +185,23 @@ def fine_invert(x: FineElement) -> FineElement:
     coefficients.  When e = 1, every diagonal coefficient is 1 and the
     off-diagonal terms, read as "g before f", have a Kahn order, the
     system is unitriangular along that order and solves forward with
-    d = 1 (_forward_pass).  In a Mobius category zeta always qualifies
-    (Leroux): h o f = f forces h to be an identity, and h o g = f with h
-    not an identity leads from the target of g to another target, up a
-    partial order of the objects.  Groups, nontrivial idempotents and
-    scaled elements do not qualify.  The rule reads the system, not the
-    category, since fine_mobius does not validate the laws: a table that
-    breaks them either has a system that qualifies, with the same unique
-    solution on either route, or goes to the blocks as before.
+    d = 1, by the push that also inverts unitriangular count matrices
+    (matrixrig._kahn_order, matrixrig._push_forward).  In a Mobius
+    category zeta always qualifies (Leroux): h o f = f forces h to be an
+    identity, and h o g = f with h not an identity leads from the target
+    of g to another target, up a partial order of the objects.  Groups,
+    nontrivial idempotents and scaled elements do not qualify.  The rule
+    reads the system, not the category, since fine_mobius does not
+    validate the laws: a table that breaks them either has a system that
+    qualifies, with the same unique solution on either route, or goes to
+    the blocks.
 
     Every other system is block-diagonal: (w * x)(f) involves only w(g)
     with src(g) = src(f), so each source object has one block, holding
     the arrows out of it in global arrow order, and each block goes to
     the fraction-free kernel matrixrig._bareiss, the one that also
     inverts coarse zeta matrices (_block_solve).  Both routes give the
-    unique solution of the same system, and share every later step.
+    unique solution of the same system as values W / d, in integers.
 
     The certificate checks x * w = delta only.  w * x = delta holds
     exactly, since the system was solved over the rationals, and in a
@@ -203,10 +209,8 @@ def fine_invert(x: FineElement) -> FineElement:
     a right inverse.  A composition table that is not associative, which
     fine_mobius does not validate, breaks that argument, even when the
     system has an order, and there this check is what refuses a
-    one-sided answer.  The check runs on integers: the solution comes as
-    values W / d, one d per block (d = 1 on the forward pass), and with D
-    the LCM of the d and W' = W D / d it tests
-    sum X(g) W'(h) = e D [f is an identity].  The same exact check serves
+    one-sided answer.  The check runs on integers: it tests
+    sum X(g) W(h) = e d [f is an identity].  The same exact check serves
     the floating reals, whose values are the exact solution rounded once.
 
     The checks run in this order: a composite that does not start where
@@ -236,7 +240,6 @@ def fine_invert(x: FineElement) -> FineElement:
     # arrows in arrow order, so f counts along the arrow indices
     diagonal = [0] * n
     later = [[] for _ in range(n)]
-    indegree = [0] * n
     factorizations = c.factorizations()
     for f, (f_name, pairs) in enumerate(factorizations.items()):
         a = sources[f]
@@ -251,69 +254,34 @@ def fine_invert(x: FineElement) -> FineElement:
                 diagonal[f] += scaled_x[h]
             else:
                 later[g].append((f, scaled_x[h]))
-                indegree[f] += 1
     rhs = [e if c.is_identity(name) else 0 for name in names]
-    w = _forward_pass(diagonal, later, indegree, rhs) if e == 1 else None
-    # solved holds (global indices, d, scaled values), the values W / d
-    if w is not None:
-        solved = [(range(n), 1, w)]
+    order = _kahn_order(later) if e == 1 and all(coefficient == 1 for coefficient in diagonal) else None
+    if order is None:
+        d, w = _block_solve(sources, diagonal, later, rhs)
     else:
-        solved = _block_solve(sources, diagonal, later, rhs)
-    if not rig.has_division:
-        non_integral = [(i, value, d) for columns, d, values in solved
-                        for i, value in zip(columns, values) if value % d]
-        if non_integral:
-            i, value, d = min(non_integral)
-            val = Fraction(value, d)
-            raise NotInvertible(
-                f"inverse value on arrow {names[i]!r} = {val} is not an integer",
-                witness=("non-integral", names[i], str(val)),
-            )
-    # (x * w)(f) = sum over h o g = f of x(g) w(h), on the common denominator e D
-    common = lcm(*(d for _, d, _ in solved))
-    scaled_w = {}
-    for columns, d, values in solved:
-        k = common // d
-        for i, value in zip(columns, values):
-            scaled_w[names[i]] = value * k
+        d, w = 1, _push_forward(list(rhs), order, later)
+    if d != 1 and not rig.has_division:
+        for name, value in zip(names, w):
+            if value % d:
+                val = Fraction(value, d)
+                raise NotInvertible(
+                    f"inverse value on arrow {name!r} = {val} is not an integer",
+                    witness=("non-integral", name, str(val)),
+                )
+    # (x * w)(f) = sum over h o g = f of x(g) w(h), on the common denominator e d
+    scaled_w = dict(zip(names, w))
     for pairs, b in zip(factorizations.values(), rhs):
-        if sum(scaled_x[g] * scaled_w[h] for g, h in pairs) != b * common:
+        if sum(scaled_x[g] * scaled_w[h] for g, h in pairs) != b * d:
             raise NotInvertible(
                 "left inverse exists but is not two-sided",
                 witness=("one-sided", None),
             )
-    solution = [None] * n
-    for columns, d, values in solved:
-        for i, value in zip(columns, _land(rig, d, [values])[0]):
-            solution[i] = value
-    return FineElement(c, rig, dict(zip(names, solution)))
-
-
-def _forward_pass(diagonal, later, indegree, rhs):
-    """The solution w of the system when every diagonal coefficient is 1
-    and the off-diagonal terms form no cycle, else None.
-
-    Along Kahn's order every g with a term in row f comes before f, so
-    w(f) = rhs(f) - sum over those terms of w(g) X(h) is final when f is
-    reached, and pushes its own terms forward.
-    """
-    if any(coefficient != 1 for coefficient in diagonal):
-        return None
-    order = _kahn_order(later, indegree)
-    if order is None:
-        return None
-    w = list(rhs)
-    for g in order:
-        value = w[g]
-        if value:
-            for f, x in later[g]:
-                w[f] -= value * x
-    return w
+    return FineElement(c, rig, dict(zip(names, _land(rig, d, [w])[0])))
 
 
 def _block_solve(sources, diagonal, later, rhs):
-    """Bareiss on each per-source block of the system; [(global indices,
-    d, scaled values)] with w = values / d on those arrows.
+    """Bareiss on each per-source block of the system; (d, W) with
+    w = W / d and d the LCM of the block determinants.
 
     Block a holds the arrows out of a in global order, its rows and
     columns alike.  A singular system names the smallest global column
@@ -336,18 +304,22 @@ def _block_solve(sources, diagonal, later, rhs):
     failures = []
     for block in columns.values():
         try:
-            d, values = _bareiss([rows[f] for f in block], [[rhs[f]] for f in block])
+            solved.append((block, *_bareiss([rows[f] for f in block], [[rhs[f]] for f in block])))
         except NotInvertible as err:
             failures.append(block[err.witness[1]])
-            continue
-        solved.append((block, d, [value for value, in values]))
     if failures:
         column = min(failures)
         raise NotInvertible(
             f"singular convolution system: no pivot in column {column}",
             witness=("column", column),
         )
-    return solved
+    d = lcm(*(block_d for _, block_d, _ in solved))
+    w = [0] * len(sources)
+    for block, block_d, values in solved:
+        k = d // block_d
+        for f, (value,) in zip(block, values):
+            w[f] = value * k
+    return d, w
 
 
 def fine_mobius(c: FinCategory, rig: Rig) -> FineElement:

@@ -8,14 +8,16 @@ over an exact rig, fine convolution blocks) goes through one
 fraction-free elimination, _bareiss, sparse at every step whose pivot
 equals the one before, and lands its integer result Y / d in a rig
 through the rig's from_quotient (_land), with two exceptions that
-find their order with one helper, _kahn_order.  On the route of
+share one forward solve: a system that is unitriangular along Kahn's
+order (_kahn_order) is solved with d = 1 by pushing each final unknown
+into the later ones (_push_forward).  On the route of
 invert_counting_matrix, a matrix with int nonzero entries, unitriangular
 up to a simultaneous permutation of its rows and columns, as the
-hom-counts of a Mobius category are along a linear extension, is solved
-with d = 1 by _unitriangular_inverse, in one forward pass of Rota's
+hom-counts of a Mobius category are along a linear extension, is
+inverted by _unitriangular_inverse, one push per row, which is Rota's
 recursion mu(a,b) = -sum mu(a,c) zeta(c,b).  A fine convolution system
-of the same shape, zeta's in a Mobius category among them, is solved
-forward in incidence.fine_invert.  Every count-matrix
+of the same shape, zeta's in a Mobius category among them, is solved by
+one push in incidence.fine_invert.  Every count-matrix
 inverse is invert_counting_matrix's, under one rig rule: the rig needs
 from_quotient, and over a rig without division the inverse must be
 integral.  A rig whose equality has a tolerance (Rig.exact False, the
@@ -418,10 +420,14 @@ def _to_integers(values):
     return e, [p * (e // q) for p, q in ratios]
 
 
-def _kahn_order(later, indegree):
+def _kahn_order(later):
     """The indices 0..n-1 in an order where k comes before j for every
     (j, _) in later[k], or None when those pairs form a cycle (Kahn's
-    algorithm).  indegree[j] counts the pairs naming j, and is used up."""
+    algorithm).  A j named twice in later[k] counts twice."""
+    indegree = [0] * len(later)
+    for terms in later:
+        for j, _ in terms:
+            indegree[j] += 1
     order = [k for k, count in enumerate(indegree) if not count]
     for k in order:  # grows while it is walked
         for j, _ in later[k]:
@@ -429,6 +435,20 @@ def _kahn_order(later, indegree):
             if not indegree[j]:
                 order.append(j)
     return order if len(order) == len(later) else None
+
+
+def _push_forward(w, order, later):
+    """Solve w . A = b in place and return w, where w holds b on entry and
+    A is the matrix with unit diagonal and entries a(k, j) = x for the
+    (j, x) in later[k], upper triangular along order.  Each w(k), final
+    once every index before k has been pushed, pushes -w(k) a(k, j) into
+    the later w(j).  Indices outside order are neither read nor pushed."""
+    for k in order:
+        v = w[k]
+        if v:
+            for j, x in later[k]:
+                w[j] -= v * x
+    return w
 
 
 def _unitriangular_inverse(rows):
@@ -441,35 +461,24 @@ def _unitriangular_inverse(rows):
     Kahn's algorithm orders the indices so that k comes before j whenever
     rows[k][j] is a nonzero off-diagonal entry; along that order the
     matrix is upper unitriangular, and so is its inverse Y.  Row m of
-    Y . X = I then solves forward: y(m,m) = 1, and each nonzero y(m,k),
-    final once every index before k has been pushed, pushes
-    -y(m,k) x(k,j) into the later columns j.  The walk visits every index
-    after m, not only row m's support, because Y may be nonzero where X
-    is zero when the pattern is not transitive.
+    Y . X = I then solves forward (_push_forward) from y(m,m) = 1.  The
+    pass walks every index after m, not only row m's support, because Y
+    may be nonzero where X is zero when the pattern is not transitive.
     """
     n = len(rows)
     later = []  # later[k]: the (j, x) with x = rows[k][j] nonzero, j != k
-    indegree = [0] * n
     for k, row in enumerate(rows):
         if row[k] != 1 or not all(map(isinstance, compress(row, row), repeat(int))):
             return None
-        support = [(j, row[j]) for j in compress(range(n), row) if j != k]
-        for j, _ in support:
-            indegree[j] += 1
-        later.append(support)
-    order = _kahn_order(later, indegree)
+        later.append([(j, row[j]) for j in compress(range(n), row) if j != k])
+    order = _kahn_order(later)
     if order is None:
         return None
     inverse = [None] * n
     for position, m in enumerate(order):
         y = [0] * n
         y[m] = 1
-        for k in order[position:]:
-            v = y[k]
-            if v:
-                for j, x in later[k]:
-                    y[j] -= v * x
-        inverse[m] = y
+        inverse[m] = _push_forward(y, order[position:], later)
     return inverse
 
 

@@ -45,6 +45,9 @@ def test_terminal_category_is_valid():
 def test_six_example_closes_to_five_arrows():
     six = six_example_category()
     assert len(six.arrows) == 5
+    assert six.arrow_names() == ("1a", "1b", "s", "i", "e")
+    # built once, in the constructor
+    assert six.arrow_names() is six.arrow_names()
     assert validate_category(six).ok
     # s o i = 1_b and i o s is the idempotent
     assert six.compose[("s", "i")] == "1b"

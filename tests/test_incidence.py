@@ -7,7 +7,9 @@ import pytest
 
 from mobiuskit.category import (
     FinCategory,
+    coproduct,
     is_mobius_category,
+    monoid_to_category,
     patch_objects,
     poset_to_category,
     product,
@@ -207,9 +209,9 @@ def shuffled_random_poset(rng, n):
     return poset_to_category(elements, relation)
 
 
-def decline(*args):
-    """Stands in for incidence._forward_pass, so that every system goes to
-    the Bareiss blocks."""
+def decline(later):
+    """Stands in for incidence._kahn_order: no order, so that every system
+    goes to the Bareiss blocks."""
     return None
 
 
@@ -222,7 +224,7 @@ def test_block_solve_matches_hall_oracle_at_scale(monkeypatch):
     counts = [chain_counts(cat) for cat in cats]
     for forward in (True, False):
         if not forward:
-            monkeypatch.setattr(incidence, "_forward_pass", decline)
+            monkeypatch.setattr(incidence, "_kahn_order", decline)
         for cat, counted in zip(cats, counts):
             for rig in (INT, RAT):
                 assert fine_mobius(cat, rig).values == counted
@@ -321,18 +323,48 @@ def test_first_dependent_column_wins_across_singular_blocks():
         assert err.value.witness == ("column", 5)
 
 
+def test_blocks_with_different_determinants_land_on_one_denominator(monkeypatch):
+    # six (blocks of determinant 1 at a and at b) beside the max-monoid on
+    # 0 < 1 < 2 (one block of determinant 6): the blocks' solutions share
+    # d = 6, and land as the rationals each block gives on its own
+    maximum = monoid_to_category(range(3), 0, {(x, y): max(x, y) for x in range(3) for y in range(3)})
+    cat = coproduct(load_category(os.path.join(os.path.dirname(__file__), "data", "six.json")), maximum)
+    bareiss = incidence._bareiss
+    determinants = []
+
+    def recording_bareiss(rows, rhs):
+        d, values = bareiss(rows, rhs)
+        determinants.append(d)
+        return d, values
+
+    monkeypatch.setattr(incidence, "_bareiss", recording_bareiss)
+    names = [("L", "1a"), ("L", "1b"), ("L", "s"), ("L", "i"), ("L", "e")] + [("R", ("el", k)) for k in range(3)]
+    expected = [1, 2, -1, -1, 0, 1, Fraction(-1, 2), Fraction(-1, 6)]
+    mu = fine_mobius(cat, RAT)
+    assert determinants == [1, 1, 6]
+    assert list(mu.values) == names
+    assert list(mu.values.values()) == expected
+    assert all(type(v) is Fraction for v in mu.values.values())
+    real = list(fine_mobius(cat, REAL).values.values())
+    assert real == [1.0, 2.0, -1.0, -1.0, 0.0, 1.0, -0.5, -0.16666666666666666]
+    assert all(type(v) is float for v in real)
+    with pytest.raises(NotInvertible) as err:
+        fine_mobius(cat, INT)
+    assert str(err.value) == "inverse value on arrow ('R', ('el', 1)) = -1/2 is not an integer"
+    assert err.value.witness == ("non-integral", ("R", ("el", 1)), "-1/2")
+
+
 def test_forward_pass_matches_the_block_solve_on_the_corpus(monkeypatch):
     # the forward pass and the Bareiss blocks solve the same system, so
     # values, refusals, messages and witnesses agree, on zeta and on a
     # random integer element that is 1 on identities, over int, rat and
-    # real; the blocks run when _forward_pass declines
-    solve = incidence._forward_pass
+    # real; the blocks run when _kahn_order finds no order
+    push = incidence._push_forward
     served = []
 
-    def recording_pass(*args):
-        w = solve(*args)
-        served.append(w is not None)
-        return w
+    def recording_push(*args):
+        served.append(True)
+        return push(*args)
 
     rng = random.Random(17)
     forward = 0
@@ -343,12 +375,14 @@ def test_forward_pass_matches_the_block_solve_on_the_corpus(monkeypatch):
             FineElement(cat, RAT, {n: Fraction(v) for n, v in values.items()}),
             FineElement(cat, REAL, {n: float(v) for n, v in values.items()}),
         ]
-        monkeypatch.setattr(incidence, "_forward_pass", recording_pass)
-        fast = [fine_invert_outcome(x) for x in elements]
-        forward += served[0]  # zeta over int
+        monkeypatch.setattr(incidence, "_push_forward", recording_push)
         served.clear()
-        monkeypatch.setattr(incidence, "_forward_pass", decline)
+        fast = [fine_invert_outcome(elements[0])]
+        forward += bool(served)  # zeta over int took the pass
+        fast += [fine_invert_outcome(x) for x in elements[1:]]
+        monkeypatch.setattr(incidence, "_kahn_order", decline)
         blocks = [fine_invert_outcome(x) for x in elements]
+        monkeypatch.undo()
         # repr: the same values, of the same types, in the same order
         assert repr(blocks) == repr(fast)
     assert forward >= 300
@@ -388,7 +422,7 @@ def test_a_composite_starting_elsewhere_is_malformed_on_both_paths(monkeypatch):
     message = r"^compose\('1b', '1b'\) = '1a': the composite starts at 'a', not at the source 'b' of '1b'$"
     with pytest.raises(MalformedInput, match=message):
         fine_mobius(cat, RAT)
-    monkeypatch.setattr(incidence, "_forward_pass", decline)
+    monkeypatch.setattr(incidence, "_kahn_order", decline)
     with pytest.raises(MalformedInput, match=message):
         fine_mobius(cat, RAT)
 
@@ -396,10 +430,12 @@ def test_a_composite_starting_elsewhere_is_malformed_on_both_paths(monkeypatch):
 def test_systems_without_a_unit_diagonal_order_take_the_blocks(monkeypatch):
     # e != 1, a diagonal coefficient 2 (composite_endpoints.json, where
     # g o f = f adds x(g) to the coefficient of w(f)), and the cycle of a
-    # group of order 2 under zeta and under 1 + 2s, both unit-diagonal
-    solve, bareiss = incidence._forward_pass, incidence._bareiss
+    # group of order 2 under zeta and under 1 + 2s, both unit-diagonal, so
+    # only these two look for an order ("kahn"), and find none
+    kahn, push, bareiss = incidence._kahn_order, incidence._push_forward, incidence._bareiss
     calls = []
-    monkeypatch.setattr(incidence, "_forward_pass", lambda *args: calls.append("pass") or solve(*args))
+    monkeypatch.setattr(incidence, "_kahn_order", lambda later: calls.append("kahn") or kahn(later))
+    monkeypatch.setattr(incidence, "_push_forward", lambda *args: calls.append("pass") or push(*args))
     monkeypatch.setattr(incidence, "_bareiss", lambda rows, rhs: calls.append("block") or bareiss(rows, rhs))
 
     chain3 = chain_category(3)
@@ -412,19 +448,19 @@ def test_systems_without_a_unit_diagonal_order_take_the_blocks(monkeypatch):
     with pytest.raises(NotInvertible, match=r"^singular convolution system: no pivot in column 3$") as err:
         fine_mobius(endpoints, RAT)
     assert err.value.witness == ("column", 3)
-    assert calls == ["pass", "block", "block"]
+    assert calls == ["block", "block"]
 
     c2 = cyclic_group_category(2)
     calls.clear()
     with pytest.raises(NotInvertible, match=r"^singular convolution system: no pivot in column 1$"):
         fine_mobius(c2, RAT)
-    assert calls == ["pass", "block"]
+    assert calls == ["kahn", "block"]
     calls.clear()
     one, s = c2.arrow_names()
     assert c2.is_identity(one)
     x = FineElement(c2, RAT, {one: Fraction(1), s: Fraction(2)})
     assert fine_invert(x).values == {one: Fraction(-1, 3), s: Fraction(2, 3)}
-    assert calls == ["pass", "block"]
+    assert calls == ["kahn", "block"]
 
 
 def test_verify_inverse_examples():

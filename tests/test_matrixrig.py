@@ -343,10 +343,13 @@ def test_unitriangular_pass_matches_bareiss():
 
 
 def test_kahn_order():
-    # k comes before j for every (j, _) in later[k]; a cycle gives None
-    assert matrixrig._kahn_order([[(2, 1)], [(0, 5), (2, -1)], []], [1, 0, 2]) == [1, 0, 2]
-    assert matrixrig._kahn_order([[(1, 1)], [(0, 1)], []], [1, 1, 0]) is None
-    assert matrixrig._kahn_order([], []) == []
+    # k comes before j for every (j, _) in later[k]; a cycle gives None.  A
+    # successor named twice is counted twice, as fine_invert names f once
+    # per factorization h o g = f
+    assert matrixrig._kahn_order([[(2, 1)], [(0, 5), (2, -1)], []]) == [1, 0, 2]
+    assert matrixrig._kahn_order([[(1, 1)], [(0, 1)], []]) is None
+    assert matrixrig._kahn_order([]) == []
+    assert matrixrig._kahn_order([[(1, 1), (1, 1)], []]) == [0, 1]
 
 
 def test_family_count_matrices_take_the_forward_pass():
