@@ -135,6 +135,18 @@ class FinCategory:
     def hom(self, a, b) -> tuple:
         return self._hom.get((a, b), ())
 
+    def nonempty_homs(self) -> tuple:
+        """(cells, pairs), read off the nonempty hom-sets in one pass.
+
+        cells lists each nonempty hom(a, b) as (i, j, names), with i and j
+        the positions of a and b in objects; pairs is the frozenset of the
+        (a, b) with a map a -> b.  Every other hom-set is empty, so work
+        over all object pairs can skip them.
+        """
+        index = {a: i for i, a in enumerate(self.objects)}
+        cells = [(index[a], index[b], names) for (a, b), names in self._hom.items()]
+        return cells, frozenset(self._hom)
+
     def is_identity(self, name) -> bool:
         return name in self._identity_names
 

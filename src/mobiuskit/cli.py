@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -534,24 +535,40 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.
+
+    The cyclic garbage collector is paused for the one command: parsing,
+    the handler and rendering.  A large load allocates hundreds of
+    thousands of tuples and dicts that live to the end of the command, and
+    each collection would walk them again.  Reference counting still frees
+    everything outside a cycle at once; a cycle waits for the first
+    collection after the command.  A finally then restores the collector
+    state the caller had, whether the command succeeds, fails or raises.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_OK if e.code in (0, None) else EXIT_MALFORMED
-    started = time.perf_counter()
-    try:
-        report, code = args.handler(args)
-    except (MalformedInput, UnsupportedRig, BudgetExceeded) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except MobiusKitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    if args.timing:
-        report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    sys.stdout.write(_dumps(report) + "\n")
-    return code
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:
+            return EXIT_OK if e.code in (0, None) else EXIT_MALFORMED
+        started = time.perf_counter()
+        try:
+            report, code = args.handler(args)
+        except (MalformedInput, UnsupportedRig, BudgetExceeded) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_MALFORMED
+        except MobiusKitError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_NEGATIVE
+        if args.timing:
+            report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+        sys.stdout.write(_dumps(report) + "\n")
+        return code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

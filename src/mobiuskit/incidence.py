@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from math import lcm
-from operator import not_
+from operator import is_not
 
 from .category import FinCategory, is_mobius_category
 from .errors import (
@@ -109,11 +109,14 @@ class PatchElement:
     def __post_init__(self):
         if self.matrix.n != len(self.objects):
             raise RigMismatch("matrix size does not match the object list")
-        zeros = repeat(self.rig.zero)
+        zero, eq = self.rig.zero, self.rig.eq
         for a, row in zip(self.objects, self.matrix.rows):
-            # the columns of the nonzero entries of row a, in order
-            for b in compress(self.objects, map(not_, map(self.rig.eq, row, zeros))):
-                if (a, b) not in self.support:
+            # the entries of row a that are not the rig.zero object, in column
+            # order, found by a C-level identity test; only those off the
+            # support go to eq, which may still count one as zero (a second
+            # Fraction(0), or a float within the tolerance of 0.0)
+            for b, v in compress(zip(self.objects, row), map(is_not, row, repeat(zero))):
+                if (a, b) not in self.support and not eq(v, zero):
                     raise RigMismatch(
                         f"patch element has a nonzero value off-support at ({a!r},{b!r})"
                     )
@@ -334,8 +337,19 @@ def coarse_delta(c: FinCategory, rig: Rig) -> CoarseElement:
     return CoarseElement(c.objects, rig, RigMatrix.identity(rig, len(c.objects)), c)
 
 
+def _hom_rows(c: FinCategory, empty, value) -> list:
+    """Rows in object order holding value(names) at each nonempty hom-set
+    and the one object empty everywhere else, so the work is proportional
+    to the nonempty hom-sets, not to the object pairs."""
+    n = len(c.objects)
+    rows = [[empty] * n for _ in range(n)]
+    for i, j, names in c.nonempty_homs()[0]:
+        rows[i][j] = value(names)
+    return rows
+
+
 def coarse_zeta(c: FinCategory, rig: Rig) -> CoarseElement:
-    rows = [[rig.from_int(len(c.hom(a, b))) for b in c.objects] for a in c.objects]
+    rows = _hom_rows(c, rig.zero, lambda names: rig.from_int(len(names)))
     return CoarseElement(c.objects, rig, RigMatrix.from_rows(rig, rows), c)
 
 
@@ -348,9 +362,8 @@ def coarse_multiply(x: CoarseElement, y: CoarseElement) -> CoarseElement:
 
 def coarse_mobius(c: FinCategory, rig: Rig) -> CoarseElement:
     """Inverse of the hom-count matrix, exactly."""
-    counts = [[len(c.hom(a, b)) for b in c.objects] for a in c.objects]
     try:
-        inverse = invert_counting_matrix(counts, rig)
+        inverse = invert_counting_matrix(_hom_rows(c, 0, len), rig)
     except NotInvertible as e:
         if e.witness and e.witness[0] == "column":
             col = e.witness[1]
@@ -367,14 +380,13 @@ def sigma_to_coarse(x: FineElement) -> CoarseElement:
     into the coarse incidence algebra."""
     c = x.category
     rig = x.rig
-    rows = [
-        [rig.sum(x.values[f] for f in c.hom(a, b)) for b in c.objects] for a in c.objects
-    ]
+    rows = _hom_rows(c, rig.zero, lambda names: rig.sum(map(x.values.__getitem__, names)))
     return CoarseElement(c.objects, rig, RigMatrix.from_rows(rig, rows), c)
 
 
 def coarse_support(c: FinCategory) -> frozenset:
-    return frozenset((a, b) for a in c.objects for b in c.objects if c.hom(a, b))
+    """The object pairs (a, b) with a map a -> b."""
+    return c.nonempty_homs()[1]
 
 
 def sigma_to_patch(x: FineElement) -> PatchElement:

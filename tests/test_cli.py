@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -948,6 +949,51 @@ def test_reused_parser_matches_fresh_processes(monkeypatch):
     assert under_int == fresh(["euler", *six])
     monkeypatch.delenv("MOBIUSKIT_RIG")
     assert run(["euler", *six]) == plain == fresh(["euler", *six])
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_pauses_the_collector_and_restores_the_callers_state(tmp_path, monkeypatch, collecting):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"objects": [', encoding="utf-8")
+    cases = [
+        (["validate", "--category", data("six.json")], 0),
+        (["validate", "--category", str(malformed)], 1),
+        (["validate", "--category", data("six.json"), "--unknown-option"], 1),
+        (["--help"], 0),
+        (["euler", "--category", data("group_c2.json"), "--rig", "int"], 2),
+    ]
+    # the collector is off while the handler loads and while the report renders
+    seen = []
+
+    def noting(inner):
+        def noted(*args):
+            seen.append((inner.__name__, gc.isenabled()))
+            return inner(*args)
+        return noted
+
+    monkeypatch.setattr(cli, "load_category", noting(cli.load_category))
+    monkeypatch.setattr(cli, "_dumps", noting(cli._dumps))
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv, expected in cases:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) == expected
+            assert gc.isenabled() is collecting
+        # a handler that raises past main restores it too
+
+        def broken(path):
+            raise RuntimeError("load failed")
+
+        monkeypatch.setattr(cli, "load_category", noting(broken))
+        with pytest.raises(RuntimeError):
+            main(["validate", "--category", data("six.json")])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+    # _dumps also calls itself for each nested container
+    assert {name for name, _ in seen} == {"load_category", "_dumps", "broken"}
+    assert not any(enabled for _, enabled in seen)
 
 
 def test_build_parser_runs_once():

@@ -64,6 +64,7 @@ from mobiuskit.incidence import (
 )
 from mobiuskit.infinite import builtin, classical_mobius, family_mobius
 from leroux import chain_counts
+import pairwise
 from mobiuskit.matrixrig import RigMatrix, invert_counting_matrix, is_transitive
 from mobiuskit.rigs import BOOL, INT, NAT, RAT, REAL, render
 
@@ -906,6 +907,68 @@ def test_patch_element_names_the_first_offsupport_value_in_row_major_order():
                 with pytest.raises(RigMismatch) as err:
                     PatchElement(objs, rig, matrix, support, c)
                 assert str(err.value) == f"patch element has a nonzero value off-support at ({objs[i]!r},{objs[j]!r})"
+
+
+def test_patch_element_counts_eq_zeros_that_are_not_the_zero_object():
+    chain3 = chain_category(3)
+    objs, support = chain3.objects, coarse_support(chain3)
+    off = [(i, j) for i, a in enumerate(objs) for j, b in enumerate(objs) if (a, b) not in support]
+    assert off == [(1, 0), (2, 0), (2, 1)]
+    for rig, zeros, nonzero in ((RAT, [Fraction(0)], Fraction(2)), (REAL, [-0.0, 1e-13], 0.5)):
+        base = coarse_zeta(chain3, rig).matrix.rows
+        for zero in zeros:
+            # zero by eq, but not the rig.zero object, so the identity scan passes it to eq
+            assert zero is not rig.zero and rig.eq(zero, rig.zero)
+            rows = [list(row) for row in base]
+            for i, j in off:
+                rows[i][j] = zero
+            matrix = RigMatrix.from_rows(rig, rows)
+            assert PatchElement(objs, rig, matrix, support, chain3).matrix is matrix
+            # a real nonzero value off the support is named, the first in row-major order
+            rows[2][0] = rows[2][1] = nonzero
+            with pytest.raises(RigMismatch) as err:
+                PatchElement(objs, rig, RigMatrix.from_rows(rig, rows), support, chain3)
+            assert str(err.value) == f"patch element has a nonzero value off-support at ({objs[2]!r},{objs[0]!r})"
+
+
+def _coarse_outcome(compute):
+    """(type, repr) of each entry of the rows compute returns, with the
+    support it returns beside them, or the error's type, message and witness."""
+    try:
+        rows, support = compute()
+    except (NotInvertible, RigMismatch) as e:
+        return type(e).__name__, str(e), e.witness
+    return [[(type(v).__name__, repr(v)) for v in row] for row in rows], support
+
+
+def test_hom_table_reads_match_the_pair_by_pair_reference():
+    # coarse_zeta, coarse_mobius, sigma_to_coarse, coarse_support and
+    # patch_mobius read the nonempty hom-sets off FinCategory.nonempty_homs,
+    # and PatchElement sends only the entries that are not rig.zero to eq;
+    # tests/pairwise.py asks every object pair and compares every entry
+    corpus = list(named_categories().values()) + general_corpus(5, 300) + fine_invertible_corpus(7, 100)
+    refused = 0
+    for cat in corpus:
+        assert coarse_support(cat) == pairwise.support(cat)
+        for rig in (INT, RAT, REAL):
+            zeta = fine_zeta(cat, rig)
+
+            def patch():
+                mu = patch_mobius(cat, rig)
+                return mu.matrix.rows, mu.support
+
+            cases = (
+                (lambda: (coarse_zeta(cat, rig).matrix.rows, None), lambda: (pairwise.coarse_zeta_rows(cat, rig), None)),
+                (lambda: (coarse_mobius(cat, rig).matrix.rows, None), lambda: (pairwise.coarse_mobius_rows(cat, rig), None)),
+                (lambda: (sigma_to_coarse(zeta).matrix.rows, None), lambda: (pairwise.sigma_to_coarse_rows(zeta), None)),
+                (patch, lambda: (pairwise.patch_mobius_rows(cat, rig), pairwise.support(cat))),
+            )
+            for compute, reference in cases:
+                outcome = _coarse_outcome(compute)
+                assert outcome == _coarse_outcome(reference)
+                refused += len(outcome) == 3
+    # the refusals are compared too: singular and non-integral inverses
+    assert refused >= 200
 
 
 def test_sigma_to_patch_support_constraint():
