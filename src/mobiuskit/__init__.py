@@ -79,22 +79,6 @@ from .infinite import (
     oracle_zeta,
     patchwise_mobius,
 )
-from .functoriality import (
-    Adjunction,
-    Span,
-    beck_chevalley_check,
-    category_pullback,
-    compose_spans,
-    fibre_sizes,
-    is_bijective_on_objects,
-    is_ulf,
-    mobius_by_subcategories,
-    pullback_transform,
-    pushforward,
-    rota_check,
-    ulf_via_pullback_squares,
-    validate_adjunction,
-)
 from .matrixrig import (
     RigMatrix,
     adj_halves,
@@ -107,3 +91,36 @@ from .matrixrig import (
 from .rigs import BOOL, INT, NAT, RAT, REAL, Rig, TruncatedSeries, get_rig, polynomial_rig
 
 __version__ = "0.1.0"
+
+# functoriality loads at the first read of one of its names (PEP 562): only
+# functor-check among the commands uses it
+_FUNCTORIALITY = (
+    "Adjunction",
+    "Span",
+    "beck_chevalley_check",
+    "category_pullback",
+    "compose_spans",
+    "fibre_sizes",
+    "is_bijective_on_objects",
+    "is_ulf",
+    "mobius_by_subcategories",
+    "pullback_transform",
+    "pushforward",
+    "rota_check",
+    "ulf_via_pullback_squares",
+    "validate_adjunction",
+)
+# every public name, the deferred ones included, for `from mobiuskit import *`
+__all__ = sorted(name for name in globals() if not name.startswith("_")) + ["functoriality", *_FUNCTORIALITY]
+
+
+def __getattr__(name):
+    if name in _FUNCTORIALITY:
+        from . import functoriality
+
+        return getattr(functoriality, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()).union(_FUNCTORIALITY))

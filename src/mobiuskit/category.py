@@ -13,40 +13,44 @@ hom-set, so with one arrow there they agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._record import Frozen, Record
 from .errors import BudgetExceeded, MalformedInput, UnknownObject
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: object
-    src: object
-    tgt: object
+class Arrow(Frozen):
+    __slots__ = ("name", "src", "tgt")
+
+    def __init__(self, name, src, tgt):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
-    vertices: tuple
-    edges: tuple  # of Arrow
+class DirectedGraph(Frozen):
+    __slots__ = ("vertices", "edges")  # edges: a tuple of Arrow
 
-    def __post_init__(self):
-        if len({e.name for e in self.edges}) != len(self.edges):
+    def __init__(self, vertices: tuple, edges: tuple):
+        if len({e.name for e in edges}) != len(edges):
             raise MalformedInput("duplicate edge names")
-        vs = set(self.vertices)
-        if len(vs) != len(self.vertices):
+        vs = set(vertices)
+        if len(vs) != len(vertices):
             raise MalformedInput("duplicate vertex identifiers")
-        for e in self.edges:
+        for e in edges:
             if e.src not in vs or e.tgt not in vs:
                 raise MalformedInput(f"edge {e.name!r} has an endpoint outside the vertex list")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    law: str = ""
-    witness: str = ""
+class ValidationReport(Frozen):
+    __slots__ = ("ok", "law", "witness")
+
+    def __init__(self, ok: bool, law: str = "", witness: str = ""):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "law", law)
+        object.__setattr__(self, "witness", witness)
 
     def message(self) -> str:
         return "valid" if self.ok else f"{self.law}: {self.witness}"
@@ -106,6 +110,7 @@ class FinCategory:
         # object -> the arrows into it, in arrow order: the f with g o f defined
         self._into = {k: tuple(v) for k, v in into.items()}
         self._factorizations = None
+        self._nonempty_homs = None
         # the keys are distinct, so when every key composes and there are as
         # many keys as composable pairs, the keys are the composable pairs
         pairs = sum(len(self._into.get(a.src, ())) for a in arrows)
@@ -141,11 +146,14 @@ class FinCategory:
         cells lists each nonempty hom(a, b) as (i, j, names), with i and j
         the positions of a and b in objects; pairs is the frozenset of the
         (a, b) with a map a -> b.  Every other hom-set is empty, so work
-        over all object pairs can skip them.
+        over all object pairs can skip them.  Read once and kept, since the
+        category is immutable.
         """
-        index = {a: i for i, a in enumerate(self.objects)}
-        cells = [(index[a], index[b], names) for (a, b), names in self._hom.items()]
-        return cells, frozenset(self._hom)
+        if self._nonempty_homs is None:
+            index = {a: i for i, a in enumerate(self.objects)}
+            cells = tuple([(index[a], index[b], names) for (a, b), names in self._hom.items()])
+            self._nonempty_homs = cells, frozenset(self._hom)
+        return self._nonempty_homs
 
     def is_identity(self, name) -> bool:
         return name in self._identity_names
@@ -407,11 +415,13 @@ def is_skeletal(c: FinCategory) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class EndomorphismReport:
-    nontrivial_isos: tuple
-    nontrivial_idempotents: tuple
-    nontrivial_endos: tuple
+class EndomorphismReport(Frozen):
+    __slots__ = ("nontrivial_isos", "nontrivial_idempotents", "nontrivial_endos")
+
+    def __init__(self, nontrivial_isos: tuple, nontrivial_idempotents: tuple, nontrivial_endos: tuple):
+        object.__setattr__(self, "nontrivial_isos", nontrivial_isos)
+        object.__setattr__(self, "nontrivial_idempotents", nontrivial_idempotents)
+        object.__setattr__(self, "nontrivial_endos", nontrivial_endos)
 
     @property
     def mobius(self) -> bool:
@@ -480,14 +490,16 @@ def enumerate_subcategories(c: FinCategory, max_count: int = 100000) -> Iterator
             yield subcategory(c, chosen, names)
 
 
-@dataclass
-class Functor:
+class Functor(Record):
     """Functor between finite categories as explicit object and arrow tables."""
 
-    source: FinCategory
-    target: FinCategory
-    object_map: dict
-    arrow_map: dict
+    __slots__ = ("source", "target", "object_map", "arrow_map")
+
+    def __init__(self, source: FinCategory, target: FinCategory, object_map: dict, arrow_map: dict):
+        self.source = source
+        self.target = target
+        self.object_map = object_map
+        self.arrow_map = arrow_map
 
     def validate(self) -> ValidationReport:
         for o in self.source.objects:

@@ -29,7 +29,6 @@ from .errors import (
     UnsupportedRig,
 )
 from .fileio import MAX_METRIC_POINTS, load_category, load_functor, load_graph, load_matrix, load_metric
-from .functoriality import fibre_sizes, is_bijective_on_objects, is_ulf
 from .incidence import (
     coarse_mobius,
     coarse_zeta,
@@ -356,6 +355,9 @@ def cmd_classify(args):
 
 
 def cmd_functor_check(args):
+    # the one command that needs the functor machinery loads it
+    from .functoriality import fibre_sizes, is_bijective_on_objects, is_ulf
+
     source = load_category(args.src)
     target = load_category(args.tgt)
     functor = load_functor(args.map, source, target)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from operator import mul
 from typing import Callable
 
+from ._record import Frozen
 from .category import DirectedGraph, product
 from .errors import MalformedInput, NotInvertible, RigMismatch
 from .incidence import CoarseElement
@@ -41,8 +41,7 @@ class _Numpy:
 np = _Numpy()
 
 
-@dataclass(frozen=True)
-class SizeAssignment:
+class SizeAssignment(Frozen):
     """Multiplicative size |X| of hom-descriptors for one enrichment.
 
     ``tensor`` combines two hom-descriptors, ``unit`` is the monoidal unit
@@ -50,11 +49,21 @@ class SizeAssignment:
     size(unit) = 1 is checkable on samples via check_multiplicativity.
     """
 
-    enrichment: str
-    rig: Rig
-    size: Callable[[object], object]
-    tensor: Callable[[object, object], object]
-    unit: object
+    __slots__ = ("enrichment", "rig", "size", "tensor", "unit")
+
+    def __init__(
+        self,
+        enrichment: str,
+        rig: Rig,
+        size: Callable[[object], object],
+        tensor: Callable[[object, object], object],
+        unit: object,
+    ):
+        object.__setattr__(self, "enrichment", enrichment)
+        object.__setattr__(self, "rig", rig)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "unit", unit)
 
 
 def finite_sets_sizes(rig: Rig) -> SizeAssignment:
@@ -128,24 +137,23 @@ def enriched_coarse_mobius(zeta: CoarseElement) -> CoarseElement:
 # metric spaces
 
 
-@dataclass(frozen=True, eq=False)
-class MetricSpace:
+class MetricSpace(Frozen):
     """Finite (generalized) metric space; distances may be math.inf.
 
     ``distances`` is held as one read-only n x n float64 array, row i
-    giving the distances from ``points[i]``.
+    giving the distances from ``points[i]``.  Two spaces are equal only
+    when they are the same object.
     """
 
-    points: tuple
-    distances: np.ndarray
-    symmetric: bool = True
+    __slots__ = ("points", "distances", "symmetric")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        n = len(self.points)
-        rows = self.distances
+    def __init__(self, points: tuple, distances: np.ndarray, symmetric: bool = True):
+        n = len(points)
         try:
-            square = len(rows) == n and all(len(r) == n for r in rows)
-            d = np.array(rows, dtype=float).reshape(n, n) if square else None
+            square = len(distances) == n and all(len(r) == n for r in distances)
+            d = np.array(distances, dtype=float).reshape(n, n) if square else None
         except (TypeError, ValueError):  # a row or an entry that is not a number
             d = None
         except OverflowError:
@@ -155,21 +163,23 @@ class MetricSpace:
         # the first error in row-major order: a bad diagonal of row i, then
         # the first entry of row i that is negative (reported first) or asymmetric
         negative = d < 0
-        bad = negative | (d != d.T) if self.symmetric else negative
+        bad = negative | (d != d.T) if symmetric else negative
         bad_diagonal = d.diagonal() != 0
         bad_rows = bad_diagonal | bad.any(axis=1)
         if bad_rows.any():
             i = int(bad_rows.argmax())
             if bad_diagonal[i]:
-                raise MalformedInput(f"nonzero self-distance at point {self.points[i]!r}")
+                raise MalformedInput(f"nonzero self-distance at point {points[i]!r}")
             j = int(bad[i].argmax())
             if negative[i, j]:
                 raise MalformedInput("negative distance")
             raise MalformedInput(
-                f"asymmetric distance between {self.points[i]!r} and {self.points[j]!r}"
+                f"asymmetric distance between {points[i]!r} and {points[j]!r}"
             )
         d.flags.writeable = False
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "distances", d)
+        object.__setattr__(self, "symmetric", symmetric)
 
     @classmethod
     def from_distances(cls, points, rows, symmetric: bool = True) -> "MetricSpace":
@@ -305,16 +315,16 @@ def metric_disjoint_union(a: MetricSpace, b: MetricSpace) -> MetricSpace:
 # graded free categories on graphs
 
 
-@dataclass(frozen=True)
-class GradedGraphCategory:
+class GradedGraphCategory(Frozen):
     """Free category on a finite graph, graded by path length and truncated."""
 
-    graph: DirectedGraph
-    truncation_degree: int
+    __slots__ = ("graph", "truncation_degree")
 
-    def __post_init__(self):
-        if self.truncation_degree < 1:
+    def __init__(self, graph: DirectedGraph, truncation_degree: int):
+        if truncation_degree < 1:
             raise MalformedInput("truncation degree must be >= 1")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "truncation_degree", truncation_degree)
 
 
 def _edge_counts(graph: DirectedGraph) -> list:

@@ -10,8 +10,7 @@ subcategory search that cross-checks category.is_mobius_category.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Frozen, Record
 from .category import (
     Arrow,
     FinCategory,
@@ -191,11 +190,13 @@ def category_pullback(f: Functor, g: Functor):
     return pullback_cat, proj1, proj2
 
 
-@dataclass(frozen=True)
-class BeckChevalleyReport:
-    hypotheses_ok: bool
-    detail: str
-    square_commutes: bool | None
+class BeckChevalleyReport(Frozen):
+    __slots__ = ("hypotheses_ok", "detail", "square_commutes")
+
+    def __init__(self, hypotheses_ok: bool, detail: str, square_commutes: bool | None):
+        object.__setattr__(self, "hypotheses_ok", hypotheses_ok)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "square_commutes", square_commutes)
 
 
 def beck_chevalley_check(f: Functor, g: Functor, rig: Rig = RAT) -> BeckChevalleyReport:
@@ -227,24 +228,24 @@ def beck_chevalley_check(f: Functor, g: Functor, rig: Rig = RAT) -> BeckChevalle
     return BeckChevalleyReport(True, "", True)
 
 
-@dataclass
-class Span:
+class Span(Record):
     """Span of categories: ULF left leg, bijective-on-objects right leg."""
 
-    apex: FinCategory
-    left: Functor
-    right: Functor
+    __slots__ = ("apex", "left", "right")
 
-    def __post_init__(self):
-        if self.left.source is not self.apex or self.right.source is not self.apex:
+    def __init__(self, apex: FinCategory, left: Functor, right: Functor):
+        if left.source is not apex or right.source is not apex:
             raise MalformedInput("span legs must start at the apex")
-        if not self.left.validate().ok or not self.right.validate().ok:
+        if not left.validate().ok or not right.validate().ok:
             raise MalformedInput("span legs must be functors")
-        ok, witness = is_ulf(self.left)
+        ok, witness = is_ulf(left)
         if not ok:
             raise MalformedInput(f"span left leg is not ULF, witness {witness!r}")
-        if not is_bijective_on_objects(self.right):
+        if not is_bijective_on_objects(right):
             raise MalformedInput("span right leg is not bijective on objects")
+        self.apex = apex
+        self.left = left
+        self.right = right
 
     def algebra_map(self, x: FineElement) -> FineElement:
         """Induced map along the span: pull back, then push forward."""
@@ -269,14 +270,16 @@ def compose_spans(s: Span, t: Span) -> Span:
     return Span(apex, left, right)
 
 
-@dataclass
-class Adjunction:
+class Adjunction(Record):
     """Adjunction F -| G given by explicit unit and counit arrow tables."""
 
-    left: Functor   # F : A -> B
-    right: Functor  # G : B -> A
-    unit: dict      # object a -> arrow a -> GFa in A
-    counit: dict    # object b -> arrow FGb -> b in B
+    __slots__ = ("left", "right", "unit", "counit")
+
+    def __init__(self, left: Functor, right: Functor, unit: dict, counit: dict):
+        self.left = left      # F : A -> B
+        self.right = right    # G : B -> A
+        self.unit = unit      # object a -> arrow a -> GFa in A
+        self.counit = counit  # object b -> arrow FGb -> b in B
 
 
 def validate_adjunction(adj: Adjunction):

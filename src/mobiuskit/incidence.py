@@ -16,12 +16,12 @@ the LCM of the block determinants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from math import lcm
 from operator import is_not
 
+from ._record import Record
 from .category import FinCategory, is_mobius_category
 from .errors import (
     MalformedInput,
@@ -47,18 +47,18 @@ def _check_same_rig(x, y):
         raise RigMismatch(f"elements over {x.rig.name} and {y.rig.name}")
 
 
-@dataclass
-class FineElement:
+class FineElement(Record):
     """Function from the arrows of a category into a rig."""
 
-    category: FinCategory
-    rig: Rig
-    values: dict
+    __slots__ = ("category", "rig", "values")
 
-    def __post_init__(self):
-        for name in self.category.arrow_names():
-            if name not in self.values:
+    def __init__(self, category: FinCategory, rig: Rig, values: dict):
+        for name in category.arrow_names():
+            if name not in values:
                 raise RigMismatch(f"fine element missing a value on arrow {name!r}")
+        self.category = category
+        self.rig = rig
+        self.values = values
 
     def __call__(self, arrow_name):
         return self.values[arrow_name]
@@ -71,19 +71,26 @@ class FineElement:
         )
 
 
-@dataclass
-class CoarseElement:
+class CoarseElement(Record):
     """Function on object pairs, stored as a square matrix in object order."""
 
-    objects: tuple
-    rig: Rig
-    matrix: RigMatrix
-    category: FinCategory | None = None
-    enrichment: str = "finite_sets"
+    __slots__ = ("objects", "rig", "matrix", "category", "enrichment")
 
-    def __post_init__(self):
-        if self.matrix.n != len(self.objects):
+    def __init__(
+        self,
+        objects: tuple,
+        rig: Rig,
+        matrix: RigMatrix,
+        category: FinCategory | None = None,
+        enrichment: str = "finite_sets",
+    ):
+        if matrix.n != len(objects):
             raise RigMismatch("matrix size does not match the object list")
+        self.objects = objects
+        self.rig = rig
+        self.matrix = matrix
+        self.category = category
+        self.enrichment = enrichment
 
     def value(self, a, b):
         return self.matrix.entry(self.objects.index(a), self.objects.index(b))
@@ -96,30 +103,37 @@ class CoarseElement:
         return self.matrix.entry_sum()
 
 
-@dataclass
-class PatchElement:
+class PatchElement(Record):
     """Coarse-style element supported on pairs with nonempty hom-set."""
 
-    objects: tuple
-    rig: Rig
-    matrix: RigMatrix
-    support: frozenset
-    category: FinCategory | None = None
+    __slots__ = ("objects", "rig", "matrix", "support", "category")
 
-    def __post_init__(self):
-        if self.matrix.n != len(self.objects):
+    def __init__(
+        self,
+        objects: tuple,
+        rig: Rig,
+        matrix: RigMatrix,
+        support: frozenset,
+        category: FinCategory | None = None,
+    ):
+        if matrix.n != len(objects):
             raise RigMismatch("matrix size does not match the object list")
-        zero, eq = self.rig.zero, self.rig.eq
-        for a, row in zip(self.objects, self.matrix.rows):
+        zero, eq = rig.zero, rig.eq
+        for a, row in zip(objects, matrix.rows):
             # the entries of row a that are not the rig.zero object, in column
             # order, found by a C-level identity test; only those off the
             # support go to eq, which may still count one as zero (a second
             # Fraction(0), or a float within the tolerance of 0.0)
-            for b, v in compress(zip(self.objects, row), map(is_not, row, repeat(zero))):
-                if (a, b) not in self.support and not eq(v, zero):
+            for b, v in compress(zip(objects, row), map(is_not, row, repeat(zero))):
+                if (a, b) not in support and not eq(v, zero):
                     raise RigMismatch(
                         f"patch element has a nonzero value off-support at ({a!r},{b!r})"
                     )
+        self.objects = objects
+        self.rig = rig
+        self.matrix = matrix
+        self.support = support
+        self.category = category
 
     def value(self, a, b):
         return self.matrix.entry(self.objects.index(a), self.objects.index(b))

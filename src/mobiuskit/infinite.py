@@ -9,19 +9,18 @@ poset, and the chain of naturals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, repeat
 from math import comb
 from operator import is_not
 from typing import Callable, Iterable, Optional
 
+from ._record import Frozen
 from .errors import MalformedInput, NotInvertible, UnsupportedRig
 from .matrixrig import RigMatrix, invert_counting_matrix
 from .rigs import Rig
 
 
-@dataclass(frozen=True)
-class PatchOracleCategory:
+class PatchOracleCategory(Frozen):
     """Category presented by pure oracles.
 
     patch_objects(a, b) must list exactly the objects c with maps
@@ -32,10 +31,19 @@ class PatchOracleCategory:
     of the range; family_mobius refuses a listed n outside the range.
     """
 
-    name: str
-    hom_count: Callable[[object, object], int]
-    patch_objects: Callable[[object, object], tuple]
-    targets: Optional[Callable[[int, int, int], Iterable[int]]] = None
+    __slots__ = ("name", "hom_count", "patch_objects", "targets")
+
+    def __init__(
+        self,
+        name: str,
+        hom_count: Callable[[object, object], int],
+        patch_objects: Callable[[object, object], tuple],
+        targets: Optional[Callable[[int, int, int], Iterable[int]]] = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "hom_count", hom_count)
+        object.__setattr__(self, "patch_objects", patch_objects)
+        object.__setattr__(self, "targets", targets)
 
 
 def oracle_zeta(c: PatchOracleCategory, a, b, rig: Rig):

@@ -27,11 +27,11 @@ floating reals) has its own magnitude-pivot elimination in invert.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, permutations, repeat
 from math import lcm
 
+from ._record import Frozen
 from .errors import (
     BudgetExceeded,
     MalformedInput,
@@ -53,16 +53,16 @@ MAX_PERMUTATION_DIM = 9
 MAX_TRANSITIVE_STATES = 200_000
 
 
-@dataclass(frozen=True)
-class RigMatrix:
-    rig: Rig
-    rows: tuple
+class RigMatrix(Frozen):
+    __slots__ = ("rig", "rows")
 
-    def __post_init__(self):
-        n = len(self.rows)
-        for row in self.rows:
+    def __init__(self, rig: Rig, rows: tuple):
+        n = len(rows)
+        for row in rows:
             if len(row) != n:
                 raise MalformedInput(f"matrix is not square: {n} rows, row of length {len(row)}")
+        object.__setattr__(self, "rig", rig)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rig: Rig, rows) -> "RigMatrix":
@@ -254,10 +254,12 @@ def is_transitive(m: RigMatrix):
     return True, None
 
 
-@dataclass(frozen=True)
-class LemmaIdentityReport:
-    det_identity_holds: bool
-    adjugate_identity_holds: bool
+class LemmaIdentityReport(Frozen):
+    __slots__ = ("det_identity_holds", "adjugate_identity_holds")
+
+    def __init__(self, det_identity_holds: bool, adjugate_identity_holds: bool):
+        object.__setattr__(self, "det_identity_holds", det_identity_holds)
+        object.__setattr__(self, "adjugate_identity_holds", adjugate_identity_holds)
 
     @property
     def ok(self) -> bool:

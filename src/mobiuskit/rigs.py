@@ -10,17 +10,16 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
+from ._record import Frozen
 from .errors import DegreeMismatch, DivisionByZero, MalformedInput, UnsupportedRig
 
 REAL_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Rig:
+class Rig(Frozen):
     """Arithmetic bundle for a commutative rig.
 
     ``neg`` is present exactly when the rig is a ring, ``inv`` exactly
@@ -33,18 +32,30 @@ class Rig:
     ``inv`` it is only called when d divides n.
     """
 
-    name: str
-    zero: Any
-    one: Any
-    add: Callable[[Any, Any], Any]
-    mul: Callable[[Any, Any], Any]
-    eq: Callable[[Any, Any], bool]
-    from_int: Callable[[int], Any]
-    neg: Optional[Callable[[Any], Any]] = None
-    inv: Optional[Callable[[Any], Any]] = None
-    characteristic_zero: bool = True
-    exact: bool = True
-    from_quotient: Optional[Callable[[int, int], Any]] = None
+    __slots__ = (
+        "name", "zero", "one", "add", "mul", "eq", "from_int",
+        "neg", "inv", "characteristic_zero", "exact", "from_quotient",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        zero: Any,
+        one: Any,
+        add: Callable[[Any, Any], Any],
+        mul: Callable[[Any, Any], Any],
+        eq: Callable[[Any, Any], bool],
+        from_int: Callable[[int], Any],
+        neg: Optional[Callable[[Any], Any]] = None,
+        inv: Optional[Callable[[Any], Any]] = None,
+        characteristic_zero: bool = True,
+        exact: bool = True,
+        from_quotient: Optional[Callable[[int, int], Any]] = None,
+    ):
+        for field, value in zip(self.__slots__, (
+            name, zero, one, add, mul, eq, from_int, neg, inv, characteristic_zero, exact, from_quotient,
+        )):
+            object.__setattr__(self, field, value)
 
     @property
     def has_negation(self) -> bool:
@@ -78,8 +89,7 @@ class Rig:
         return f"Rig({self.name})"
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """Polynomial in one variable t, truncated at a fixed degree.
 
     Coefficients are exact numbers indexed by degree 0..N; the series the
@@ -87,15 +97,16 @@ class TruncatedSeries:
     products with degrees above N discarded.
     """
 
-    coefficients: tuple
-    truncation_degree: int
+    __slots__ = ("coefficients", "truncation_degree")
 
-    def __post_init__(self):
-        if len(self.coefficients) != self.truncation_degree + 1:
+    def __init__(self, coefficients: tuple, truncation_degree: int):
+        if len(coefficients) != truncation_degree + 1:
             raise MalformedInput(
-                f"series needs {self.truncation_degree + 1} coefficients, "
-                f"got {len(self.coefficients)}"
+                f"series needs {truncation_degree + 1} coefficients, "
+                f"got {len(coefficients)}"
             )
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "truncation_degree", truncation_degree)
 
     @classmethod
     def constant(cls, value, degree: int) -> "TruncatedSeries":

@@ -1060,3 +1060,42 @@ print(out.getvalue().count("1.46211715726"), mobiuskit.magnitude(mobiuskit.Metri
     assert done.returncode == 0, done.stderr
     count, value = done.stdout.split()
     assert count == "1" and abs(float(value) - 2 / (1 + math.exp(-1))) < 1e-12
+
+
+def test_cold_commands_load_neither_dataclasses_nor_the_functor_machinery():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    commands = (
+        (["euler", "--category", data("six.json")], "euler_characteristic"),
+        (["mobius", "--family", "dinj", "--from", "0", "--to", "4"], "mobius"),
+    )
+    for argv, field in commands:
+        done = subprocess.run([sys.executable, "-X", "importtime", "-m", "mobiuskit.cli", *argv], env=env,
+                              capture_output=True, text=True, encoding="utf-8", timeout=120)
+        assert done.returncode == 0 and field in parse(done.stdout)["results"], done.stderr
+        # -X importtime lists every module the process imports, site's included
+        imported = {line.split("|")[-1].strip() for line in done.stderr.splitlines()}
+        assert "mobiuskit.category" in imported
+        assert not imported & {"dataclasses", "inspect", "mobiuskit.functoriality"}, argv
+    script = """
+import sys
+import mobiuskit
+assert "mobiuskit.functoriality" not in sys.modules
+names = {"is_ulf", "Span", "Adjunction", "pushforward", "validate_adjunction"}
+assert names <= set(dir(mobiuskit)) and "magnitude" in dir(mobiuskit)
+from mobiuskit import is_ulf, Span, Adjunction
+from mobiuskit import functoriality
+assert (is_ulf, Span, Adjunction) == (functoriality.is_ulf, functoriality.Span, functoriality.Adjunction)
+try:
+    mobiuskit.no_such_name
+except AttributeError as e:
+    assert str(e) == "module 'mobiuskit' has no attribute 'no_such_name'"
+else:
+    raise AssertionError("an unknown name resolved")
+assert not hasattr(mobiuskit, "no_such_name")
+star = {}
+exec("from mobiuskit import *", star)
+assert names | {"magnitude", "functoriality", "category"} <= set(star) and "__version__" not in star
+print("ok")
+"""
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stdout == "ok\n", done.stderr

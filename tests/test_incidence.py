@@ -971,6 +971,26 @@ def test_hom_table_reads_match_the_pair_by_pair_reference():
     assert refused >= 200
 
 
+def test_patch_mu_and_zeta_walk_the_hom_table_once():
+    # the category keeps what nonempty_homs reads, so coarse_mobius and
+    # coarse_support inside patch_mobius, and patch_zeta after it, share one walk
+    walks = []
+
+    class CountingHoms(dict):
+        def items(self):
+            walks.append(1)
+            return super().items()
+
+    cat = product(chain_category(7), chain_category(7))
+    cat._hom = CountingHoms(cat._hom)
+    mu = patch_mobius(cat, RAT)
+    zeta = patch_zeta(cat, RAT)
+    assert len(walks) == 1
+    assert cat.nonempty_homs() is cat.nonempty_homs()
+    assert mu.support == zeta.support == pairwise.support(cat) and len(mu.support) == 784
+    assert patch_multiply(mu, zeta).equal(patch_delta(cat, RAT))
+
+
 def test_sigma_to_patch_support_constraint():
     six = six_example_category()
     p = sigma_to_patch(fine_mobius(six, RAT))

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -230,7 +229,7 @@ def test_family_table_matches_per_pair_patchwise():
                     family, start, end, rig.name
                 )
                 # the same table from every pair's count, without targets
-                untargeted = replace(oracle, targets=None)
+                untargeted = PatchOracleCategory(oracle.name, oracle.hom_count, oracle.patch_objects)
                 assert table_outcome(lambda: family_mobius(untargeted, start, end, rig)) == expected
 
 
@@ -313,7 +312,10 @@ def test_family_table_refuses_targets_outside_the_range():
     # the row, one above end past it
     nat_leq = builtin("nat_leq")
     for start, end, listed in ((2, 6, lambda m: (m - 1, m)), (2, 6, lambda m: (m, m + 3)), (0, 3, lambda m: (m, 7))):
-        stray = replace(nat_leq, targets=lambda m, start, end, listed=listed: listed(m))
+        stray = PatchOracleCategory(
+            nat_leq.name, nat_leq.hom_count, nat_leq.patch_objects,
+            targets=lambda m, start, end, listed=listed: listed(m),
+        )
         with pytest.raises(MalformedInput, match=f"targets of nat_leq list .* outside {start}..{end}"):
             family_mobius(stray, start, end, INT)
 
