@@ -157,54 +157,60 @@ def _resolve_rig(args, allowed=None):
     return rig
 
 
-def _report(command: str, rig_name: str, results: dict) -> dict:
-    return {"command": command, "rig": rig_name, "results": results, "warnings": []}
+def _not_invertible(rig_name: str, error: NotInvertible, **head):
+    """The refusal of a solve that found no inverse: the keys head names,
+    then the status and the solver's witness, with exit 2."""
+    return rig_name, {**head, "status": "not_invertible", "witness": str(error)}, EXIT_NEGATIVE
 
 
-def _broken_law(command: str, rig_name: str, cat):
-    """The report and exit code of the first category law cat breaks, as
-    validate names it, or None when it obeys them all."""
+def _algebra(name: str):
+    """The zeta, the Mobius solver and the element renderer of one algebra.
+
+    The table is read at the call, so a module global rebound after import
+    (as perfbench/tracing.py rebinds each traced function) is the one used.
+    """
+    return {
+        "fine": (fine_zeta, fine_mobius, fine_json),
+        "coarse": (coarse_zeta, coarse_mobius, coarse_json),
+        "patch": (patch_zeta, patch_mobius, coarse_json),
+    }[name]
+
+
+def _broken_law(cat):
+    """The results naming the first category law cat breaks, as validate
+    names it, or None when it obeys them all."""
     validation = validate_category(cat)
     if not validation.ok:
-        results = {"category_valid": False, "law": validation.law, "witness": validation.witness}
-        return _report(command, rig_name, results), EXIT_NEGATIVE
+        return {"category_valid": False, "law": validation.law, "witness": validation.witness}
 
 
 def cmd_validate(args):
     cat = load_category(args.category)
     report = validate_category(cat)
-    results = {
-        "valid": report.ok,
-        "objects": len(cat.objects),
-        "arrows": len(cat.arrows),
-    }
+    results = {"valid": report.ok, "objects": len(cat.objects), "arrows": len(cat.arrows)}
     if not report.ok:
-        results["law"] = report.law
-        results["witness"] = report.witness
-    return _report("validate", "rat", results), EXIT_OK if report.ok else EXIT_NEGATIVE
+        results.update(law=report.law, witness=report.witness)
+    return "rat", results, EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
 def cmd_zeta(args):
     rig = _resolve_rig(args)
     cat = load_category(args.category)
-    if args.algebra == "fine":
-        results = {"algebra": "fine", "zeta": fine_json(fine_zeta(cat, rig))}
-    elif args.algebra == "patch":
-        z = patch_zeta(cat, rig)
-        results = {
-            "algebra": "patch",
-            "zeta": coarse_json(z),
-            "support": sorted(f"{name_str(a)}->{name_str(b)}" for (a, b) in z.support),
-        }
-    else:
-        results = {"algebra": "coarse", "zeta": coarse_json(coarse_zeta(cat, rig))}
-    return _report("zeta", rig.name, results), EXIT_OK
+    zeta, _, as_json = _algebra(args.algebra)
+    z = zeta(cat, rig)
+    results = {"algebra": args.algebra, "zeta": as_json(z)}
+    if args.algebra == "patch":
+        results["support"] = sorted(f"{name_str(a)}->{name_str(b)}" for (a, b) in z.support)
+    return rig.name, results, EXIT_OK
 
 
 def cmd_mobius(args):
     if args.family and args.category:
         raise MalformedInput("give --category or --family, not both")
     if args.family:
+        # a family table is the patch inverse, the one algebra it has
+        if args.algebra not in (None, "patch"):
+            raise MalformedInput(f"--family tables are patch inversions, --algebra {args.algebra} needs --category")
         rig = _resolve_rig(args, SOLVE_RIGS)
         if args.start is None or args.end is None:
             raise MalformedInput("--family needs --from and --to")
@@ -222,33 +228,25 @@ def cmd_mobius(args):
         try:
             mu = family_mobius(builtin(args.family), args.start, args.end, rig)
         except NotInvertible as e:
-            results = {"family": args.family, "status": "not_invertible", "witness": str(e)}
-            return _report("mobius", rig.name, results), EXIT_NEGATIVE
+            return _not_invertible(rig.name, e, family=args.family)
         results = {
             "family": args.family,
             "algebra": "patch",
             "objects": [str(i) for i in range(args.start, args.end + 1)],
             "mobius": matrix_json(rig, mu),
         }
-        return _report("mobius", rig.name, results), EXIT_OK
+        return rig.name, results, EXIT_OK
     if not args.category:
         raise MalformedInput("mobius needs --category or --family")
     rig = _resolve_rig(args, SOLVE_RIGS)
     cat = load_category(args.category)
+    algebra = args.algebra or "coarse"
+    _, mobius, as_json = _algebra(algebra)
     try:
-        if args.algebra == "fine":
-            mu = fine_mobius(cat, rig)
-            results = {"algebra": "fine", "status": "ok", "mobius": fine_json(mu)}
-        elif args.algebra == "patch":
-            mu = patch_mobius(cat, rig)
-            results = {"algebra": "patch", "status": "ok", "mobius": coarse_json(mu)}
-        else:
-            mu = coarse_mobius(cat, rig)
-            results = {"algebra": "coarse", "status": "ok", "mobius": coarse_json(mu)}
+        mu = mobius(cat, rig)
     except NotInvertible as e:
-        results = {"algebra": args.algebra, "status": "not_invertible", "witness": str(e)}
-        return _report("mobius", rig.name, results), EXIT_NEGATIVE
-    return _report("mobius", rig.name, results), EXIT_OK
+        return _not_invertible(rig.name, e, algebra=algebra)
+    return rig.name, {"algebra": algebra, "status": "ok", "mobius": as_json(mu)}, EXIT_OK
 
 
 def cmd_euler(args):
@@ -257,23 +255,21 @@ def cmd_euler(args):
     try:
         value = euler_characteristic(cat, rig)
     except NotInvertible as e:
-        results = {"status": "not_invertible", "witness": str(e)}
-        return _report("euler", rig.name, results), EXIT_NEGATIVE
-    return _report("euler", rig.name, {"status": "ok", "euler_characteristic": render(rig, value)}), EXIT_OK
+        return _not_invertible(rig.name, e)
+    return rig.name, {"status": "ok", "euler_characteristic": render(rig, value)}, EXIT_OK
 
 
 def cmd_nerve_euler(args):
     cat = load_category(args.category)
     # the chain count is the coarse inverse only for a table that obeys the
     # laws, so a broken law is reported as classify reports it
-    if broken := _broken_law("nerve-euler", "int", cat):
-        return broken
+    if broken := _broken_law(cat):
+        return "int", broken, EXIT_NEGATIVE
     try:
         value = nerve_euler_characteristic(cat)
     except NotNerveFinite as e:
-        results = {"status": "not_nerve_finite", "reason": str(e)}
-        return _report("nerve-euler", "int", results), EXIT_NEGATIVE
-    return _report("nerve-euler", "int", {"status": "ok", "euler_characteristic": str(value)}), EXIT_OK
+        return "int", {"status": "not_nerve_finite", "reason": str(e)}, EXIT_NEGATIVE
+    return "int", {"status": "ok", "euler_characteristic": str(value)}, EXIT_OK
 
 
 def cmd_magnitude(args):
@@ -286,17 +282,14 @@ def cmd_magnitude(args):
     if min(counts, default=1) < 1:
         raise MalformedInput(f"--study needs at least one point, got {min(counts)}")
     space = load_metric(args.metric)
-    results = {}
+    results = {"status": "ok"}
     try:
         if args.study:
-            study = segment_refinement_study(counts)
-            results["study"] = [[n, f"{value:.12g}"] for n, value in study]
+            results["study"] = [[n, f"{value:.12g}"] for n, value in segment_refinement_study(counts)]
         results["magnitude"] = f"{magnitude(space):.12g}"
-        results["status"] = "ok"
     except NotInvertible as e:
-        results = {"status": "not_invertible", "witness": str(e)}
-        return _report("magnitude", "real", results), EXIT_NEGATIVE
-    return _report("magnitude", "real", results), EXIT_OK
+        return _not_invertible("real", e)
+    return "real", results, EXIT_OK
 
 
 def cmd_graded(args):
@@ -319,29 +312,26 @@ def cmd_graded(args):
         "mobius": coarse_json(mobius),
         "mobius_total": render(mobius.rig, mobius.total()),
     }
-    return _report("graded", rig.name, results), EXIT_OK
+    return rig.name, results, EXIT_OK
 
 
 def cmd_classify(args):
     cat = load_category(args.category)
     inversions = {}
     for label, attempt_rig in (("q", RAT), ("z", INT)):
-        try:
-            fine_mobius(cat, attempt_rig)
-            inversions[f"fine_inversion_{label}"] = "ok"
-        except NotInvertible as e:
-            inversions[f"fine_inversion_{label}"] = f"not_invertible: {e}"
-        try:
-            coarse_mobius(cat, attempt_rig)
-            inversions[f"coarse_inversion_{label}"] = "ok"
-        except NotInvertible as e:
-            inversions[f"coarse_inversion_{label}"] = f"not_invertible: {e}"
+        for algebra, solve in (("fine", fine_mobius), ("coarse", coarse_mobius)):
+            try:
+                solve(cat, attempt_rig)
+                status = "ok"
+            except NotInvertible as e:
+                status = f"not_invertible: {e}"
+            inversions[f"{algebra}_inversion_{label}"] = status
     # the Mobius-category predicate assumes the laws, so a table that breaks
     # one is reported as validate reports it.  The inversions come first
     # only so that a composite starting at another object stays malformed
     # input to the fine solve (exit 1), as in mobius and compare
-    if broken := _broken_law("classify", "rat", cat):
-        return broken
+    if broken := _broken_law(cat):
+        return "rat", broken, EXIT_NEGATIVE
     report = endomorphism_report(cat)
     results = {
         "skeletal": is_skeletal(cat),
@@ -351,7 +341,7 @@ def cmd_classify(args):
         "mobius_category": report.mobius,
         **inversions,
     }
-    return _report("classify", "rat", results), EXIT_OK if report.mobius else EXIT_NEGATIVE
+    return "rat", results, EXIT_OK if report.mobius else EXIT_NEGATIVE
 
 
 def cmd_functor_check(args):
@@ -363,12 +353,7 @@ def cmd_functor_check(args):
     functor = load_functor(args.map, source, target)
     validation = functor.validate()
     if not validation.ok:
-        results = {
-            "functor_valid": False,
-            "law": validation.law,
-            "witness": validation.witness,
-        }
-        return _report("functor-check", "rat", results), EXIT_NEGATIVE
+        return "rat", {"functor_valid": False, "law": validation.law, "witness": validation.witness}, EXIT_NEGATIVE
     ulf, witness = is_ulf(functor)
     results = {
         "functor_valid": True,
@@ -383,47 +368,36 @@ def cmd_functor_check(args):
             "factorization": [name_str(g1), name_str(g2)],
             "lifts": count,
         }
-    return _report("functor-check", "rat", results), EXIT_OK
+    return "rat", results, EXIT_OK
 
 
 def cmd_matrix(args):
     rig = _resolve_rig(args, SOLVE_RIGS if args.op == "zeros" else None)
     m = load_matrix(args.infile, rig)
+    ok = True
     if args.op == "detpm":
         plus, minus = matrixrig.det_halves(m)
         results = {"det_plus": render(rig, plus), "det_minus": render(rig, minus)}
-        return _report("matrix", rig.name, results), EXIT_OK
-    if args.op == "adjpm":
+    elif args.op == "adjpm":
         plus, minus = matrixrig.adj_halves(m)
-        results = {
-            "adj_plus": matrix_json(rig, plus),
-            "adj_minus": matrix_json(rig, minus),
-        }
-        return _report("matrix", rig.name, results), EXIT_OK
-    if args.op == "transitive":
+        results = {"adj_plus": matrix_json(rig, plus), "adj_minus": matrix_json(rig, minus)}
+    elif args.op == "transitive":
         ok, witness = matrixrig.is_transitive(m)
         results = {"transitive": ok}
         if not ok:
             results["counterexample_path"] = list(witness)
-        return _report("matrix", rig.name, results), EXIT_OK if ok else EXIT_NEGATIVE
-    if args.op == "zeros":
+    else:  # zeros, the last of the parser's choices
         if m.n > MAX_ZEROS_DIM:
             raise BudgetExceeded(f"matrix --op zeros is limited to {MAX_ZEROS_DIM} rows, got {m.n}")
         try:
             inverse = matrixrig.invert(m)
         except NotInvertible as e:
-            results = {"status": "not_invertible", "witness": str(e)}
-            return _report("matrix", rig.name, results), EXIT_NEGATIVE
+            return _not_invertible(rig.name, e)
         ok, violation = matrixrig.inverse_zero_check(m, inverse)
-        results = {
-            "status": "ok",
-            "inverse": matrix_json(rig, inverse),
-            "zero_pattern_inherited": ok,
-        }
+        results = {"status": "ok", "inverse": matrix_json(rig, inverse), "zero_pattern_inherited": ok}
         if not ok:
             results["violation"] = list(violation)
-        return _report("matrix", rig.name, results), EXIT_OK if ok else EXIT_NEGATIVE
-    raise MalformedInput(f"unknown matrix op '{args.op}'")
+    return rig.name, results, EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def cmd_compare(args):
@@ -432,34 +406,21 @@ def cmd_compare(args):
     cat_b = load_category(args.category_b)
     if not graphs_equal(underlying_graph(cat_a), underlying_graph(cat_b)):
         raise MalformedInput("compare needs two categories on the same underlying graph")
-    results = {"same_graph": True}
     try:
         mu_a = fine_mobius(cat_a, rig)
         mu_b = fine_mobius(cat_b, rig)
     except NotInvertible as e:
-        results["status"] = "not_invertible"
-        results["witness"] = str(e)
-        return _report("compare", rig.name, results), EXIT_NEGATIVE
+        return _not_invertible(rig.name, e, same_graph=True)
     sums_a = sigma_to_coarse(mu_a)
     sums_b = sigma_to_coarse(mu_b)
-    coarse_a = coarse_mobius(cat_a, rig)
-    coarse_b = coarse_mobius(cat_b, rig)
-    haigh_a = sums_a.equal(coarse_a)
-    haigh_b = sums_b.equal(coarse_b)
-    menni = sums_a.equal(sums_b)
-    euler_equal = rig.eq(mu_a.rig.sum(mu_a.values.values()), mu_b.rig.sum(mu_b.values.values()))
-    results.update(
-        {
-            "status": "ok",
-            "haigh_first": haigh_a,
-            "haigh_second": haigh_b,
-            "menni_hom_sums_agree": menni,
-            "euler_characteristics_agree": euler_equal,
-            "hom_sums": coarse_json(sums_a),
-        }
-    )
-    all_ok = haigh_a and haigh_b and menni and euler_equal
-    return _report("compare", rig.name, results), EXIT_OK if all_ok else EXIT_NEGATIVE
+    checks = {
+        "haigh_first": sums_a.equal(coarse_mobius(cat_a, rig)),
+        "haigh_second": sums_b.equal(coarse_mobius(cat_b, rig)),
+        "menni_hom_sums_agree": sums_a.equal(sums_b),
+        "euler_characteristics_agree": rig.eq(mu_a.rig.sum(mu_a.values.values()), mu_b.rig.sum(mu_b.values.values())),
+    }
+    results = {"same_graph": True, "status": "ok", **checks, "hom_sums": coarse_json(sums_a)}
+    return rig.name, results, EXIT_OK if all(checks.values()) else EXIT_NEGATIVE
 
 
 @functools.cache
@@ -489,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mobius", parents=[rigged], help="Mobius function (category file or built-in family)")
     p.add_argument("--category")
-    p.add_argument("--algebra", choices=["fine", "coarse", "patch"], default="coarse")
+    # no default: --category reads none as coarse, --family accepts only patch
+    p.add_argument("--algebra", choices=["fine", "coarse", "patch"])
     p.add_argument("--family", choices=["dinj", "dsurj", "divisibility", "nat_leq"])
     p.add_argument("--from", dest="start", type=int)
     p.add_argument("--to", dest="end", type=int)
@@ -539,6 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
+    Each cmd_* handler returns (rig name, results, exit code), and main
+    alone wraps them in the report it writes.
+
     The cyclic garbage collector is paused for the one command: parsing,
     the handler and rendering.  A large load allocates hundreds of
     thousands of tuples and dicts that live to the end of the command, and
@@ -557,13 +522,11 @@ def main(argv=None) -> int:
             return EXIT_OK if e.code in (0, None) else EXIT_MALFORMED
         started = time.perf_counter()
         try:
-            report, code = args.handler(args)
-        except (MalformedInput, UnsupportedRig, BudgetExceeded) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_MALFORMED
+            rig_name, results, code = args.handler(args)
         except MobiusKitError as e:
             print(f"error: {e}", file=sys.stderr)
-            return EXIT_NEGATIVE
+            return EXIT_MALFORMED if isinstance(e, (MalformedInput, UnsupportedRig, BudgetExceeded)) else EXIT_NEGATIVE
+        report = {"command": args.command, "rig": rig_name, "results": results, "warnings": []}
         if args.timing:
             report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
         sys.stdout.write(_dumps(report) + "\n")

@@ -26,6 +26,8 @@ CASES = [
     ("mobius_fine_square_int", ["mobius", "--algebra", "fine", "--category", "{D}/square.json", "--rig", "int"]),
     ("euler_c2", ["euler", "--category", "{D}/group_c2.json"]),
     ("euler_six", ["euler", "--category", "{D}/six.json"]),
+    ("euler_c2_int", ["euler", "--category", "{D}/group_c2.json", "--rig", "int"]),
+    ("mobius_coarse_c2_int", ["mobius", "--algebra", "coarse", "--category", "{D}/group_c2.json", "--rig", "int"]),
     ("nerve_euler_square", ["nerve-euler", "--category", "{D}/square.json"]),
     ("nerve_euler_six", ["nerve-euler", "--category", "{D}/six.json"]),
     ("nerve_euler_composite_endpoints", ["nerve-euler", "--category", "{D}/composite_endpoints.json"]),
@@ -42,7 +44,9 @@ CASES = [
     ("matrix_transitive_no", ["matrix", "--op", "transitive", "--in", "{D}/matrix_nontransitive.json"]),
     ("matrix_zeros", ["matrix", "--op", "zeros", "--in", "{D}/matrix_3x3.json"]),
     ("matrix_zeros_nontransitive_int", ["matrix", "--op", "zeros", "--in", "{D}/matrix_nontransitive.json", "--rig", "int"]),
+    ("matrix_zeros_singular", ["matrix", "--op", "zeros", "--in", "{D}/matrix_singular.json"]),
     ("compare_parallel", ["compare", "--category-a", "{D}/parallel_first.json", "--category-b", "{D}/parallel_second.json"]),
+    ("compare_c2_c2", ["compare", "--category-a", "{D}/group_c2.json", "--category-b", "{D}/group_c2.json"]),
     ("zeta_coarse_divisors6", ["zeta", "--algebra", "coarse", "--category", "{D}/divisors6.json", "--rig", "int"]),
     ("zeta_fine_chain3", ["zeta", "--algebra", "fine", "--category", "{D}/chain3.json"]),
     ("mobius_family_dinj", ["mobius", "--family", "dinj", "--from", "0", "--to", "4"]),

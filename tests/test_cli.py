@@ -12,8 +12,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
+from make_goldens import CASES
 
-from mobiuskit import cli, fileio, matrixrig, rigs
+from mobiuskit import cli, errors, fileio, matrixrig, rigs
 from mobiuskit.cli import main
 from mobiuskit.matrixrig import RigMatrix
 from mobiuskit.rigs import RAT, REAL
@@ -259,6 +260,19 @@ def test_unknown_flag_exits_1(capfd):
     assert code == 1
 
 
+@pytest.mark.parametrize("error, expected", [
+    ("MalformedInput", 1), ("UnsupportedRig", 1), ("BudgetExceeded", 1),
+    ("NotInvertible", 2), ("DivisionByZero", 2), ("UnknownObject", 2), ("MobiusKitError", 2),
+])
+def test_library_errors_reaching_main_map_to_exit_codes(capfd, monkeypatch, error, expected):
+    def failing(path):
+        raise getattr(errors, error)("went wrong")
+
+    monkeypatch.setattr(cli, "load_category", failing)
+    assert run(["validate", "--category", data("six.json")]) == (expected, "")
+    assert capfd.readouterr().err == "error: went wrong\n"
+
+
 def test_missing_file_exits_1(capfd):
     code, _ = run(["euler", "--category", data("no_such.json")])
     assert code == 1
@@ -309,6 +323,25 @@ def test_mobius_family_refuses_oversized_range_before_any_work(capfd, monkeypatc
     monkeypatch.setattr(cli, "MAX_FAMILY_INDICES", 5)
     assert run(["mobius", "--family", "dinj", "--from", "3", "--to", "7"])[0] == 0
     assert run(["mobius", "--family", "dinj", "--from", "3", "--to", "8"])[0] == 1
+
+
+def test_mobius_family_takes_only_the_patch_algebra(capfd, monkeypatch):
+    def builtin(family):
+        raise AssertionError("no family is built for a refused request")
+
+    family = ["mobius", "--family", "dinj", "--from", "0", "--to", "3"]
+    monkeypatch.setattr(cli, "builtin", builtin)
+    for algebra in ("fine", "coarse"):
+        code, out = run([*family, "--algebra", algebra])
+        assert code == 1 and out == ""
+        assert f"--algebra {algebra} needs --category" in capfd.readouterr().err
+    monkeypatch.undo()
+    plain = run(family)
+    assert plain[0] == 0 and parse(plain[1])["results"]["algebra"] == "patch"
+    assert run([*family, "--algebra", "patch"]) == plain
+    # --category reads a missing --algebra as coarse
+    six = ["--category", data("six.json")]
+    assert run(["mobius", *six]) == run(["mobius", "--algebra", "coarse", *six])
 
 
 def test_euler_c2_is_one_half():
@@ -571,6 +604,10 @@ def test_golden_reports_reproduce_byte_for_byte():
     with open(os.path.join(GOLDEN, "manifest.json"), encoding="utf-8") as handle:
         manifest = json.load(handle)
     assert len(manifest) >= 20
+    # the manifest is what make_goldens.py writes: a case added to CASES but
+    # never regenerated, or renamed or edited since, fails here
+    assert len(dict(CASES)) == len(CASES)
+    assert {name: case["argv"] for name, case in manifest.items()} == dict(CASES)
     for name, case in sorted(manifest.items()):
         argv = [part.replace("{D}", DATA) for part in case["argv"]]
         code, out = run(argv)
