@@ -1,18 +1,28 @@
 """Finite categories as explicit data, with validation and standard constructions.
 
-A category is stored as object list, arrow list, identity table and a
-composition table keyed by arrow-name pairs (g, f) with tgt(f) = src(g),
-mapping to the name of g after f.  Construction refuses a table that misses
-a composable pair or has an entry for a pair that does not compose;
-validate_category then reports the first violated law: identity endpoints,
-composite endpoints, units or associativity.  Associativity is checked only
-on the triples whose outer hom-set hom(src f, tgt h) has two or more arrows:
-once the composite endpoints hold, both sides of the law lie in that
-hom-set, so with one arrow there they agree.
+A category keeps its objects and arrows at positions 0..m-1 and 0..n-1.
+Each arrow has the positions of its source and target objects, each
+object the position of its identity, and the composition table is three
+int lists in table order, (g, f, g after f) for every pair with
+tgt(f) = src(g), with one int-keyed lookup g*n + f -> g after f.  The
+names live in one tuple and appear only in reports, messages and
+witnesses; compose, the table keyed by arrow-name pairs, and
+factorizations() are name views of the same lists.
+
+Construction refuses a table that misses a composable pair or has an
+entry for a pair that does not compose; validate_category then reports
+the first violated law: identity endpoints, composite endpoints, units or
+associativity.  Associativity is checked only on the triples whose outer
+hom-set hom(src f, tgt h) has two or more arrows: once the composite
+endpoints hold, both sides of the law lie in that hom-set, so with one
+arrow there they agree.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import chain, repeat
+from operator import add, attrgetter, itemgetter, mul
 from typing import Iterable, Iterator
 
 from ._record import Frozen, Record
@@ -63,82 +73,141 @@ class FinCategory:
     are unique and resolve, the identity table covers exactly the objects,
     and compose is defined on exactly the composable pairs.  The category
     *laws* are the business of validate(), which reports rather than raises.
+
+    The arrows and the table {(g, f): g after f} of arrow names given here
+    are kept as given; the category works on the positions they map to.
+    A loaded category (fileio.load_category) has only the positions and
+    the names, and builds arrows and compose on first read.
     """
 
     def __init__(self, objects, arrows, identity, compose):
+        self.arrows = tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows)
+        self.compose = compose = dict(compose)
+        fields = list(map(attrgetter("name", "src", "tgt"), self.arrows))
+        self._structure(objects, fields, identity, list(map(add, compose, zip(compose.values()))))
+
+    @classmethod
+    def _from_entries(cls, objects, fields, identity, entries):
+        """The category of (name, src, tgt) arrow fields and a table of
+        [g, f, gf] name triples, in table order, as a file lists them.  A
+        pair given twice is refused with a MalformedInput that does not
+        name it."""
+        c = cls.__new__(cls)
+        c._structure(objects, fields, identity, entries)
+        return c
+
+    def _structure(self, objects, fields, identity, entries):
+        """Map the names to positions once, check the structure and keep
+        the index tables.
+
+        Each check compares whole int lists at C level; only a check that
+        fails walks the names, to word the first fault as the messages
+        always have.  The map of the table's names raises KeyError at a
+        name that is no arrow's.  With every table key g*n + f, the table
+        is defined on exactly the composable pairs when its sorted keys
+        are those of the composable pairs.
+        """
         objects = tuple(objects)
-        arrows = tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows)
-        if len(set(objects)) != len(objects):
+        where = dict(zip(objects, range(len(objects))))
+        if len(where) != len(objects):
             raise MalformedInput("duplicate object identifiers")
-        names = tuple(a.name for a in arrows)
-        if len(set(names)) != len(names):
+        names = tuple(map(itemgetter(0), fields))
+        n = len(names)
+        index = dict(zip(names, range(n)))
+        if len(index) != n:
             raise MalformedInput("duplicate arrow names")
-        by_name = {a.name: a for a in arrows}
-        obj_set = set(objects)
-        for a in arrows:
-            if a.src not in obj_set or a.tgt not in obj_set:
-                raise MalformedInput(f"arrow {a.name!r} has an endpoint outside the object list")
-        identity = dict(identity)
-        if set(identity) != obj_set:
-            raise MalformedInput("identity table must cover exactly the objects")
-        for obj, name in identity.items():
-            if name not in by_name:
-                raise MalformedInput(f"identity of {obj!r} names unknown arrow {name!r}")
-        compose = dict(compose)
         try:
-            # the target of each f against the source of its g, key by key
-            composes = [by_name[f].tgt for _, f in compose] == [by_name[g].src for g, _ in compose]
+            src = list(map(where.__getitem__, map(itemgetter(1), fields)))
+            tgt = list(map(where.__getitem__, map(itemgetter(2), fields)))
         except KeyError:
-            composes = None
-        if composes is None or not all(map(by_name.__contains__, compose.values())):
-            for (g, f), gf in compose.items():
-                if g not in by_name or f not in by_name or gf not in by_name:
-                    raise MalformedInput(f"compose entry ({g!r},{f!r})->{gf!r} names unknown arrows")
-        self.objects = objects
-        self.arrows = arrows
-        self._names = names
-        self.identity = identity
-        self.compose = compose
-        self._by_name = by_name
-        self._identity_names = set(identity.values())
+            for name, a, b in fields:
+                if a not in where or b not in where:
+                    raise MalformedInput(f"arrow {name!r} has an endpoint outside the object list") from None
+        identity = dict(identity)
+        if identity.keys() != where.keys():
+            raise MalformedInput("identity table must cover exactly the objects")
+        try:
+            ids = list(map(index.__getitem__, map(identity.__getitem__, objects)))
+        except KeyError:
+            for obj, name in identity.items():
+                if name not in index:
+                    raise MalformedInput(f"identity of {obj!r} names unknown arrow {name!r}") from None
+        try:
+            flat = list(map(index.__getitem__, chain.from_iterable(entries)))
+        except KeyError:
+            for g, f, gf in entries:
+                if g not in index or f not in index or gf not in index:
+                    raise MalformedInput(f"compose entry ({g!r},{f!r})->{gf!r} names unknown arrows") from None
+        outer, inner = flat[0::3], flat[1::3]
+        # object position -> the arrows into it, in arrow order: the f with g o f defined
+        into = [[] for _ in objects]
+        for a, t in enumerate(tgt):
+            into[t].append(a)
+        composable = [g * n + f for g, a in enumerate(src) for f in into[a]]
+        keys = sorted(map(add, map(mul, outer, repeat(n)), inner))
+        if keys != composable:
+            def first(pairs):  # the first of a set of keys by the repr of its names
+                g, f = min([(names[g], names[f]) for g, f in map(divmod, pairs, repeat(n))], key=repr)
+                return f"({g!r}, {f!r})"
+
+            if missing := set(composable).difference(keys):
+                raise MalformedInput(f"compose: missing entry for composable pair {first(missing)}")
+            if extra := set(keys).difference(composable):
+                raise MalformedInput(f"compose: pair {first(extra)} is not composable")
+            raise MalformedInput("compose: a pair has two entries")
+        self.objects, self.identity, self._identity_names = objects, identity, set(identity.values())
+        self._names, self._index, self._where = names, index, where
+        # arrow position -> source, target; object position -> identity
+        self._src, self._tgt, self._ids, self._into = src, tgt, ids, into
+        # the table, entry by entry: g, f and g o f
+        self._outer, self._inner, self._composite = outer, inner, flat[2::3]
+        self._factorizations = self._nonempty_homs = None
+
+    # name views and tables built on first read
+
+    @cached_property
+    def arrows(self) -> tuple:
+        """The arrows, in arrow order, as Arrow(name, src, tgt)."""
+        objects = self.objects.__getitem__
+        return tuple(map(Arrow, self._names, map(objects, self._src), map(objects, self._tgt)))
+
+    @cached_property
+    def compose(self) -> dict:
+        """The composition table {(g, f): g after f} by arrow names, in table order."""
+        names = self._names.__getitem__
+        return dict(zip(zip(map(names, self._outer), map(names, self._inner)), map(names, self._composite)))
+
+    @cached_property
+    def _table(self) -> dict:
+        """The composition table by positions, g*n + f -> g after f."""
+        n = len(self._names)
+        return dict(zip(map(add, map(mul, self._outer, repeat(n)), self._inner), self._composite))
+
+    @cached_property
+    def _hom(self) -> dict:
+        """(i, j) -> the names of the arrows from objects[i] to objects[j],
+        in arrow order, for each nonempty hom-set."""
         hom: dict = {}
-        into: dict = {}
-        for a in arrows:
-            hom.setdefault((a.src, a.tgt), []).append(a.name)
-            into.setdefault(a.tgt, []).append(a)
-        self._hom = {k: tuple(v) for k, v in hom.items()}
-        # object -> the arrows into it, in arrow order: the f with g o f defined
-        self._into = {k: tuple(v) for k, v in into.items()}
-        self._factorizations = None
-        self._nonempty_homs = None
-        # the keys are distinct, so when every key composes and there are as
-        # many keys as composable pairs, the keys are the composable pairs
-        pairs = sum(len(self._into.get(a.src, ())) for a in arrows)
-        if not composes or pairs != len(compose):
-            composable = set(self.composable_pairs())
-            missing = composable.difference(compose)
-            if missing:
-                g, f = min(missing, key=repr)
-                raise MalformedInput(f"compose: missing entry for composable pair ({g!r}, {f!r})")
-            g, f = min(compose.keys() - composable, key=repr)
-            raise MalformedInput(f"compose: pair ({g!r}, {f!r}) is not composable")
+        for name, key in zip(self._names, zip(self._src, self._tgt)):
+            hom.setdefault(key, []).append(name)
+        return {key: tuple(names) for key, names in hom.items()}
 
     # basic lookups
 
     def arrow(self, name) -> Arrow:
-        return self._by_name[name]
+        return self.arrows[self._index[name]]
 
     def has_arrow(self, name) -> bool:
-        return name in self._by_name
+        return name in self._index
 
     def src(self, name):
-        return self._by_name[name].src
+        return self.arrow(name).src
 
     def tgt(self, name):
-        return self._by_name[name].tgt
+        return self.arrow(name).tgt
 
     def hom(self, a, b) -> tuple:
-        return self._hom.get((a, b), ())
+        return self._hom.get((self._where.get(a), self._where.get(b)), ())
 
     def nonempty_homs(self) -> tuple:
         """(cells, pairs), read off the nonempty hom-sets in one pass.
@@ -150,9 +219,9 @@ class FinCategory:
         category is immutable.
         """
         if self._nonempty_homs is None:
-            index = {a: i for i, a in enumerate(self.objects)}
-            cells = tuple([(index[a], index[b], names) for (a, b), names in self._hom.items()])
-            self._nonempty_homs = cells, frozenset(self._hom)
+            objects = self.objects
+            cells = tuple([(i, j, names) for (i, j), names in self._hom.items()])
+            self._nonempty_homs = cells, frozenset([(objects[i], objects[j]) for i, j, _ in cells])
         return self._nonempty_homs
 
     def is_identity(self, name) -> bool:
@@ -163,17 +232,20 @@ class FinCategory:
 
     def composable_pairs(self) -> Iterator[tuple]:
         """All (g, f) with tgt(f) = src(g), g then f in arrow order."""
-        for g in self.arrows:
-            for f in self._into.get(g.src, ()):
-                yield g.name, f.name
+        names, into = self._names, self._into
+        for g, a in enumerate(self._src):
+            for f in into[a]:
+                yield names[g], names[f]
 
     def factorizations(self) -> dict:
-        """composite -> list of (first, second) with second o first = composite."""
+        """composite -> list of (first, second) with second o first = composite,
+        by arrow names: the composites in arrow order, each list in table order."""
         if self._factorizations is None:
-            table: dict = {name: [] for name in self._by_name}
-            for (outer, inner), composite in self.compose.items():
-                table[composite].append((inner, outer))
-            self._factorizations = table
+            names = self._names
+            pairs = [[] for _ in names]
+            for g, f, gf in zip(self._outer, self._inner, self._composite):
+                pairs[gf].append((names[f], names[g]))
+            self._factorizations = dict(zip(names, pairs))
         return self._factorizations
 
     def validate(self) -> ValidationReport:
@@ -186,52 +258,65 @@ class FinCategory:
 def validate_category(c: FinCategory) -> ValidationReport:
     """Check the category laws, returning the first violation with witnesses.
 
-    Composite endpoints are checked before associativity, so both sides of
-    (h o g) o f = h o (g o f) lie in hom(src f, tgt h); a triple whose outer
-    hom-set has one arrow cannot fail, and only the others are looked at.
+    The endpoint and unit laws are list comparisons on arrow positions;
+    only a law that fails walks the table, in the order the witness has
+    always been named in.  Composite endpoints are checked before
+    associativity, so both sides of (h o g) o f = h o (g o f) lie in
+    hom(src f, tgt h); a triple whose outer hom-set has one arrow cannot
+    fail, and only the others are looked at.
     """
+    names, src, tgt, ids = c._names, c._src, c._tgt, c._ids
+    n = len(names)
     for obj, name in c.identity.items():
         a = c.arrow(name)
         if a.src != obj or a.tgt != obj:
             return ValidationReport(False, "identity-endpoints", f"1_{obj!r} = {name!r}: {a.src!r} -> {a.tgt!r}")
-    by_name = c._by_name
-    for (g, f), gf in c.compose.items():
-        composite = by_name[gf]
-        if composite.src != by_name[f].src or composite.tgt != by_name[g].tgt:
-            return ValidationReport(
-                False, "composite-endpoints",
-                f"compose({g!r}, {f!r}) = {gf!r} has endpoints {composite.src!r} -> {composite.tgt!r}",
-            )
-    for a in c.arrows:
-        left = c.compose[(c.identity[a.tgt], a.name)]
-        if left != a.name:
-            return ValidationReport(False, "left-unit", f"1 o {a.name!r} = {left!r}")
-        right = c.compose[(a.name, c.identity[a.src])]
-        if right != a.name:
-            return ValidationReport(False, "right-unit", f"{a.name!r} o 1 = {right!r}")
+    outer, inner, composite = c._outer, c._inner, c._composite
+    if (
+        list(map(src.__getitem__, composite)) != list(map(src.__getitem__, inner))
+        or list(map(tgt.__getitem__, composite)) != list(map(tgt.__getitem__, outer))
+    ):
+        for g, f, gf in zip(outer, inner, composite):
+            if src[gf] != src[f] or tgt[gf] != tgt[g]:
+                a = c.arrows[gf]
+                return ValidationReport(
+                    False, "composite-endpoints",
+                    f"compose({names[g]!r}, {names[f]!r}) = {names[gf]!r} has endpoints {a.src!r} -> {a.tgt!r}",
+                )
+    # 1_tgt(a) o a and a o 1_src(a), at the keys id*n + a and a*n + id
+    table = c._table
+    every_arrow = list(range(n))
+    left = list(map(table.__getitem__, map(add, map(mul, map(ids.__getitem__, tgt), repeat(n)), every_arrow)))
+    right = list(map(table.__getitem__, map(add, range(0, n * n, n), map(ids.__getitem__, src))))
+    if left != every_arrow or right != every_arrow:
+        for a in every_arrow:
+            if left[a] != a:
+                return ValidationReport(False, "left-unit", f"1 o {names[a]!r} = {names[left[a]]!r}")
+            if right[a] != a:
+                return ValidationReport(False, "right-unit", f"{names[a]!r} o 1 = {names[right[a]]!r}")
     # target -> the sources s with two or more arrows s -> target
     crowded: dict = {}
-    for (s, t), names in c._hom.items():
-        if len(names) > 1:
+    for (s, t), hom in c._hom.items():
+        if len(hom) > 1:
             crowded.setdefault(t, set()).add(s)
     if not crowded:
         return ValidationReport(True)
-    compose, into = c.compose, c._into
-    for h in c.arrows:
-        sources = crowded.get(h.tgt)
+    into = c._into
+    for h in every_arrow:
+        sources = crowded.get(tgt[h])
         if sources is None:
             continue
-        for g in into.get(h.src, ()):
-            hg = compose[(h.name, g.name)]
-            for f in into.get(g.src, ()):
-                if f.src not in sources:
+        for g in into[src[h]]:
+            hg = table[h * n + g]
+            for f in into[src[g]]:
+                if src[f] not in sources:
                     continue
-                one = compose[(h.name, compose[(g.name, f.name)])]
-                two = compose[(hg, f.name)]
+                one = table[h * n + table[g * n + f]]
+                two = table[hg * n + f]
                 if one != two:
                     return ValidationReport(
                         False, "associativity",
-                        f"h={h.name!r}, g={g.name!r}, f={f.name!r}: {one!r} != {two!r}",
+                        f"h={names[h]!r}, g={names[g]!r}, f={names[f]!r}: {names[one]!r} != {names[two]!r}",
                     )
     return ValidationReport(True)
 
@@ -268,30 +353,21 @@ def _thin_category(objects, leq, tag) -> FinCategory:
     return FinCategory(objects, arrows, identity, compose)
 
 
+def _thin_image(c: FinCategory, leq, tag):
+    """The thin category on c's objects with one arrow (tag, a, b) for each
+    pair of leq, and the functor from c sending each arrow a -> b to it."""
+    thin = _thin_category(c.objects, leq, tag)
+    return thin, Functor(c, thin, {a: a for a in c.objects}, {a.name: (tag, a.src, a.tgt) for a in c.arrows})
+
+
 def codiscrete_completion(c: FinCategory):
     """The codiscrete category on the same objects plus the canonical functor."""
-    objects = c.objects
-    cod = _thin_category(objects, [(a, b) for a in objects for b in objects], "co")
-    functor = Functor(
-        source=c,
-        target=cod,
-        object_map={a: a for a in objects},
-        arrow_map={a.name: ("co", a.src, a.tgt) for a in c.arrows},
-    )
-    return cod, functor
+    return _thin_image(c, [(a, b) for a in c.objects for b in c.objects], "co")
 
 
 def preorder_reflection(c: FinCategory):
     """Collapse each nonempty hom-set to a single arrow; canonical functor along."""
-    objects = c.objects
-    ref = _thin_category(objects, [(a, b) for a in objects for b in objects if c.hom(a, b)], "le")
-    functor = Functor(
-        source=c,
-        target=ref,
-        object_map={a: a for a in objects},
-        arrow_map={a.name: ("le", a.src, a.tgt) for a in c.arrows},
-    )
-    return ref, functor
+    return _thin_image(c, [(a, b) for a in c.objects for b in c.objects if c.hom(a, b)], "le")
 
 
 def poset_to_category(elements, relation: Iterable[tuple]) -> FinCategory:
@@ -408,11 +484,7 @@ def iso_witnesses(c: FinCategory):
 
 def is_skeletal(c: FinCategory) -> bool:
     """No isomorphisms between distinct objects."""
-    for f_name, _ in iso_witnesses(c):
-        f = c.arrow(f_name)
-        if f.src != f.tgt:
-            return False
-    return True
+    return all(c.src(f) == c.tgt(f) for f, _ in iso_witnesses(c))
 
 
 class EndomorphismReport(Frozen):
@@ -431,15 +503,9 @@ class EndomorphismReport(Frozen):
 
 def endomorphism_report(c: FinCategory) -> EndomorphismReport:
     """Brute-force search for non-identity isos, idempotents and endos."""
-    isos = tuple(
-        f for f, _ in iso_witnesses(c) if not c.is_identity(f)
-    )
-    idempotents = tuple(
-        a.name
-        for a in c.arrows
-        if a.src == a.tgt and not c.is_identity(a.name) and c.compose[(a.name, a.name)] == a.name
-    )
+    isos = tuple(f for f, _ in iso_witnesses(c) if not c.is_identity(f))
     endos = tuple(a.name for a in c.arrows if a.src == a.tgt and not c.is_identity(a.name))
+    idempotents = tuple(e for e in endos if c.compose[(e, e)] == e)
     return EndomorphismReport(isos, idempotents, endos)
 
 
@@ -474,15 +540,7 @@ def enumerate_subcategories(c: FinCategory, max_count: int = 100000) -> Iterator
         for arr_mask in range(1 << len(optional)):
             names = set(required)
             names.update(n for i, n in enumerate(optional) if arr_mask >> i & 1)
-            closed = True
-            for g in names:
-                for f in names:
-                    if c.tgt(f) == c.src(g) and c.compose[(g, f)] not in names:
-                        closed = False
-                        break
-                if not closed:
-                    break
-            if not closed:
+            if any(c.tgt(f) == c.src(g) and c.compose[(g, f)] not in names for g in names for f in names):
                 continue
             count += 1
             if count > max_count:

@@ -59,11 +59,13 @@ SOLVE_RIGS = tuple(name for name, rig in NAMED_RIGS.items() if rig.from_quotient
 # requests are refused before any hom-set is counted
 MAX_FAMILY_INDICES = 500
 
-# matrix --op zeros inverts and then multiplies the matrix by its inverse
-# on both sides, cubic work on growing numbers over rat: a dense 40x40
-# matrix takes about 1 s with one-digit integer entries and about 6 s with
-# two-digit fractions
-MAX_ZEROS_DIM = 40
+# matrix --op zeros inverts the matrix and checks the inverse on both sides
+# in integers, cubic work on growing numbers over rat.  A dense 50x50 matrix
+# takes about 0.3 s with one-digit integer entries and about 5 s with
+# two-digit fractions, almost all of it the inversion, whose entries reach
+# about 3850 bits (cold CLI, Python 3.11, one x86_64 core); 60 rows of such
+# fractions take about 15 s
+MAX_ZEROS_DIM = 50
 
 # graded_zeta takes the degree's powers of the vertices x vertices edge-count
 # matrix, about vertices^3 * degree integer products, whose entries grow to

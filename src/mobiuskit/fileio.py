@@ -55,8 +55,8 @@ def _types(values) -> set:
 _ARROW_FIELDS = itemgetter("name", "src", "tgt")
 
 
-def _arrow_list(entries: list, where: str) -> list:
-    """The {"name", "src", "tgt"} entries as Arrows.
+def _arrow_fields(entries: list, where: str) -> list:
+    """The {"name", "src", "tgt"} entries as (name, src, tgt) tuples.
 
     The types of the whole list are checked in one pass; only when that
     fails are the entries walked one by one, to name the first bad one as
@@ -68,34 +68,21 @@ def _arrow_list(entries: list, where: str) -> list:
         except KeyError:
             fields = None
         if fields is not None and _types(chain.from_iterable(fields)) <= {str}:
-            return list(starmap(Arrow, fields))
-    arrows = []
+            return fields
+    fields = []
     for i, entry in enumerate(entries):
         at = f"{where}[{i}]"
         if not isinstance(entry, dict):
             raise MalformedInput(f"{at}: must be an object")
-        arrows.append(
-            Arrow(_require_str(entry, "name", at), _require_str(entry, "src", at), _require_str(entry, "tgt", at))
-        )
-    return arrows
+        fields.append((_require_str(entry, "name", at), _require_str(entry, "src", at), _require_str(entry, "tgt", at)))
+    return fields
 
 
-def _compose_table(entries: list, where: str) -> dict:
-    """The [g, f, gf] triples as a table {(g, f): gf}.
-
-    As for arrows, the whole list is checked in one pass, here for types,
-    lengths and duplicate pairs; only when that fails are the entries
-    walked one by one, to name the first bad one as where[i].
-    """
-    if (
-        _types(entries) <= {list}
-        and set(map(len, entries)) <= {3}
-        and _types(chain.from_iterable(entries)) <= {str}
-    ):
-        compose = {(g, f): gf for g, f, gf in entries}
-        if len(compose) == len(entries):
-            return compose
-    compose = {}
+def _first_bad_entry(entries: list, where: str) -> None:
+    """Raise MalformedInput naming the first [g, f, gf] entry, as where[i],
+    that is not a triple of strings or repeats the pair of an earlier one;
+    return when there is none."""
+    pairs = set()
     for i, entry in enumerate(entries):
         at = f"{where}[{i}]"
         if not (isinstance(entry, list) and len(entry) == 3):
@@ -103,10 +90,9 @@ def _compose_table(entries: list, where: str) -> dict:
         g, f, gf = entry
         if not (isinstance(g, str) and isinstance(f, str) and isinstance(gf, str)):
             raise MalformedInput(f"{at}: arrow names must be strings")
-        if (g, f) in compose:
+        if (g, f) in pairs:
             raise MalformedInput(f"{at}: duplicate entry for pair ({g!r}, {f!r})")
-        compose[(g, f)] = gf
-    return compose
+        pairs.add((g, f))
 
 
 def load_category(path: str) -> FinCategory:
@@ -116,6 +102,12 @@ def load_category(path: str) -> FinCategory:
      "identities": {obj: arrowName}, "compose": [[g, f, gf], ...]}
 
     The compose list must mention every composable pair exactly once.
+    Each name of the list is mapped to its arrow position once, and that
+    map also proves it is an arrow name, so a string.  Only when the
+    shapes of the entries or the category's checks fail are the entries
+    walked one by one: a bad or repeated entry is named as compose[i],
+    before any fault of the structure, as the loader has always ordered
+    them.
     """
     doc = _load_json(path)
     if not isinstance(doc, dict):
@@ -126,20 +118,24 @@ def load_category(path: str) -> FinCategory:
     arrows_doc = _require(doc, "arrows", path)
     if not isinstance(arrows_doc, list):
         raise MalformedInput(f"{path}: 'arrows' must be a list")
-    arrows = _arrow_list(arrows_doc, f"{path}: arrows")
+    fields = _arrow_fields(arrows_doc, f"{path}: arrows")
     identities = _require(doc, "identities", path)
     if not isinstance(identities, dict):
         raise MalformedInput(f"{path}: 'identities' must map objects to arrow names")
     for obj, name in identities.items():
         if not isinstance(name, str):
             raise MalformedInput(f"{path}: identities[{obj!r}]: must be a string")
-    compose_doc = _require(doc, "compose", path)
-    if not isinstance(compose_doc, list):
+    compose = _require(doc, "compose", path)
+    if not isinstance(compose, list):
         raise MalformedInput(f"{path}: 'compose' must be a list")
-    compose = _compose_table(compose_doc, f"{path}: compose")
+    if not (_types(compose) <= {list} and set(map(len, compose)) <= {3}):
+        _first_bad_entry(compose, f"{path}: compose")
     try:
-        return FinCategory(objects, arrows, identities, compose)
-    except MalformedInput as e:
+        return FinCategory._from_entries(objects, fields, identities, compose)
+    except (MalformedInput, TypeError) as e:
+        # a list or an object among the names is unhashable (TypeError);
+        # the walk names it, as it names a repeated pair
+        _first_bad_entry(compose, f"{path}: compose")
         raise MalformedInput(f"{path}: {e}")
 
 
@@ -243,9 +239,9 @@ def load_graph(path: str) -> DirectedGraph:
     edges_doc = _require(doc, "edges", path)
     if not isinstance(edges_doc, list):
         raise MalformedInput(f"{path}: 'edges' must be a list")
-    edges = _arrow_list(edges_doc, f"{path}: edges")
+    edges = tuple(starmap(Arrow, _arrow_fields(edges_doc, f"{path}: edges")))
     try:
-        return DirectedGraph(tuple(vertices), tuple(edges))
+        return DirectedGraph(tuple(vertices), edges)
     except MalformedInput as e:
         raise MalformedInput(f"{path}: {e}")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress, repeat
 from math import lcm
-from operator import is_not
+from operator import is_not, mul
 
 from ._record import Record
 from .category import FinCategory, is_mobius_category
@@ -198,8 +198,9 @@ def fine_invert(x: FineElement) -> FineElement:
 
     The row of f sums X(h) over the factorizations h o g = f into the
     coefficient of w(g), with right-hand side e [f is an identity].  One
-    walk over the factorizations, on arrow indices, collects the
-    coefficients.  When e = 1, every diagonal coefficient is 1 and the
+    walk over the category's composition table, the int lists of arrow
+    positions (h, g, f) in table order, collects the coefficients; no
+    arrow name is read unless a message needs it.  When e = 1, every diagonal coefficient is 1 and the
     off-diagonal terms, read as "g before f", have a Kahn order, the
     system is unitriangular along that order and solves forward with
     d = 1, by the push that also inverts unitriangular count matrices
@@ -247,30 +248,27 @@ def fine_invert(x: FineElement) -> FineElement:
     c = x.category
     names = c.arrow_names()
     n = len(names)
-    e, scaled = _to_integers(x.values.values())
-    scaled_x = dict(zip(x.values, scaled))
-    index = {name: i for i, name in enumerate(names)}
-    sources = [arrow.src for arrow in c.arrows]
+    e, scaled = _to_integers(list(map(x.values.__getitem__, names)))
+    # the table as (h, g, f) arrow positions with h o g = f, in table order
+    outer, inner, composite, sources = c._outer, c._inner, c._composite, c._src
+    if list(map(sources.__getitem__, inner)) != list(map(sources.__getitem__, composite)):
+        # the first in the order of factorizations(): by composite, then table order
+        _, k = min((f, k) for k, (g, f) in enumerate(zip(inner, composite)) if sources[g] != sources[f])
+        h, g, f = outer[k], inner[k], composite[k]
+        raise MalformedInput(
+            f"compose({names[h]!r}, {names[g]!r}) = {names[f]!r}: the composite starts at "
+            f"{c.arrows[f].src!r}, not at the source {c.arrows[g].src!r} of {names[g]!r}"
+        )
     # (w * x)(f) = sum_g [sum_{h : h o g = f} x(h)] w(g), with src(g) = src(f):
     # the coefficient of w(f) in row f sums into diagonal[f], and each other
-    # term is an entry (f, X(h)) of later[g].  factorizations() keys the
-    # arrows in arrow order, so f counts along the arrow indices
+    # term is an entry (f, X(h)) of later[g]
     diagonal = [0] * n
     later = [[] for _ in range(n)]
-    factorizations = c.factorizations()
-    for f, (f_name, pairs) in enumerate(factorizations.items()):
-        a = sources[f]
-        for g_name, h in pairs:
-            g = index[g_name]
-            if sources[g] != a:
-                raise MalformedInput(
-                    f"compose({h!r}, {g_name!r}) = {f_name!r}: the composite starts at "
-                    f"{a!r}, not at the source {sources[g]!r} of {g_name!r}"
-                )
-            if g == f:
-                diagonal[f] += scaled_x[h]
-            else:
-                later[g].append((f, scaled_x[h]))
+    for h, g, f in zip(outer, inner, composite):
+        if g == f:
+            diagonal[f] += scaled[h]
+        else:
+            later[g].append((f, scaled[h]))
     rhs = [e if c.is_identity(name) else 0 for name in names]
     order = _kahn_order(later) if e == 1 and all(coefficient == 1 for coefficient in diagonal) else None
     if order is None:
@@ -286,13 +284,11 @@ def fine_invert(x: FineElement) -> FineElement:
                     witness=("non-integral", name, str(val)),
                 )
     # (x * w)(f) = sum over h o g = f of x(g) w(h), on the common denominator e d
-    scaled_w = dict(zip(names, w))
-    for pairs, b in zip(factorizations.values(), rhs):
-        if sum(scaled_x[g] * scaled_w[h] for g, h in pairs) != b * d:
-            raise NotInvertible(
-                "left inverse exists but is not two-sided",
-                witness=("one-sided", None),
-            )
+    product = [0] * n
+    for f, term in zip(composite, map(mul, map(scaled.__getitem__, inner), map(w.__getitem__, outer))):
+        product[f] += term
+    if product != [b * d for b in rhs]:
+        raise NotInvertible("left inverse exists but is not two-sided", witness=("one-sided", None))
     return FineElement(c, rig, dict(zip(names, _land(rig, d, [w])[0])))
 
 

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import compress, permutations, repeat
+from itertools import chain, compress, permutations, repeat
 from math import lcm
+from operator import mul
 
 from ._record import Frozen
 from .errors import (
@@ -300,16 +301,42 @@ def inverse_zero_check(z: RigMatrix, zinv: RigMatrix):
 
     Requires zinv to actually be a two-sided inverse of z.  Returns
     (True, None), or (False, (i, j)) with the violating position.
+
+    Over an exact rig that exact solves land in (from_quotient, so its
+    elements are rationals under + and *), both products are taken in
+    integers: with Z = e z and Y = d zinv, e and d the LCMs of their
+    denominators, zinv inverts z on both sides exactly when Z Y and Y Z
+    are e d times the identity.  Any other rig multiplies in the rig.
     """
     z._check_compatible(zinv)
-    ident = RigMatrix.identity(z.rig, z.n)
-    if not (z.mul(zinv).equal(ident) and zinv.mul(z).equal(ident)):
+    rig, n = z.rig, z.n
+    if rig.exact and rig.from_quotient is not None:
+        e, scaled = _to_integers(list(chain.from_iterable(z.rows)))
+        d, inverse = _to_integers(list(chain.from_iterable(zinv.rows)))
+        z_rows = [scaled[i * n : i * n + n] for i in range(n)]
+        y_rows = [inverse[i * n : i * n + n] for i in range(n)]
+        two_sided = _is_scaled_identity(z_rows, y_rows, e * d) and _is_scaled_identity(y_rows, z_rows, e * d)
+    else:
+        ident = RigMatrix.identity(rig, n)
+        two_sided = z.mul(zinv).equal(ident) and zinv.mul(z).equal(ident)
+    if not two_sided:
         raise NotAnInverse("second argument is not a two-sided inverse of the first")
     for i in range(z.n):
         for j in range(z.n):
             if z.rig.is_zero(z.rows[i][j]) and not z.rig.is_zero(zinv.rows[i][j]):
                 return False, (i, j)
     return True, None
+
+
+def _is_scaled_identity(a, b, s) -> bool:
+    """Whether the product of the integer matrices a and b is s times the
+    identity, one C-level inner product per entry."""
+    columns = list(zip(*b))
+    return all(
+        sum(map(mul, row, column)) == (s if i == j else 0)
+        for i, row in enumerate(a)
+        for j, column in enumerate(columns)
+    )
 
 
 def invert(m: RigMatrix) -> RigMatrix:

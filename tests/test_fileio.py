@@ -1,15 +1,17 @@
 import json
 import math
 import os
+import random
 
 import pytest
 
 from mobiuskit import fileio
-from mobiuskit.category import Arrow, DirectedGraph, FinCategory, categories_equal, graphs_equal, product
-from corpus import chain_category, cyclic_group_category
+from mobiuskit.category import Arrow, DirectedGraph, FinCategory, graphs_equal, product, validate_category
+from corpus import chain_category, cyclic_group_category, divisor_poset_category, general_corpus, named_categories
 from mobiuskit.enriched import MetricSpace
-from mobiuskit.errors import MalformedInput
+from mobiuskit.errors import MalformedInput, NotInvertible
 from mobiuskit.fileio import load_category, load_functor, load_graph, load_matrix, load_metric
+from mobiuskit.incidence import fine_mobius
 from mobiuskit.rigs import INT, RAT
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -282,9 +284,51 @@ def reference_load_category(path):
             raise MalformedInput(f"{where}: duplicate entry for pair ({g!r}, {f!r})")
         compose[(g, f)] = gf
     try:
-        return FinCategory(objects, arrows, identities, compose)
+        reference_structure(objects, arrows, identities, compose)
     except MalformedInput as e:
         raise MalformedInput(f"{path}: {e}")
+    return tuple(objects), tuple(arrows), identities, compose
+
+
+def reference_structure(objects, arrows, identities, compose):
+    """The constructor's structural checks, entry by entry, without
+    FinCategory: the first failure raises the constructor's message."""
+    if len(set(objects)) != len(objects):
+        raise MalformedInput("duplicate object identifiers")
+    names = [a.name for a in arrows]
+    if len(set(names)) != len(names):
+        raise MalformedInput("duplicate arrow names")
+    for a in arrows:
+        if a.src not in objects or a.tgt not in objects:
+            raise MalformedInput(f"arrow {a.name!r} has an endpoint outside the object list")
+    if set(identities) != set(objects):
+        raise MalformedInput("identity table must cover exactly the objects")
+    for obj, name in identities.items():
+        if name not in names:
+            raise MalformedInput(f"identity of {obj!r} names unknown arrow {name!r}")
+    for (g, f), gf in compose.items():
+        if g not in names or f not in names or gf not in names:
+            raise MalformedInput(f"compose entry ({g!r},{f!r})->{gf!r} names unknown arrows")
+    composable = {(g.name, f.name) for g in arrows for f in arrows if f.tgt == g.src}
+    missing = composable - compose.keys()
+    if missing:
+        g, f = sorted(missing, key=repr)[0]
+        raise MalformedInput(f"compose: missing entry for composable pair ({g!r}, {f!r})")
+    extra = compose.keys() - composable
+    if extra:
+        g, f = sorted(extra, key=repr)[0]
+        raise MalformedInput(f"compose: pair ({g!r}, {f!r}) is not composable")
+
+
+def same_data(c, data):
+    """c holds the objects, arrows, identities and table of data, in order."""
+    objects, arrows, identities, compose = data
+    return (
+        c.objects == objects
+        and c.arrows == arrows
+        and list(c.identity.items()) == list(identities.items())
+        and list(c.compose.items()) == list(compose.items())
+    )
 
 
 def reference_load_graph(path):
@@ -351,32 +395,132 @@ def mutations(entries, kind):
         yield entries[:n // 2] + [[1, 2]] + entries[n // 2:-1] + [entries[0]]
 
 
+def document_mutations(doc):
+    """Copies of a category document, each broken where the constructor
+    looks: a repeated object or arrow name, an endpoint outside the
+    objects, an identity table that names an unknown arrow or misses or
+    adds an object, a compose entry naming an unknown arrow at g, f or
+    gf, a missing, an extra, a swapped or a repeated pair, and pairs of these faults,
+    which must be reported in the loader's order."""
+    objects, arrows, identities, compose = doc["objects"], doc["arrows"], doc["identities"], doc["compose"]
+    spots = sorted({0, len(compose) // 2, len(compose) - 1})
+    yield {"objects": objects + objects[:1]}
+    yield {"objects": objects[:1] + objects}
+    yield {"arrows": arrows + arrows[-1:]}
+    yield {"arrows": arrows + [{**arrows[0], "src": objects[-1], "tgt": objects[-1]}]}
+    for i in sorted({0, len(arrows) - 1}):
+        for key in ("src", "tgt"):
+            yield {"arrows": arrows[:i] + [{**arrows[i], key: "nowhere"}] + arrows[i + 1:]}
+    first = next(iter(identities))
+    yield {"identities": {**identities, first: "nosuch"}}
+    yield {"identities": {**identities, objects[-1]: "nosuch", first: "nosuch"}}
+    yield {"identities": {k: v for k, v in identities.items() if k != first}}
+    yield {"identities": {**identities, "elsewhere": identities[first]}}
+    for i in spots:
+        for j in range(3):
+            yield {"compose": compose[:i] + [compose[i][:j] + ["nosuch"] + compose[i][j + 1:]] + compose[i + 1:]}
+        yield {"compose": compose[:i] + compose[i + 1:]}
+        g, f, gf = compose[i]
+        yield {"compose": compose[:i] + [[f, g, gf]] + compose[i + 1:]}
+    tgt = {a["name"]: a["tgt"] for a in arrows}
+    src = {a["name"]: a["src"] for a in arrows}
+    loose = [[g, f, f] for g in src for f in src if tgt[f] != src[g]]
+    for extra in loose[:1] + loose[-1:]:
+        yield {"compose": compose + [extra]}
+        yield {"compose": [extra] + compose[1:]}
+    # a pair given twice, every other pair once
+    yield {"compose": compose + compose[-1:]}
+    yield {"compose": compose[:1] + compose}
+    # two faults: the earlier check names its own
+    yield {"compose": compose + compose[:1], "objects": objects + objects[:1]}
+    yield {"compose": compose + compose[:1], "identities": {**identities, first: "nosuch"}}
+    yield {"compose": compose[1:-1] + [compose[-1][:2] + ["nosuch"]]}
+    yield {"arrows": arrows + arrows[:1], "identities": {**identities, first: "nosuch"}}
+    yield {"identities": {**identities, first: "nosuch"}, "compose": compose[1:]}
+
+
 def test_bulk_category_loader_matches_the_per_entry_walk(tmp_path):
-    cats = [load_category(os.path.join(DATA, "six.json")), product(chain_category(4), cyclic_group_category(2))]
+    cats = [
+        load_category(os.path.join(DATA, "six.json")),
+        product(chain_category(4), cyclic_group_category(2)),
+        divisor_poset_category(12),
+    ]
     messages = set()
     for c in cats:
         doc = category_document(c)
         path = write_tmp(tmp_path, "cat.json", doc)
         kind, loaded = outcome(load_category, path)
-        assert kind == "ok" and categories_equal(loaded, reference_load_category(path))
-        for key, kind in (("arrows", "arrow"), ("compose", "triple")):
-            for entries in mutations(doc[key], kind):
-                path = write_tmp(tmp_path, "cat.json", dict(doc, **{key: entries}))
-                got, want = outcome(load_category, path), outcome(reference_load_category, path)
-                assert got[0] == want[0]
-                if got[0] == "ok":
-                    assert categories_equal(got[1], want[1])
-                else:
-                    assert got[1] == want[1]
-                    messages.add(got[1].split(": ")[-1].split(" (")[0])
-    assert {
+        assert kind == "ok" and same_data(loaded, reference_load_category(path))
+        variants = [{key: entries} for key, kind in (("arrows", "arrow"), ("compose", "triple"))
+                    for entries in mutations(doc[key], kind)]
+        for change in variants + list(document_mutations(doc)):
+            path = write_tmp(tmp_path, "cat.json", dict(doc, **change))
+            got, want = outcome(load_category, path), outcome(reference_load_category, path)
+            assert got[0] == want[0]
+            if got[0] == "ok":
+                assert same_data(got[1], want[1])
+            else:
+                assert got[1] == want[1]
+                messages.add(got[1][len(path) + 2:].split("]: ")[-1])
+    stems = {
         "must be an object",
         "must be a triple [g, f, gf]",
         "arrow names must be strings",
         "duplicate entry for pair",
         "'src' must be a string",
         "missing 'tgt'",
-    } <= messages
+        "duplicate object identifiers",
+        "duplicate arrow names",
+        "arrow '",
+        "identity table must cover exactly the objects",
+        "identity of",
+        "compose entry",
+        "compose: missing entry for composable pair",
+        "compose: pair",
+    }
+    assert all(any(m.startswith(stem) for m in messages) for stem in stems)
+
+
+def fine_outcome(c, rig):
+    try:
+        return [(name, repr(value)) for name, value in fine_mobius(c, rig).values.items()]
+    except (MalformedInput, NotInvertible) as err:
+        return type(err).__name__, str(err), getattr(err, "witness", None)
+
+
+def test_loaded_categories_read_the_file_through_their_name_views(tmp_path):
+    # a loaded category keeps positions; compose and factorizations() are
+    # built from them on first read and must give the file's table in its
+    # order, and fine mu and the laws must not tell it from the category
+    # built from the same dict.  Each table is also loaded with one
+    # composite swapped for another arrow, which can break a law
+    rng = random.Random(11)
+    cats = list(named_categories().values()) + general_corpus(99, 40)
+    outcomes = set()
+    for c in cats:
+        doc = category_document(c)
+        k = rng.randrange(len(doc["compose"]))
+        swapped = [list(entry) for entry in doc["compose"]]
+        swapped[k][2] = rng.choice(doc["arrows"])["name"]
+        for table in (doc["compose"], swapped):
+            path = write_tmp(tmp_path, "cat.json", dict(doc, compose=table))
+            loaded = load_category(path)
+            assert list(loaded.compose.items()) == [((g, f), gf) for g, f, gf in table]
+            want = {a["name"]: [] for a in doc["arrows"]}
+            for g, f, gf in table:
+                want[gf].append((f, g))
+            assert list(loaded.factorizations().items()) == list(want.items())
+            arrows = [(a["name"], a["src"], a["tgt"]) for a in doc["arrows"]]
+            built = FinCategory(doc["objects"], arrows, doc["identities"], {(g, f): gf for g, f, gf in table})
+            assert loaded.arrows == built.arrows and loaded.nonempty_homs() == built.nonempty_homs()
+            report = validate_category(loaded)
+            assert report == validate_category(built)
+            for rig in (RAT, INT):
+                outcome = fine_outcome(loaded, rig)
+                assert outcome == fine_outcome(built, rig)
+                outcomes.add(outcome[0] if isinstance(outcome, tuple) else "ok")
+            outcomes.add(report.law)
+    assert {"ok", "NotInvertible", "MalformedInput", "", "composite-endpoints", "associativity"} <= outcomes
 
 
 def test_bulk_graph_loader_matches_the_per_entry_walk(tmp_path):

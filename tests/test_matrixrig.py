@@ -448,6 +448,36 @@ def test_zero_pattern_requires_actual_inverse():
         inverse_zero_check(z, wrong)
 
 
+def test_integer_inverse_check_refuses_wrong_inverses_over_rat_and_int():
+    # over int and rat the check multiplies in integers; it accepts the
+    # inverse and refuses what the products in the rig refuse.  At 40 rows
+    # the inverse is unique, so every changed candidate is wrong
+    rng = random.Random(1)
+    refused = 0
+    for rig, n, count in [(RAT, 40, 1), (RAT, 3, 8), (INT, 3, 8), (RAT, 5, 8), (INT, 5, 8)]:
+        for _ in range(count):
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if rig is RAT:
+                rows = [[Fraction(x, rng.choice((1, 2, 3))) for x in row] for row in rows]
+            else:  # unitriangular, so the inverse is integral
+                rows = [[1 if i == j else x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+            z = RigMatrix.from_rows(rig, rows)
+            inverse = invert(z)
+            inverse_zero_check(z, inverse)
+            wrong = [list(row) for row in inverse.rows]
+            wrong[rng.randrange(n)][rng.randrange(n)] += Fraction(1, 7) if rig is RAT else 1
+            for rows in (wrong, [row[::-1] for row in inverse.rows], z.rows):
+                candidate = RigMatrix.from_rows(rig, rows)
+                ident = RigMatrix.identity(rig, n)
+                if n < 40 and z.mul(candidate).equal(ident) and candidate.mul(z).equal(ident):
+                    inverse_zero_check(z, candidate)
+                    continue
+                with pytest.raises(NotAnInverse, match="^second argument is not a two-sided inverse of the first$"):
+                    inverse_zero_check(z, candidate)
+                refused += 1
+    assert refused >= 90
+
+
 def test_zero_pattern_violation_is_reported():
     # invertible but not transitive: inverse picks up a nonzero where z is zero
     z = RigMatrix.from_rows(RAT, [[Fraction(1), Fraction(1), Fraction(0)], [Fraction(0), Fraction(1), Fraction(1)], [Fraction(0), Fraction(0), Fraction(1)]])
