@@ -74,7 +74,6 @@ from .incidence import (
 from .infinite import (
     PatchOracleCategory,
     builtin,
-    classical_mobius,
     family_mobius,
     oracle_zeta,
     patchwise_mobius,
@@ -86,7 +85,6 @@ from .matrixrig import (
     inverse_zero_check,
     invert,
     is_transitive,
-    lemma_identity_check,
 )
 from .rigs import BOOL, INT, NAT, RAT, REAL, Rig, TruncatedSeries, get_rig, polynomial_rig
 
@@ -103,11 +101,9 @@ _FUNCTORIALITY = (
     "fibre_sizes",
     "is_bijective_on_objects",
     "is_ulf",
-    "mobius_by_subcategories",
     "pullback_transform",
     "pushforward",
     "rota_check",
-    "ulf_via_pullback_squares",
     "validate_adjunction",
 )
 # every public name, the deferred ones included, for `from mobiuskit import *`
@@ -115,12 +111,13 @@ __all__ = sorted(name for name in globals() if not name.startswith("_")) + ["fun
 
 
 def __getattr__(name):
-    if name in _FUNCTORIALITY:
-        from . import functoriality
+    if name == "functoriality" or name in _FUNCTORIALITY:
+        from importlib import import_module
 
-        return getattr(functoriality, name)
+        functoriality = import_module(".functoriality", __name__)
+        return functoriality if name == "functoriality" else getattr(functoriality, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()).union(_FUNCTORIALITY))
+    return sorted(set(globals()).union(__all__))

@@ -6,7 +6,7 @@ object the position of its identity, and the composition table is three
 int lists in table order, (g, f, g after f) for every pair with
 tgt(f) = src(g), with one int-keyed lookup g*n + f -> g after f.  The
 names live in one tuple and appear only in reports, messages and
-witnesses; compose, the table keyed by arrow-name pairs, and
+witnesses; arrows, compose (the table keyed by arrow-name pairs) and
 factorizations() are name views of the same lists.
 
 Construction refuses a table that misses a composable pair or has an
@@ -74,16 +74,16 @@ class FinCategory:
     and compose is defined on exactly the composable pairs.  The category
     *laws* are the business of validate(), which reports rather than raises.
 
-    The arrows and the table {(g, f): g after f} of arrow names given here
-    are kept as given; the category works on the positions they map to.
-    A loaded category (fileio.load_category) has only the positions and
-    the names, and builds arrows and compose on first read.
+    The arrows (Arrow or (name, src, tgt) tuples) and the table
+    {(g, f): g after f} of arrow names given here are mapped to positions
+    and not kept: arrows and compose, like the other name views, are
+    built from the positions on first read, as for a loaded category
+    (fileio.load_category).
     """
 
     def __init__(self, objects, arrows, identity, compose):
-        self.arrows = tuple(a if isinstance(a, Arrow) else Arrow(*a) for a in arrows)
-        self.compose = compose = dict(compose)
-        fields = list(map(attrgetter("name", "src", "tgt"), self.arrows))
+        fields = [attrgetter("name", "src", "tgt")(a if isinstance(a, Arrow) else Arrow(*a)) for a in arrows]
+        compose = dict(compose)
         self._structure(objects, fields, identity, list(map(add, compose, zip(compose.values()))))
 
     @classmethod
@@ -161,7 +161,6 @@ class FinCategory:
         self._src, self._tgt, self._ids, self._into = src, tgt, ids, into
         # the table, entry by entry: g, f and g o f
         self._outer, self._inner, self._composite = outer, inner, flat[2::3]
-        self._factorizations = self._nonempty_homs = None
 
     # name views and tables built on first read
 
@@ -192,6 +191,20 @@ class FinCategory:
             hom.setdefault(key, []).append(name)
         return {key: tuple(names) for key, names in hom.items()}
 
+    @cached_property
+    def _nonempty_homs(self) -> tuple:
+        objects = self.objects
+        cells = tuple([(i, j, names) for (i, j), names in self._hom.items()])
+        return cells, frozenset([(objects[i], objects[j]) for i, j, _ in cells])
+
+    @cached_property
+    def _factorizations(self) -> dict:
+        names = self._names
+        pairs = [[] for _ in names]
+        for g, f, gf in zip(self._outer, self._inner, self._composite):
+            pairs[gf].append((names[f], names[g]))
+        return dict(zip(names, pairs))
+
     # basic lookups
 
     def arrow(self, name) -> Arrow:
@@ -215,13 +228,9 @@ class FinCategory:
         cells lists each nonempty hom(a, b) as (i, j, names), with i and j
         the positions of a and b in objects; pairs is the frozenset of the
         (a, b) with a map a -> b.  Every other hom-set is empty, so work
-        over all object pairs can skip them.  Read once and kept, since the
-        category is immutable.
+        over all object pairs can skip them.  Built on first read and kept,
+        since the category is immutable.
         """
-        if self._nonempty_homs is None:
-            objects = self.objects
-            cells = tuple([(i, j, names) for (i, j), names in self._hom.items()])
-            self._nonempty_homs = cells, frozenset([(objects[i], objects[j]) for i, j, _ in cells])
         return self._nonempty_homs
 
     def is_identity(self, name) -> bool:
@@ -230,47 +239,38 @@ class FinCategory:
     def arrow_names(self) -> tuple:
         return self._names
 
-    def composable_pairs(self) -> Iterator[tuple]:
-        """All (g, f) with tgt(f) = src(g), g then f in arrow order."""
-        names, into = self._names, self._into
-        for g, a in enumerate(self._src):
-            for f in into[a]:
-                yield names[g], names[f]
-
     def factorizations(self) -> dict:
         """composite -> list of (first, second) with second o first = composite,
         by arrow names: the composites in arrow order, each list in table order."""
-        if self._factorizations is None:
-            names = self._names
-            pairs = [[] for _ in names]
-            for g, f, gf in zip(self._outer, self._inner, self._composite):
-                pairs[gf].append((names[f], names[g]))
-            self._factorizations = dict(zip(names, pairs))
         return self._factorizations
 
     def validate(self) -> ValidationReport:
         return validate_category(self)
 
     def __repr__(self):
-        return f"FinCategory({len(self.objects)} objects, {len(self.arrows)} arrows)"
+        return f"FinCategory({len(self.objects)} objects, {len(self._names)} arrows)"
 
 
 def validate_category(c: FinCategory) -> ValidationReport:
     """Check the category laws, returning the first violation with witnesses.
 
-    The endpoint and unit laws are list comparisons on arrow positions;
-    only a law that fails walks the table, in the order the witness has
-    always been named in.  Composite endpoints are checked before
+    Every check and witness reads positions, so none builds the arrows
+    view.  The identity endpoints are checked object by object; the
+    composite endpoints and unit laws are list comparisons, and only a
+    law that fails walks the table, in the order the witness has always
+    been named in.  Composite endpoints are checked before
     associativity, so both sides of (h o g) o f = h o (g o f) lie in
     hom(src f, tgt h); a triple whose outer hom-set has one arrow cannot
     fail, and only the others are looked at.
     """
-    names, src, tgt, ids = c._names, c._src, c._tgt, c._ids
+    objects, names, src, tgt, ids = c.objects, c._names, c._src, c._tgt, c._ids
     n = len(names)
     for obj, name in c.identity.items():
-        a = c.arrow(name)
-        if a.src != obj or a.tgt != obj:
-            return ValidationReport(False, "identity-endpoints", f"1_{obj!r} = {name!r}: {a.src!r} -> {a.tgt!r}")
+        a, i = c._index[name], c._where[obj]
+        if src[a] != i or tgt[a] != i:
+            return ValidationReport(
+                False, "identity-endpoints", f"1_{obj!r} = {name!r}: {objects[src[a]]!r} -> {objects[tgt[a]]!r}"
+            )
     outer, inner, composite = c._outer, c._inner, c._composite
     if (
         list(map(src.__getitem__, composite)) != list(map(src.__getitem__, inner))
@@ -278,10 +278,10 @@ def validate_category(c: FinCategory) -> ValidationReport:
     ):
         for g, f, gf in zip(outer, inner, composite):
             if src[gf] != src[f] or tgt[gf] != tgt[g]:
-                a = c.arrows[gf]
                 return ValidationReport(
                     False, "composite-endpoints",
-                    f"compose({names[g]!r}, {names[f]!r}) = {names[gf]!r} has endpoints {a.src!r} -> {a.tgt!r}",
+                    f"compose({names[g]!r}, {names[f]!r}) = {names[gf]!r} has endpoints "
+                    f"{objects[src[gf]]!r} -> {objects[tgt[gf]]!r}",
                 )
     # 1_tgt(a) o a and a o 1_src(a), at the keys id*n + a and a*n + id
     table = c._table

@@ -78,15 +78,6 @@ MAX_ZEROS_DIM = 50
 MAX_GRADED_WORK = 2**20
 
 
-def name_str(x) -> str:
-    """Canonical printable form of an object / arrow name."""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, tuple):
-        return "(" + ",".join(name_str(v) for v in x) + ")"
-    return str(x)
-
-
 def matrix_json(rig, matrix) -> list:
     # most entries of a large Mobius table are rig.zero itself (the exact
     # solves land zeros as that object), so its text is rendered once
@@ -97,13 +88,13 @@ def matrix_json(rig, matrix) -> list:
 
 def coarse_json(element) -> dict:
     return {
-        "objects": [name_str(o) for o in element.objects],
+        "objects": list(element.objects),
         "matrix": matrix_json(element.rig, element.matrix),
     }
 
 
 def fine_json(element) -> dict:
-    return {name_str(k): render(element.rig, v) for k, v in element.values.items()}
+    return {k: render(element.rig, v) for k, v in element.values.items()}
 
 
 # the types json writes as one token; a container of only these is flat
@@ -189,7 +180,7 @@ def _broken_law(cat):
 def cmd_validate(args):
     cat = load_category(args.category)
     report = validate_category(cat)
-    results = {"valid": report.ok, "objects": len(cat.objects), "arrows": len(cat.arrows)}
+    results = {"valid": report.ok, "objects": len(cat.objects), "arrows": len(cat.arrow_names())}
     if not report.ok:
         results.update(law=report.law, witness=report.witness)
     return "rat", results, EXIT_OK if report.ok else EXIT_NEGATIVE
@@ -202,7 +193,7 @@ def cmd_zeta(args):
     z = zeta(cat, rig)
     results = {"algebra": args.algebra, "zeta": as_json(z)}
     if args.algebra == "patch":
-        results["support"] = sorted(f"{name_str(a)}->{name_str(b)}" for (a, b) in z.support)
+        results["support"] = sorted(f"{a}->{b}" for (a, b) in z.support)
     return rig.name, results, EXIT_OK
 
 
@@ -337,9 +328,9 @@ def cmd_classify(args):
     report = endomorphism_report(cat)
     results = {
         "skeletal": is_skeletal(cat),
-        "nontrivial_isos": sorted(name_str(x) for x in report.nontrivial_isos),
-        "nontrivial_idempotents": sorted(name_str(x) for x in report.nontrivial_idempotents),
-        "nontrivial_endos": sorted(name_str(x) for x in report.nontrivial_endos),
+        "nontrivial_isos": sorted(report.nontrivial_isos),
+        "nontrivial_idempotents": sorted(report.nontrivial_idempotents),
+        "nontrivial_endos": sorted(report.nontrivial_endos),
         "mobius_category": report.mobius,
         **inversions,
     }
@@ -361,15 +352,11 @@ def cmd_functor_check(args):
         "functor_valid": True,
         "bijective_on_objects": is_bijective_on_objects(functor),
         "ulf": ulf,
-        "fibre_sizes": {name_str(k): v for k, v in fibre_sizes(functor).items()},
+        "fibre_sizes": fibre_sizes(functor),
     }
     if not ulf:
         h, g1, g2, count = witness
-        results["ulf_counterexample"] = {
-            "arrow": name_str(h),
-            "factorization": [name_str(g1), name_str(g2)],
-            "lifts": count,
-        }
+        results["ulf_counterexample"] = {"arrow": h, "factorization": [g1, g2], "lifts": count}
     return "rat", results, EXIT_OK
 
 

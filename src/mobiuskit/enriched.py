@@ -45,8 +45,8 @@ class SizeAssignment(Frozen):
     """Multiplicative size |X| of hom-descriptors for one enrichment.
 
     ``tensor`` combines two hom-descriptors, ``unit`` is the monoidal unit
-    descriptor; multiplicativity size(tensor(X,Y)) = size(X)*size(Y) and
-    size(unit) = 1 is checkable on samples via check_multiplicativity.
+    descriptor; size is multiplicative: size(tensor(X,Y)) = size(X)*size(Y)
+    and size(unit) = 1.
     """
 
     __slots__ = ("enrichment", "rig", "size", "tensor", "unit")
@@ -105,20 +105,6 @@ def graded_sizes(degree: int) -> SizeAssignment:
         return tuple(out)
 
     return SizeAssignment("graded", rig, size, tensor, (1,))
-
-
-def check_multiplicativity(sa: SizeAssignment, samples) -> bool:
-    """size is a monoid homomorphism on the sampled hom-descriptors."""
-    rig = sa.rig
-    if not rig.eq(sa.size(sa.unit), rig.one):
-        return False
-    for x in samples:
-        for y in samples:
-            lhs = sa.size(sa.tensor(x, y))
-            rhs = rig.mul(sa.size(x), sa.size(y))
-            if not rig.eq(lhs, rhs):
-                return False
-    return True
 
 
 def enriched_coarse_zeta(objects, homsizes, rig: Rig, enrichment: str = "finite_sets") -> CoarseElement:

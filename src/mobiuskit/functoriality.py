@@ -1,35 +1,18 @@
 """Functor predicates and the maps they induce on incidence algebras.
 
 Covers bijectivity-on-objects and fibre sizes, unique lifting of
-factorizations (directly and through the two pullback squares of the free
-path construction), pushforward and pullback of fine elements, pullbacks
-of categories, the Beck-Chevalley square, span composition, adjunction
-validation with the adjoint-pair Mobius identity, and the brute-force
-subcategory search that cross-checks category.is_mobius_category.
+factorizations, pushforward and pullback of fine elements, pullbacks of
+categories, the Beck-Chevalley square, span composition, and adjunction
+validation with the adjoint-pair Mobius identity.
 """
 
 from __future__ import annotations
 
 from ._record import Frozen, Record
-from .category import (
-    Arrow,
-    FinCategory,
-    Functor,
-    categories_equal,
-    compose_functors,
-    enumerate_subcategories,
-    is_mobius_category,  # re-exported beside mobius_by_subcategories, its exhaustive test
-)
-from .errors import BudgetExceeded, MalformedInput, NotInvertible, RigMismatch
-from .incidence import (
-    FineElement,
-    coarse_mobius,
-    fine_basis,
-    fine_convolve,
-    fine_delta,
-    fine_mobius,
-)
-from .rigs import INT, RAT, Rig
+from .category import Arrow, FinCategory, Functor, categories_equal, compose_functors
+from .errors import MalformedInput, RigMismatch
+from .incidence import FineElement, coarse_mobius, fine_basis
+from .rigs import RAT, Rig
 
 
 def is_bijective_on_objects(f: Functor) -> bool:
@@ -68,35 +51,6 @@ def is_ulf(f: Functor):
     return True, None
 
 
-def reflects_identities(f: Functor) -> bool:
-    """Length-0 square: arrows over identities are exactly the identities."""
-    src, tgt = f.source, f.target
-    identity_preimage = {h for h in src.arrow_names() if tgt.is_identity(f.arrow_map[h])}
-    return identity_preimage == {src.identity[o] for o in src.objects}
-
-
-def composable_pairs_square_is_pullback(f: Functor) -> bool:
-    """Length-2 square: composable pairs of the source must biject with
-    pairs (target factorization, source arrow over its composite)."""
-    src, tgt = f.source, f.target
-    image_of_pairs = {}
-    for (g, h) in src.compose:
-        key = ((f.arrow_map[h], f.arrow_map[g]), src.compose[(g, h)])
-        image_of_pairs[key] = image_of_pairs.get(key, 0) + 1
-    for h in src.arrow_names():
-        for (g1, g2) in tgt.factorizations()[f.arrow_map[h]]:
-            if image_of_pairs.get(((g1, g2), h), 0) != 1:
-                return False
-    return True
-
-
-def ulf_via_pullback_squares(f: Functor) -> bool:
-    """ULF by the two finite pullback-square conditions of the free path
-    construction: identity reflection (length 0) and the composable-pairs
-    square (length 2)."""
-    return reflects_identities(f) and composable_pairs_square_is_pullback(f)
-
-
 def pushforward(f: Functor, x: FineElement) -> FineElement:
     """(F_! x)(g) = sum of x over the fibre of g."""
     if x.category is not f.source and not categories_equal(x.category, f.source):
@@ -115,32 +69,6 @@ def pullback_transform(f: Functor, y: FineElement) -> FineElement:
         raise RigMismatch("element does not live on the functor's target")
     values = {a.name: y.values[f.arrow_map[a.name]] for a in f.source.arrows}
     return FineElement(f.source, y.rig, values)
-
-
-def _is_homomorphism(transform, domain: FinCategory, codomain: FinCategory, rig: Rig):
-    """Definitional check that transform, from fine elements on domain to
-    fine elements on codomain, preserves delta and all basis products."""
-    if not transform(fine_delta(domain, rig)).equal(fine_delta(codomain, rig)):
-        return False, ("delta",)
-    for a in domain.arrow_names():
-        ea = fine_basis(domain, rig, a)
-        for b in domain.arrow_names():
-            eb = fine_basis(domain, rig, b)
-            lhs = transform(fine_convolve(ea, eb))
-            rhs = fine_convolve(transform(ea), transform(eb))
-            if not lhs.equal(rhs):
-                return False, (a, b)
-    return True, None
-
-
-def pushforward_is_homomorphism(f: Functor, rig: Rig):
-    """Definitional check: F_! preserves delta and all basis products."""
-    return _is_homomorphism(lambda x: pushforward(f, x), f.source, f.target, rig)
-
-
-def pullback_is_homomorphism(f: Functor, rig: Rig):
-    """Definitional check: F* preserves delta and all basis products."""
-    return _is_homomorphism(lambda y: pullback_transform(f, y), f.target, f.source, rig)
 
 
 def category_pullback(f: Functor, g: Functor):
@@ -355,26 +283,3 @@ def rota_check(adj: Adjunction, a, b, rig: Rig = RAT):
         if g.object_map[b_prime] == a
     )
     return rig.eq(lhs, rhs), lhs, rhs
-
-
-# Mobius-category classification
-
-
-# the search solves fine inversion on every subcategory, up to 2^arrows of them
-MAX_SUBCATEGORY_ARROWS = 8
-
-
-def mobius_by_subcategories(c: FinCategory):
-    """Exhaustive test: every subcategory has fine inversion over the integers.
-
-    Returns (True, None) or (False, witness_subcategory).  Intentionally
-    brute-force, so restricted to small categories.
-    """
-    if len(c.arrows) > MAX_SUBCATEGORY_ARROWS:
-        raise BudgetExceeded(f"subcategory search limited to {MAX_SUBCATEGORY_ARROWS} arrows")
-    for sub in enumerate_subcategories(c):
-        try:
-            fine_mobius(sub, INT)
-        except NotInvertible:
-            return False, sub
-    return True, None

@@ -200,15 +200,18 @@ def fine_invert(x: FineElement) -> FineElement:
     coefficient of w(g), with right-hand side e [f is an identity].  One
     walk over the category's composition table, the int lists of arrow
     positions (h, g, f) in table order, collects the coefficients; no
-    arrow name is read unless a message needs it.  When e = 1, every diagonal coefficient is 1 and the
-    off-diagonal terms, read as "g before f", have a Kahn order, the
-    system is unitriangular along that order and solves forward with
-    d = 1, by the push that also inverts unitriangular count matrices
-    (matrixrig._kahn_order, matrixrig._push_forward).  In a Mobius
-    category zeta always qualifies (Leroux): h o f = f forces h to be an
-    identity, and h o g = f with h not an identity leads from the target
-    of g to another target, up a partial order of the objects.  Groups,
-    nontrivial idempotents and scaled elements do not qualify.  The rule
+    arrow name is read unless a message needs it.  When every diagonal
+    coefficient is 1 and the off-diagonal terms, read as "g before f",
+    have a Kahn order, the system is unitriangular along that order and
+    solves forward with d = 1, by the push that also inverts
+    unitriangular count matrices (matrixrig._kahn_order,
+    matrixrig._push_forward): the coefficients and the right-hand side
+    are integers, so the pass stays in integers whatever e is.  In a
+    Mobius category zeta always qualifies (Leroux), and so does any
+    multiple zeta / k: h o f = f forces h to be an identity, and h o g = f
+    with h not an identity leads from the target of g to another target,
+    up a partial order of the objects.  Groups and nontrivial
+    idempotents do not qualify.  The rule
     reads the system, not the category, since fine_mobius does not
     validate the laws: a table that breaks them either has a system that
     qualifies, with the same unique solution on either route, or goes to
@@ -257,7 +260,7 @@ def fine_invert(x: FineElement) -> FineElement:
         h, g, f = outer[k], inner[k], composite[k]
         raise MalformedInput(
             f"compose({names[h]!r}, {names[g]!r}) = {names[f]!r}: the composite starts at "
-            f"{c.arrows[f].src!r}, not at the source {c.arrows[g].src!r} of {names[g]!r}"
+            f"{c.objects[sources[f]]!r}, not at the source {c.objects[sources[g]]!r} of {names[g]!r}"
         )
     # (w * x)(f) = sum_g [sum_{h : h o g = f} x(h)] w(g), with src(g) = src(f):
     # the coefficient of w(f) in row f sums into diagonal[f], and each other
@@ -270,7 +273,7 @@ def fine_invert(x: FineElement) -> FineElement:
         else:
             later[g].append((f, scaled[h]))
     rhs = [e if c.is_identity(name) else 0 for name in names]
-    order = _kahn_order(later) if e == 1 and all(coefficient == 1 for coefficient in diagonal) else None
+    order = _kahn_order(later) if all(coefficient == 1 for coefficient in diagonal) else None
     if order is None:
         d, w = _block_solve(sources, diagonal, later, rhs)
     else:

@@ -218,23 +218,3 @@ def builtin(family: str) -> PatchOracleCategory:
             targets=_targets_from_source,
         )
     raise MalformedInput(f"unknown built-in family '{family}'")
-
-
-def classical_mobius(n: int) -> int:
-    """Number-theoretic Mobius function by brute-force trial division."""
-    if n < 1:
-        raise MalformedInput(f"classical Mobius needs n >= 1, got {n}")
-    factors = 0
-    remaining = n
-    p = 2
-    while p * p <= remaining:
-        if remaining % p == 0:
-            remaining //= p
-            if remaining % p == 0:
-                return 0
-            factors += 1
-        else:
-            p += 1
-    if remaining > 1:
-        factors += 1
-    return -1 if factors % 2 else 1

@@ -1,8 +1,8 @@
 """Dense square matrices over a rig.
 
 Provides the subtraction-free determinant and adjugate halves (even/odd
-permutation sums), the transitive-matrix predicate, the two identities
-they satisfy, zero-pattern inheritance for inverses, and inversion.
+permutation sums), the transitive-matrix predicate, zero-pattern
+inheritance for inverses, and inversion.
 Every exact solve in the package (coarse inverses, family tables, invert
 over an exact rig, fine convolution blocks) goes through one
 fraction-free elimination, _bareiss, sparse at every step whose pivot
@@ -253,47 +253,6 @@ def is_transitive(m: RigMatrix):
                 seen.add(key)
                 queue.append((nxt, new_product, depth + 1, path + (nxt,)))
     return True, None
-
-
-class LemmaIdentityReport(Frozen):
-    __slots__ = ("det_identity_holds", "adjugate_identity_holds")
-
-    def __init__(self, det_identity_holds: bool, adjugate_identity_holds: bool):
-        object.__setattr__(self, "det_identity_holds", det_identity_holds)
-        object.__setattr__(self, "adjugate_identity_holds", adjugate_identity_holds)
-
-    @property
-    def ok(self) -> bool:
-        return self.det_identity_holds and self.adjugate_identity_holds
-
-
-# three determinant expansions and one adjugate expansion, each over all n! permutations
-MAX_LEMMA_DIM = 5
-
-
-def lemma_identity_check(x: RigMatrix, y: RigMatrix) -> LemmaIdentityReport:
-    """Verify both subtraction-free determinant/adjugate identities exactly.
-
-    det+X det+Y + det-X det-Y + det-(XY) = det+X det-Y + det-X det+Y + det+(XY)
-    and X adj+X + (det-X) I = X adj-X + (det+X) I.
-    """
-    x._check_compatible(y)
-    if x.n > MAX_LEMMA_DIM:
-        raise BudgetExceeded(f"identity check limited to n <= {MAX_LEMMA_DIM}")
-    rig = x.rig
-    dpx, dmx = det_halves(x)
-    dpy, dmy = det_halves(y)
-    dpxy, dmxy = det_halves(x.mul(y))
-    lhs = rig.sum([rig.mul(dpx, dpy), rig.mul(dmx, dmy), dmxy])
-    rhs = rig.sum([rig.mul(dpx, dmy), rig.mul(dmx, dpy), dpxy])
-    det_ok = rig.eq(lhs, rhs)
-
-    ap, am = adj_halves(x)
-    ident = RigMatrix.identity(rig, x.n)
-    left = x.mul(ap).add(ident.scale(dmx))
-    right = x.mul(am).add(ident.scale(dpx))
-    adj_ok = left.equal(right)
-    return LemmaIdentityReport(det_ok, adj_ok)
 
 
 def inverse_zero_check(z: RigMatrix, zinv: RigMatrix):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from mobiuskit.category import product
-from mobiuskit.category import endomorphism_report, is_skeletal
+from mobiuskit.category import endomorphism_report, is_mobius_category, is_skeletal
 from corpus import (
     fine_invertible_corpus,
     galois_connection_corpus,
@@ -43,11 +43,7 @@ from mobiuskit.errors import NotInvertible
 from mobiuskit.functoriality import (
     beck_chevalley_check,
     is_bijective_on_objects,
-    is_mobius_category,
     is_ulf,
-    mobius_by_subcategories,
-    pullback_is_homomorphism,
-    pushforward_is_homomorphism,
     rota_check,
     validate_adjunction,
 )
@@ -58,16 +54,22 @@ from mobiuskit.incidence import (
     nerve_euler_characteristic,
     sigma_to_coarse,
 )
-from mobiuskit.infinite import builtin, classical_mobius, patchwise_mobius
+from mobiuskit.infinite import builtin, patchwise_mobius
 from mobiuskit.matrixrig import (
     RigMatrix,
     inverse_zero_check,
     invert,
     is_transitive,
-    lemma_identity_check,
 )
 from mobiuskit.rigs import INT, NAT, RAT, TruncatedSeries, polynomial_rig
 from leroux import chain_counts
+from oracles import (
+    classical_mobius,
+    lemma_identity_check,
+    mobius_by_subcategories,
+    pullback_is_homomorphism,
+    pushforward_is_homomorphism,
+)
 
 CORPUS_SEED = 2026
 

@@ -9,6 +9,7 @@ from mobiuskit.category import (
     compose_functors,
     full_subcategory,
     identity_functor,
+    is_mobius_category,
     validate_category,
 )
 from corpus import (
@@ -33,15 +34,10 @@ from mobiuskit.functoriality import (
     fibre_sizes,
     identity_span,
     is_bijective_on_objects,
-    is_mobius_category,
     is_ulf,
-    mobius_by_subcategories,
-    pullback_is_homomorphism,
     pullback_transform,
     pushforward,
-    pushforward_is_homomorphism,
     rota_check,
-    ulf_via_pullback_squares,
     validate_adjunction,
 )
 from mobiuskit.incidence import (
@@ -56,6 +52,14 @@ from mobiuskit.incidence import (
     verify_inverse,
 )
 from mobiuskit.rigs import INT, RAT
+from oracles import (
+    composable_pairs_square_is_pullback,
+    mobius_by_subcategories,
+    pullback_is_homomorphism,
+    pushforward_is_homomorphism,
+    reflects_identities,
+    ulf_via_pullback_squares,
+)
 
 
 from corpus import beck_chevalley_instances, hasse_free_collapse
@@ -104,11 +108,6 @@ def test_ulf_square_characterization_agrees_across_corpus():
 def test_composable_pairs_square_forces_identity_reflection():
     # a functor passing the length-2 square but failing identity
     # reflection never occurs: verified as an implication over the corpus
-    from mobiuskit.functoriality import (
-        composable_pairs_square_is_pullback,
-        reflects_identities,
-    )
-
     for label, functor in functor_corpus():
         if composable_pairs_square_is_pullback(functor):
             assert reflects_identities(functor), label

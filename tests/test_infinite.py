@@ -10,7 +10,6 @@ from mobiuskit.incidence import coarse_mobius, fine_mobius
 from mobiuskit.infinite import (
     PatchOracleCategory,
     builtin,
-    classical_mobius,
     family_mobius,
     oracle_zeta,
     patchwise_mobius,
@@ -19,6 +18,7 @@ from mobiuskit.matrixrig import RigMatrix
 from mobiuskit.rigs import BOOL, INT, NAT, RAT, REAL, Rig
 from corpus import materialize
 from leroux import chain_counts
+from oracles import classical_mobius
 
 
 def test_oracle_zeta_formulas():

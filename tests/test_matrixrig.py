@@ -16,9 +16,9 @@ from mobiuskit.matrixrig import (
     invert_counting_matrix,
     inverse_zero_check,
     is_transitive,
-    lemma_identity_check,
 )
 from mobiuskit.rigs import BOOL, INT, NAT, RAT, REAL
+from oracles import lemma_identity_check
 
 
 def reference_determinant(rows):

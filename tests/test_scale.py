@@ -1,0 +1,163 @@
+"""Paper identities as oracles at 2 000 to 5 100 arrows.
+
+Products and coproducts of a seeded free category F on an acyclic graph
+with parallel edges and the square chain(k)^2 are checked, over rat,
+against closed forms that need no slow path:
+
+- fine mu of F is 1 on identities, -1 on edges and 0 on longer paths,
+  fine mu of chain(k)^2 is the product of the chains' (1 on identities,
+  -1 on covers), and fine mu of a product is the product of the factors';
+- chi(C x D) = chi(C) chi(D) and chi(C + D) = chi(C) + chi(D), with
+  chi(F) = vertices - edges and chi(chain(k)^2) = 1;
+- summing over each hom-set (sigma_to_coarse) takes fine zeta to coarse
+  zeta and fine mu to coarse mu;
+- the name views of a product and a coproduct, built from positions,
+  are the tables the constructions were given.
+
+These categories take the forward pass.  C2 x chain(3)^2, with the
+element (1 + 2s) x zeta, takes the per-object blocks, and over int its
+inverses are refused as non-integral.  Budget: the whole file runs in
+under 8 s in tier-1 (about 3 s on a shared 2-vCPU x86_64 host).
+"""
+
+import contextlib
+import io
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from mobiuskit import cli, incidence
+from mobiuskit.category import Arrow, coproduct, product
+from mobiuskit.errors import NotInvertible
+from mobiuskit.incidence import (
+    FineElement,
+    coarse_mobius,
+    coarse_zeta,
+    euler_characteristic,
+    fine_invert,
+    fine_mobius,
+    fine_zeta,
+    sigma_to_coarse,
+)
+from mobiuskit.rigs import INT, RAT
+from corpus import chain_category, cyclic_group_category, free_category_on_acyclic_graph, random_dag
+from test_fileio import category_document
+
+# (seed, vertices, edge density, parallel edges) of F, and the k of its
+# product F x chain(k)^2: 4860 and 5100 arrows; F + chain(9)^2 has 2160
+# and 2076
+FREE = [(1, 7, 0.5, 2), (3, 8, 0.4, 2)]
+PRODUCTS = [(*case, k) for case, k in zip(FREE, (3, 4))]
+
+
+def square(k):
+    return product(chain_category(k), chain_category(k))
+
+
+def free_mu(name) -> int:
+    """mu of the free category on an acyclic graph at the path ("path", v, edges)."""
+    return {0: 1, 1: -1}.get(len(name[2]), 0)
+
+
+def square_mu(name) -> int:
+    """mu of chain(k)^2 at ((le, a, b), (le, c, d)): a product of the chains'."""
+    (_, a, b), (_, c, d) = name
+    return {0: 1, 1: -1}.get(b - a, 0) * {0: 1, 1: -1}.get(d - c, 0)
+
+
+def free_case(seed, vertices, density, parallel):
+    graph = random_dag(random.Random(seed), vertices, density, parallel)
+    return free_category_on_acyclic_graph(graph), len(graph.vertices) - len(graph.edges)
+
+
+def spy_routes(monkeypatch):
+    """The solver steps fine_invert takes, in order: kahn, pass and block."""
+    kahn, push, bareiss = incidence._kahn_order, incidence._push_forward, incidence._bareiss
+    calls = []
+    monkeypatch.setattr(incidence, "_kahn_order", lambda later: calls.append("kahn") or kahn(later))
+    monkeypatch.setattr(incidence, "_push_forward", lambda *args: calls.append("pass") or push(*args))
+    monkeypatch.setattr(incidence, "_bareiss", lambda rows, rhs: calls.append("block") or bareiss(rows, rhs))
+    return calls
+
+
+@pytest.mark.parametrize("seed, vertices, density, parallel, k", PRODUCTS)
+def test_product_of_a_free_category_and_a_square(monkeypatch, seed, vertices, density, parallel, k):
+    f, chi_f = free_case(seed, vertices, density, parallel)
+    d = square(k)
+    c = product(f, d)
+    assert 2000 <= len(c.arrow_names()) <= 10000
+    # the name views, built from positions, are the tables product was given
+    expected = {
+        ((g1, g2), (f1, f2)): (h1, h2) for (g1, f1), h1 in f.compose.items() for (g2, f2), h2 in d.compose.items()
+    }
+    assert list(c.compose.items()) == list(expected.items())
+    assert c.arrows == tuple(Arrow((a.name, b.name), (a.src, b.src), (a.tgt, b.tgt)) for a in f.arrows for b in d.arrows)
+
+    routes = spy_routes(monkeypatch)
+    mu = fine_mobius(c, RAT)
+    assert routes == ["kahn", "pass"]
+    assert fine_mobius(f, RAT).values == {name: free_mu(name) for name in f.arrow_names()}
+    assert fine_mobius(d, RAT).values == {name: square_mu(name) for name in d.arrow_names()}
+    assert mu.values == {(a, b): free_mu(a) * square_mu(b) for a, b in c.arrow_names()}
+
+    # summing over hom-sets is a homomorphism onto the coarse algebra: it
+    # takes fine zeta, nonzero on every arrow, to coarse zeta, and mu to mu
+    assert sigma_to_coarse(fine_zeta(c, RAT)).equal(coarse_zeta(c, RAT))
+    assert sigma_to_coarse(mu).equal(coarse_mobius(c, RAT))
+    assert euler_characteristic(f, RAT) == chi_f and euler_characteristic(d, RAT) == 1
+    assert euler_characteristic(c, RAT) == chi_f * euler_characteristic(d, RAT)
+
+
+@pytest.mark.parametrize("seed, vertices, density, parallel", FREE)
+def test_coproduct_of_a_free_category_and_a_square(tmp_path, seed, vertices, density, parallel):
+    f, chi_f = free_case(seed, vertices, density, parallel)
+    d = square(9)
+    c = coproduct(f, d)
+    assert 2000 <= len(c.arrow_names()) <= 10000
+    expected = {(("L", g), ("L", f1)): ("L", h) for (g, f1), h in f.compose.items()}
+    expected.update({(("R", g), ("R", f1)): ("R", h) for (g, f1), h in d.compose.items()})
+    assert list(c.compose.items()) == list(expected.items())
+
+    mu = fine_mobius(c, RAT)
+    want = {("L", a): free_mu(a) for a in f.arrow_names()}
+    want.update({("R", b): square_mu(b) for b in d.arrow_names()})
+    assert mu.values == want
+    assert sigma_to_coarse(fine_zeta(c, RAT)).equal(coarse_zeta(c, RAT))
+    assert sigma_to_coarse(mu).equal(coarse_mobius(c, RAT))
+    assert euler_characteristic(c, RAT) == chi_f + 1
+
+    # the same answer from the command line, on the category written to a file
+    path = tmp_path / "coproduct.json"
+    path.write_text(json.dumps(category_document(c)), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["euler", "--category", str(path)]) == 0
+    assert json.loads(out.getvalue())["results"] == {"status": "ok", "euler_characteristic": str(chi_f + 1)}
+
+
+def test_a_group_times_a_square_takes_the_blocks_and_is_refused_over_int(monkeypatch):
+    c2 = cyclic_group_category(2)
+    d = square(3)
+    c = product(c2, d)
+    one, s = c2.arrow_names()
+    # (1 + 2s) x zeta inverts to (-1/3 + 2/3 s) x mu, through one block per object
+    x = {one: 1, s: 2}
+    inverse = {one: Fraction(-1, 3), s: Fraction(2, 3)}
+    element = {(a, b): Fraction(x[a]) for a, b in c.arrow_names()}
+    routes = spy_routes(monkeypatch)
+    assert fine_invert(FineElement(c, RAT, element)).values == {
+        (a, b): inverse[a] * square_mu(b) for a, b in c.arrow_names()
+    }
+    assert routes == ["kahn"] + ["block"] * len(c.objects)
+    # zeta itself is singular, as it is on C2
+    with pytest.raises(NotInvertible, match="^singular convolution system"):
+        fine_mobius(c, RAT)
+    assert euler_characteristic(c, RAT) == euler_characteristic(c2, RAT) * euler_characteristic(d, RAT) == Fraction(1, 2)
+
+    with pytest.raises(NotInvertible, match="is not an integer") as err:
+        fine_invert(FineElement(c, INT, {name: x[name[0]] for name in c.arrow_names()}))
+    assert err.value.witness[0] == "non-integral"
+    with pytest.raises(NotInvertible, match="is not an integer"):
+        euler_characteristic(c, INT)
