@@ -5,20 +5,14 @@ elements on object pairs with support restricted to nonempty hom-sets.
 Zeta, Mobius, the summation homomorphisms between the levels, Euler
 characteristic, and the nerve Euler characteristic all live here.
 
-Fine inversion solves one linear system in integers, to one (d, W) with
-solution W / d.  When that system is unitriangular along some order of
-the arrows, as zeta's is in a Mobius category (Leroux), it is solved with
-d = 1 in one forward pass along Kahn's order, by the push that also
-inverts unitriangular count matrices (matrixrig._push_forward); every
-other system goes, one block per object, to matrixrig._bareiss, and d is
-the LCM of the block determinants.
+Fine inversion solves a linear system on arrows, coarse and patch
+inversion one on objects, each by one call of matrixrig._solve.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, repeat
-from math import lcm
 from operator import is_not, mul
 
 from ._record import Record
@@ -30,15 +24,7 @@ from .errors import (
     RigMismatch,
     UnsupportedRig,
 )
-from .matrixrig import (
-    RigMatrix,
-    _bareiss,
-    _kahn_order,
-    _land,
-    _push_forward,
-    _to_integers,
-    invert_counting_matrix,
-)
+from .matrixrig import RigMatrix, _land, _solve, _to_integers, invert_counting_matrix
 from .rigs import INT, Rig
 
 
@@ -188,62 +174,43 @@ def verify_inverse(x: FineElement, y: FineElement) -> bool:
 def fine_invert(x: FineElement) -> FineElement:
     """Two-sided convolution inverse of a fine element.
 
-    Solves the linear system w * x = delta for a left inverse w (one
-    unknown per arrow) exactly, in plain integers, then certifies the
-    other side.  x is scaled once to integers, X = e x with e the LCM of
-    its denominators (1 for every zeta).  The solution lands in the rig
-    through its from_quotient; over a rig without division (the integers)
-    it must come out integral.  Rigs without from_quotient have no solver,
-    use verify_inverse with a candidate instead.
+    Solves w * x = delta for a left inverse w, one unknown per arrow,
+    exactly in integers, then certifies the other side.  x is scaled once
+    to integers, X = e x with e the LCM of its denominators (1 for every
+    zeta).  The solution lands in the rig through its from_quotient; over
+    a rig without division (the integers) it must come out integral.
+    Rigs without from_quotient have no solver: use verify_inverse with a
+    candidate instead.
 
-    The row of f sums X(h) over the factorizations h o g = f into the
+    Equation f sums X(h) over the factorizations h o g = f into the
     coefficient of w(g), with right-hand side e [f is an identity].  One
-    walk over the category's composition table, the int lists of arrow
-    positions (h, g, f) in table order, collects the coefficients; no
-    arrow name is read unless a message needs it.  When every diagonal
-    coefficient is 1 and the off-diagonal terms, read as "g before f",
-    have a Kahn order, the system is unitriangular along that order and
-    solves forward with d = 1, by the push that also inverts
-    unitriangular count matrices (matrixrig._kahn_order,
-    matrixrig._push_forward): the coefficients and the right-hand side
-    are integers, so the pass stays in integers whatever e is.  In a
-    Mobius category zeta always qualifies (Leroux), and so does any
-    multiple zeta / k: h o f = f forces h to be an identity, and h o g = f
-    with h not an identity leads from the target of g to another target,
-    up a partial order of the objects.  Groups and nontrivial
-    idempotents do not qualify.  The rule
-    reads the system, not the category, since fine_mobius does not
-    validate the laws: a table that breaks them either has a system that
-    qualifies, with the same unique solution on either route, or goes to
-    the blocks.
+    walk over the composition table, on arrow positions, collects the
+    coefficients; no arrow name is read unless a message needs it.
+    (w * x)(f) involves only the w(g) with src(g) = src(f), so the arrows
+    out of each object form one block, and matrixrig._solve picks the
+    route.  In a Mobius category zeta, and any zeta / k, takes its
+    forward push: h o f = f forces h to be an identity, and h o g = f with
+    h not an identity leads from the target of g to another target, up a
+    partial order of the objects.  Groups and nontrivial idempotents take
+    the blocks.  The route reads the system, not the category, since
+    fine_mobius does not validate the laws.
 
-    Every other system is block-diagonal: (w * x)(f) involves only w(g)
-    with src(g) = src(f), so each source object has one block, holding
-    the arrows out of it in global arrow order, and each block goes to
-    the fraction-free kernel matrixrig._bareiss, the one that also
-    inverts coarse zeta matrices (_block_solve).  Both routes give the
-    unique solution of the same system as values W / d, in integers.
-
-    The certificate checks x * w = delta only.  w * x = delta holds
-    exactly, since the system was solved over the rationals, and in a
-    finite-dimensional associative unital algebra a left inverse is also
-    a right inverse.  A composition table that is not associative, which
-    fine_mobius does not validate, breaks that argument, even when the
-    system has an order, and there this check is what refuses a
-    one-sided answer.  The check runs on integers: it tests
-    sum X(g) W(h) = e d [f is an identity].  The same exact check serves
-    the floating reals, whose values are the exact solution rounded once.
+    The certificate checks x * w = delta only, in integers: it tests
+    sum X(g) W(h) = e d [f is an identity].  w * x = delta holds exactly,
+    and in a finite-dimensional associative unital algebra a left inverse
+    is also a right inverse.  A composition table that is not
+    associative breaks that argument, even when the system has an order,
+    and there this check is what refuses a one-sided answer.  The same
+    exact check serves the floating reals, whose values are the exact
+    solution rounded once.
 
     The checks run in this order: a composite that does not start where
-    its first factor starts, then a singular block, then a non-integral
-    value over a rig without division, then the certificate; only then
-    do the values land in the rig.  The composite breaks the block
-    structure; it is MalformedInput, as validate_category would report it
-    as composite-endpoints.  A singular system names the global index of
-    the first arrow column that depends on earlier columns, which is
-    where elimination over the whole system would stop.  Columns of
-    different blocks share no rows, so that is the smallest first failing
-    column over all blocks.
+    its first factor starts, which would put an entry outside the blocks
+    (MalformedInput, as validate_category would report it as
+    composite-endpoints), then a singular system, which names the first
+    arrow whose unknown has no pivot, then a non-integral value over a rig
+    without division, then the certificate; only then do the values land
+    in the rig.
     """
     rig = x.rig
     if rig.from_quotient is None:
@@ -272,12 +239,14 @@ def fine_invert(x: FineElement) -> FineElement:
             diagonal[f] += scaled[h]
         else:
             later[g].append((f, scaled[h]))
-    rhs = [e if c.is_identity(name) else 0 for name in names]
-    order = _kahn_order(later) if all(coefficient == 1 for coefficient in diagonal) else None
-    if order is None:
-        d, w = _block_solve(sources, diagonal, later, rhs)
-    else:
-        d, w = 1, _push_forward(list(rhs), order, later)
+    blocks = [[] for _ in c.objects]
+    for f, a in enumerate(sources):
+        blocks[a].append(f)
+    identities = dict.fromkeys(c._ids, e)
+    try:
+        d, (w,) = _solve(later, diagonal, [identities], blocks)
+    except NotInvertible as err:
+        raise NotInvertible(f"singular convolution system: no pivot in column {err.witness[1]}", witness=err.witness)
     if d != 1 and not rig.has_division:
         for name, value in zip(names, w):
             if value % d:
@@ -290,52 +259,11 @@ def fine_invert(x: FineElement) -> FineElement:
     product = [0] * n
     for f, term in zip(composite, map(mul, map(scaled.__getitem__, inner), map(w.__getitem__, outer))):
         product[f] += term
-    if product != [b * d for b in rhs]:
+    for f in identities:
+        product[f] -= e * d
+    if any(product):
         raise NotInvertible("left inverse exists but is not two-sided", witness=("one-sided", None))
     return FineElement(c, rig, dict(zip(names, _land(rig, d, [w])[0])))
-
-
-def _block_solve(sources, diagonal, later, rhs):
-    """Bareiss on each per-source block of the system; (d, W) with
-    w = W / d and d the LCM of the block determinants.
-
-    Block a holds the arrows out of a in global order, its rows and
-    columns alike.  A singular system names the smallest global column
-    with no pivot over all blocks.
-    """
-    columns: dict = {}
-    position = []
-    for i, a in enumerate(sources):
-        block = columns.setdefault(a, [])
-        position.append(len(block))
-        block.append(i)
-    rows = [[0] * len(columns[a]) for a in sources]
-    for f, coefficient in enumerate(diagonal):
-        rows[f][position[f]] = coefficient
-    for g, terms in enumerate(later):
-        column = position[g]
-        for f, x in terms:
-            rows[f][column] += x
-    solved = []
-    failures = []
-    for block in columns.values():
-        try:
-            solved.append((block, *_bareiss([rows[f] for f in block], [[rhs[f]] for f in block])))
-        except NotInvertible as err:
-            failures.append(block[err.witness[1]])
-    if failures:
-        column = min(failures)
-        raise NotInvertible(
-            f"singular convolution system: no pivot in column {column}",
-            witness=("column", column),
-        )
-    d = lcm(*(block_d for _, block_d, _ in solved))
-    w = [0] * len(sources)
-    for block, block_d, values in solved:
-        k = d // block_d
-        for f, (value,) in zip(block, values):
-            w[f] = value * k
-    return d, w
 
 
 def fine_mobius(c: FinCategory, rig: Rig) -> FineElement:

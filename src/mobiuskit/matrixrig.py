@@ -3,25 +3,15 @@
 Provides the subtraction-free determinant and adjugate halves (even/odd
 permutation sums), the transitive-matrix predicate, zero-pattern
 inheritance for inverses, and inversion.
-Every exact solve in the package (coarse inverses, family tables, invert
-over an exact rig, fine convolution blocks) goes through one
-fraction-free elimination, _bareiss, sparse at every step whose pivot
-equals the one before, and lands its integer result Y / d in a rig
-through the rig's from_quotient (_land), with two exceptions that
-share one forward solve: a system that is unitriangular along Kahn's
-order (_kahn_order) is solved with d = 1 by pushing each final unknown
-into the later ones (_push_forward).  On the route of
-invert_counting_matrix, a matrix with int nonzero entries, unitriangular
-up to a simultaneous permutation of its rows and columns, as the
-hom-counts of a Mobius category are along a linear extension, is
-inverted by _unitriangular_inverse, one push per row, which is Rota's
-recursion mu(a,b) = -sum mu(a,c) zeta(c,b).  A fine convolution system
-of the same shape, zeta's in a Mobius category among them, is solved by
-one push in incidence.fine_invert.  Every count-matrix
-inverse is invert_counting_matrix's, under one rig rule: the rig needs
-from_quotient, and over a rig without division the inverse must be
-integral.  A rig whose equality has a tolerance (Rig.exact False, the
-floating reals) has its own magnitude-pivot elimination in invert.
+Every exact solve in the package is one call of _solve, the one place
+that chooses between a forward push and the fraction-free elimination
+_bareiss: the inverse of a count matrix (invert_counting_matrix, behind
+coarse and patch mu, family tables and invert over an exact rig) and
+fine convolution inversion (incidence.fine_invert).  Its integer result
+W / d lands in a rig through the rig's from_quotient (_land); over a rig
+without division it must be integral.  A rig whose equality has a
+tolerance (Rig.exact False, the floating reals) has its own
+magnitude-pivot elimination in invert.
 """
 
 from __future__ import annotations
@@ -30,7 +20,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import chain, compress, permutations, repeat
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from ._record import Frozen
 from .errors import (
@@ -439,47 +429,70 @@ def _push_forward(w, order, later):
     return w
 
 
-def _unitriangular_inverse(rows):
-    """The inverse of a matrix whose diagonal entries are the int 1, whose
-    other nonzero entries are ints, and whose off-diagonal nonzero pattern
-    is acyclic, or None for any other matrix.  Only the entries the pass
-    reads anyway, the diagonal and the nonzero ones, are type-checked, so
-    a zero of any type (Fraction(0), 0.0) counts as zero.
+def _solve(later, diagonal, rhs, blocks):
+    """(d, W) with W[m] / d the solution w of w . A = rhs[m], for each m.
 
-    Kahn's algorithm orders the indices so that k comes before j whenever
-    rows[k][j] is a nonzero off-diagonal entry; along that order the
-    matrix is upper unitriangular, and so is its inverse Y.  Row m of
-    Y . X = I then solves forward (_push_forward) from y(m,m) = 1.  The
-    pass walks every index after m, not only row m's support, because Y
-    may be nonzero where X is zero when the pattern is not transitive.
+    A is the square integer matrix with A[k][k] = diagonal[k] and A[k][j]
+    the sum of the x over the (j, x) in later[k]; each rhs[m] is a dict
+    {index: integer}, zero at every other index.  blocks partition the
+    indices so that A[k][j] = 0 unless k and j share a block.  This is the
+    package's one exact solver, and it takes one of two routes.
+
+    When every diagonal entry is 1 and the pairs of later have a Kahn
+    order (_kahn_order), A is unitriangular along that order, as the
+    hom-count matrix and the fine zeta of a Mobius category are along a
+    linear extension (Leroux).  Each right-hand side is then pushed
+    forward (_push_forward) from the first of its indices in the order,
+    with d = 1 and no division.  Otherwise each block's equations go to
+    _bareiss with every right-hand side at once, and the block solutions
+    are put over d, the LCM of the block determinants.
+
+    Equation j reads column j of A, so the blocks eliminate A transposed.
+    A singular system raises NotInvertible naming the smallest unknown k
+    without a pivot: the first row of A that depends on the rows before
+    it, since rows of different blocks share no columns.
     """
-    n = len(rows)
-    later = []  # later[k]: the (j, x) with x = rows[k][j] nonzero, j != k
-    for k, row in enumerate(rows):
-        if row[k] != 1 or not all(map(isinstance, compress(row, row), repeat(int))):
-            return None
-        later.append([(j, row[j]) for j in compress(range(n), row) if j != k])
-    order = _kahn_order(later)
-    if order is None:
-        return None
-    inverse = [None] * n
-    for position, m in enumerate(order):
-        y = [0] * n
-        y[m] = 1
-        inverse[m] = _push_forward(y, order[position:], later)
-    return inverse
-
-
-def _inverse(rows):
-    """(d, Y) with Y / d the inverse of a square matrix of rationals."""
-    inverse = _unitriangular_inverse(rows)
-    if inverse is not None:
-        return 1, inverse
-    # each equation times the LCM of its row's denominators (1 for a row
-    # of ints): same solution
-    scales, integral = zip(*map(_to_integers, rows))
-    n = len(rows)
-    return _bareiss(integral, ([e if i == j else 0 for j in range(n)] for i, e in enumerate(scales)))
+    n = len(diagonal)
+    order = _kahn_order(later) if diagonal.count(1) == n else None
+    if order is not None:
+        position = dict(zip(order, range(n)))
+        solutions = []
+        for b in rhs:
+            w = [0] * n
+            for k in b:
+                w[k] = b[k]
+            start = min(map(position.__getitem__, b)) if b else n
+            solutions.append(_push_forward(w, order[start:], later))
+        return 1, solutions
+    # equations[j]: the coefficients A[k][j] of the unknowns w(k) of j's block
+    position = [0] * n
+    equations = [None] * n
+    for block in blocks:
+        for p, k in enumerate(block):
+            position[k] = p
+            equations[k] = [0] * len(block)
+    for k, terms in enumerate(later):
+        p = position[k]
+        equations[k][p] = diagonal[k]
+        for j, x in terms:
+            equations[j][p] += x
+    solved, failures = [], []
+    for block in blocks:
+        right = [[b.get(j, 0) for b in rhs] for j in block]
+        try:
+            solved.append((block, *_bareiss([equations[j] for j in block], right)))
+        except NotInvertible as err:
+            failures.append(block[err.witness[1]])
+    if failures:
+        k = min(failures)
+        raise NotInvertible(f"singular matrix: no pivot in column {k}", witness=("column", k))
+    d = lcm(*(block_d for _, block_d, _ in solved))
+    solutions = [[0] * n for _ in rhs]
+    for block, block_d, values in solved:
+        for k, row in zip(block, values):
+            for w, v in zip(solutions, row):
+                w[k] = v * (d // block_d)
+    return d, solutions
 
 
 def _land(rig: Rig, d: int, rows):
@@ -498,16 +511,34 @@ def _land(rig: Rig, d: int, rows):
 def invert_counting_matrix(rows, rig: Rig) -> RigMatrix:
     """Invert a matrix of counts (or other rationals) in the requested rig.
 
-    The exact inverse comes from the forward pass of
-    _unitriangular_inverse when the matrix qualifies, and
-    from the fraction-free kernel _bareiss otherwise, so the only rational
-    division per entry happens at the very end, when the entries land in
-    the rig (_land).  The rig needs from_quotient; over a rig without
-    division every entry must come out integral.
+    Row m of the inverse Y solves y . C = e_m, one right-hand side of one
+    _solve over a single block.  When the nonzero entries are not all
+    ints, equation j, which reads column j of C, is first multiplied by
+    the LCM of that column's denominators.  The only rational division
+    per entry happens when the entries land in the rig (_land).  The rig
+    needs from_quotient; over a rig without division every entry must
+    come out integral.  A singular matrix names its first column that
+    depends on the columns before it.
     """
     if rig.from_quotient is None:
         raise UnsupportedRig(f"inversion of counting matrices unsupported over '{rig.name}'")
-    d, scaled = _inverse(rows)
+    n = len(rows)
+    scales = [1] * n
+    # a zero of any type counts as 0
+    diagonal = [row[k] or 0 for k, row in enumerate(rows)]
+    later = [[(j, row[j]) for j in compress(range(n), row) if j != k] for k, row in enumerate(rows)]
+    if not all(map(isinstance, chain(diagonal, map(itemgetter(1), chain(*later))), repeat(int))):
+        scales, columns = zip(*(_to_integers(list(column)) for column in zip(*rows)))
+        rows = list(zip(*columns))
+        diagonal = [row[k] for k, row in enumerate(rows)]
+        later = [[(j, row[j]) for j in compress(range(n), row) if j != k] for k, row in enumerate(rows)]
+    try:
+        d, scaled = _solve(later, diagonal, [{m: s} for m, s in enumerate(scales)], [range(n)])
+    except NotInvertible:
+        # _solve names the first dependent row; eliminating C itself names
+        # the first dependent column
+        _bareiss([[x or 0 for x in row] for row in rows], [()] * n)
+        raise
     if d != 1 and not rig.has_division:
         for i, row in enumerate(scaled):
             for j, x in enumerate(row):
@@ -518,4 +549,3 @@ def invert_counting_matrix(rows, rig: Rig) -> RigMatrix:
                         witness=("non-integral", i, j, str(x)),
                     )
     return RigMatrix.from_rows(rig, _land(rig, d, scaled))
-

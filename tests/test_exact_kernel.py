@@ -1,14 +1,14 @@
-"""The fraction-free elimination kernel against sympy's exact inverse.
+"""The exact solver against sympy's exact inverse.
 
-Every exact solve that the forward pass does not take (rational
-`invert`, `invert_counting_matrix`, the fine convolution blocks of
-`fine_invert`) runs through `matrixrig._bareiss`, which walks only the
-nonzero entries at each step whose pivot equals the previous one.
-Divisibility count matrices with a diagonal 2, a 2-cycle or a duplicated
-object keep every pivot after the first such step equal, so they run
-those sparse steps with pivots other than 1.  sympy is an independent
-oracle for the values and for the column that a singular input reports:
-the first column where the rank of the leading columns stops growing.
+`matrixrig._solve` serves rational `invert`, `invert_counting_matrix`
+and `fine_invert`; the systems it does not push forward go to
+`matrixrig._bareiss`, which walks only the nonzero entries at each step
+whose pivot equals the previous one.  Divisibility count matrices with a
+diagonal 2, a 2-cycle or a duplicated object keep every pivot after the
+first such step equal, so they run those sparse steps with pivots other
+than 1.  sympy is an independent oracle for the values and for the
+column that a singular input reports: the first column where the rank
+of the leading columns stops growing.
 """
 
 import random

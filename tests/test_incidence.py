@@ -38,7 +38,7 @@ from corpus import (
 )
 from mobiuskit.errors import MalformedInput, NotInvertible, NotNerveFinite, RigMismatch, UnsupportedRig
 from mobiuskit.fileio import load_category
-from mobiuskit import incidence
+from mobiuskit import matrixrig
 from mobiuskit.incidence import (
     FineElement,
     PatchElement,
@@ -212,7 +212,7 @@ def shuffled_random_poset(rng, n):
 
 
 def decline(later):
-    """Stands in for incidence._kahn_order: no order, so that every system
+    """Stands in for matrixrig._kahn_order: no order, so that every system
     goes to the Bareiss blocks."""
     return None
 
@@ -226,7 +226,7 @@ def test_block_solve_matches_hall_oracle_at_scale(monkeypatch):
     counts = [chain_counts(cat) for cat in cats]
     for forward in (True, False):
         if not forward:
-            monkeypatch.setattr(incidence, "_kahn_order", decline)
+            monkeypatch.setattr(matrixrig, "_kahn_order", decline)
         for cat, counted in zip(cats, counts):
             for rig in (INT, RAT):
                 assert fine_mobius(cat, rig).values == counted
@@ -253,7 +253,7 @@ def test_forward_pass_matches_leroux_chain_count_on_non_thin_categories(monkeypa
     # non-identity arrows composing to f), on Mobius categories whose
     # hom-sets are not thin, up to free categories of 2000+ arrows.  The
     # Bareiss blocks are patched to fail, so the forward pass served all
-    monkeypatch.setattr(incidence, "_bareiss", no_bareiss)
+    monkeypatch.setattr(matrixrig, "_bareiss", no_bareiss)
     cats = [
         materialize("dinj", 0, 7),
         materialize("dinj", 0, 8),
@@ -331,7 +331,7 @@ def test_blocks_with_different_determinants_land_on_one_denominator(monkeypatch)
     # d = 6, and land as the rationals each block gives on its own
     maximum = monoid_to_category(range(3), 0, {(x, y): max(x, y) for x in range(3) for y in range(3)})
     cat = coproduct(load_category(os.path.join(os.path.dirname(__file__), "data", "six.json")), maximum)
-    bareiss = incidence._bareiss
+    bareiss = matrixrig._bareiss
     determinants = []
 
     def recording_bareiss(rows, rhs):
@@ -339,7 +339,7 @@ def test_blocks_with_different_determinants_land_on_one_denominator(monkeypatch)
         determinants.append(d)
         return d, values
 
-    monkeypatch.setattr(incidence, "_bareiss", recording_bareiss)
+    monkeypatch.setattr(matrixrig, "_bareiss", recording_bareiss)
     names = [("L", "1a"), ("L", "1b"), ("L", "s"), ("L", "i"), ("L", "e")] + [("R", ("el", k)) for k in range(3)]
     expected = [1, 2, -1, -1, 0, 1, Fraction(-1, 2), Fraction(-1, 6)]
     mu = fine_mobius(cat, RAT)
@@ -361,7 +361,7 @@ def test_forward_pass_matches_the_block_solve_on_the_corpus(monkeypatch):
     # values, refusals, messages and witnesses agree, on zeta and on a
     # random integer element that is 1 on identities, over int, rat and
     # real; the blocks run when _kahn_order finds no order
-    push = incidence._push_forward
+    push = matrixrig._push_forward
     served = []
 
     def recording_push(*args):
@@ -377,12 +377,12 @@ def test_forward_pass_matches_the_block_solve_on_the_corpus(monkeypatch):
             FineElement(cat, RAT, {n: Fraction(v) for n, v in values.items()}),
             FineElement(cat, REAL, {n: float(v) for n, v in values.items()}),
         ]
-        monkeypatch.setattr(incidence, "_push_forward", recording_push)
+        monkeypatch.setattr(matrixrig, "_push_forward", recording_push)
         served.clear()
         fast = [fine_invert_outcome(elements[0])]
         forward += bool(served)  # zeta over int took the pass
         fast += [fine_invert_outcome(x) for x in elements[1:]]
-        monkeypatch.setattr(incidence, "_kahn_order", decline)
+        monkeypatch.setattr(matrixrig, "_kahn_order", decline)
         blocks = [fine_invert_outcome(x) for x in elements]
         monkeypatch.undo()
         # repr: the same values, of the same types, in the same order
@@ -410,7 +410,7 @@ def non_associative_table_with_an_order():
 def test_a_non_associative_table_with_an_order_fails_the_certificate(monkeypatch):
     cat = non_associative_table_with_an_order()
     assert cat.validate().law == "associativity"
-    monkeypatch.setattr(incidence, "_bareiss", no_bareiss)
+    monkeypatch.setattr(matrixrig, "_bareiss", no_bareiss)
     for rig in (INT, RAT, REAL):
         with pytest.raises(NotInvertible, match=r"^left inverse exists but is not two-sided$") as err:
             fine_mobius(cat, rig)
@@ -424,7 +424,7 @@ def test_a_composite_starting_elsewhere_is_malformed_on_both_paths(monkeypatch):
     message = r"^compose\('1b', '1b'\) = '1a': the composite starts at 'a', not at the source 'b' of '1b'$"
     with pytest.raises(MalformedInput, match=message):
         fine_mobius(cat, RAT)
-    monkeypatch.setattr(incidence, "_kahn_order", decline)
+    monkeypatch.setattr(matrixrig, "_kahn_order", decline)
     with pytest.raises(MalformedInput, match=message):
         fine_mobius(cat, RAT)
 
@@ -436,11 +436,11 @@ def test_systems_without_a_unit_diagonal_order_take_the_blocks(monkeypatch):
     # to the coefficient of w(f)) looks for no order, and the cycle of a
     # group of order 2 under zeta and under 1 + 2s, both unit-diagonal,
     # looks for one ("kahn") and finds none
-    kahn, push, bareiss = incidence._kahn_order, incidence._push_forward, incidence._bareiss
+    kahn, push, bareiss = matrixrig._kahn_order, matrixrig._push_forward, matrixrig._bareiss
     calls = []
-    monkeypatch.setattr(incidence, "_kahn_order", lambda later: calls.append("kahn") or kahn(later))
-    monkeypatch.setattr(incidence, "_push_forward", lambda *args: calls.append("pass") or push(*args))
-    monkeypatch.setattr(incidence, "_bareiss", lambda rows, rhs: calls.append("block") or bareiss(rows, rhs))
+    monkeypatch.setattr(matrixrig, "_kahn_order", lambda later: calls.append("kahn") or kahn(later))
+    monkeypatch.setattr(matrixrig, "_push_forward", lambda *args: calls.append("pass") or push(*args))
+    monkeypatch.setattr(matrixrig, "_bareiss", lambda rows, rhs: calls.append("block") or bareiss(rows, rhs))
 
     chain3 = chain_category(3)
     half = FineElement(chain3, RAT, {n: Fraction(1, 2) for n in chain3.arrow_names()})
@@ -565,14 +565,14 @@ def test_fine_invert_of_random_fractional_elements_passes_the_two_sided_check(mo
     # the certificate's common denominator D is not 1.  The values are
     # dyadic, so the real element holds the rational one exactly
     denominators = []
-    bareiss = incidence._bareiss
+    bareiss = matrixrig._bareiss
 
     def recording_bareiss(rows, rhs):
         d, scaled = bareiss(rows, rhs)
         denominators.append(d)
         return d, scaled
 
-    monkeypatch.setattr(incidence, "_bareiss", recording_bareiss)
+    monkeypatch.setattr(matrixrig, "_bareiss", recording_bareiss)
     rng = random.Random(29)
     checked = 0
     for cat in certificate_corpus():

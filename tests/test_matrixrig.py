@@ -329,17 +329,28 @@ def bareiss_inverse(rows):
     return [[x // d for x in row] for row in scaled]
 
 
-def test_unitriangular_pass_matches_bareiss():
+def record_bareiss(monkeypatch):
+    """The sizes of the _bareiss calls from here on, in order."""
+    calls = []
+    bareiss = matrixrig._bareiss
+    monkeypatch.setattr(matrixrig, "_bareiss", lambda rows, rhs: calls.append(len(rows)) or bareiss(rows, rhs))
+    return calls
+
+
+def test_unitriangular_pass_matches_bareiss(monkeypatch):
+    calls = record_bareiss(monkeypatch)
     rng = random.Random(47)
     for n, density, count in ((1, 0.5, 3), (2, 0.5, 10), (5, 0.6, 40), (12, 0.4, 40), (40, 0.15, 10), (90, 0.05, 4), (240, 0.01, 2), (240, 0.03, 1)):
         for _ in range(count):
             rows = permuted_unitriangular(rng, n, density)
-            forward = matrixrig._unitriangular_inverse(rows)
-            assert forward == bareiss_inverse(rows), rows
-            assert matrixrig._inverse(rows) == (1, forward)
+            expected = bareiss_inverse(rows)
+            del calls[:]
+            assert invert_counting_matrix(rows, INT).rows == tuple(map(tuple, expected)), rows
+            assert calls == [], rows
     # a non-transitive pattern: the inverse is nonzero at (0, 2), where
     # the matrix is zero, so the pass must walk past row 0's support
-    assert matrixrig._unitriangular_inverse([[1, 1, 0], [0, 1, 1], [0, 0, 1]]) == [[1, -1, 1], [0, 1, -1], [0, 0, 1]]
+    assert invert_counting_matrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]], INT).rows == ((1, -1, 1), (0, 1, -1), (0, 0, 1))
+    assert calls == []
 
 
 def test_kahn_order():
@@ -352,20 +363,75 @@ def test_kahn_order():
     assert matrixrig._kahn_order([[(1, 1), (1, 1)], []]) == [0, 1]
 
 
-def test_family_count_matrices_take_the_forward_pass():
+def random_block_system(rng):
+    """(later, diagonal, rhs, blocks, dense) for w . A = b: A block
+    diagonal over a shuffled partition of the indices, each block
+    unitriangular along its own shuffled order, with two to four sparse
+    right-hand sides; dense is A itself."""
+    n = rng.randint(1, 24)
+    indices = list(range(n))
+    rng.shuffle(indices)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(4, n - 1))))
+    blocks = [sorted(indices[i:j]) for i, j in zip([0, *cuts], [*cuts, n])]
+    dense = [[int(i == j) for j in range(n)] for i in range(n)]
+    for block in blocks:
+        order = rng.sample(block, len(block))
+        for p, k in enumerate(order):
+            for j in order[p + 1 :]:
+                if rng.random() < 0.5:
+                    dense[k][j] = rng.choice((-3, -1, 1, 2, 5))
+    later = [[(j, x) for j, x in enumerate(row) if x and j != k] for k, row in enumerate(dense)]
+    rhs = [
+        {k: rng.randint(-4, 4) for k in rng.sample(range(n), rng.randint(1, n))} for _ in range(rng.randint(2, 4))
+    ]
+    return later, [1] * n, rhs, blocks, dense
+
+
+def test_solve_agrees_on_both_routes_with_many_blocks_and_right_hand_sides(monkeypatch):
+    # the same systems once as given, which the push serves, and once with
+    # no Kahn order, which sends every block to _bareiss; both give
+    # b . A^-1 for every right-hand side b.  With one diagonal entry 2 its
+    # block's determinant is 2 and the others' are 1, so the blocks land
+    # on d = 2; those solutions are checked by substitution
+    rng = random.Random(71)
+    several = 0
+    for _ in range(120):
+        later, diagonal, rhs, blocks, dense = random_block_system(rng)
+        n = len(dense)
+        inverse = bareiss_inverse(dense)
+        expected = [[sum(b.get(k, 0) * inverse[k][j] for k in range(n)) for j in range(n)] for b in rhs]
+        assert matrixrig._solve(later, diagonal, rhs, blocks) == (1, expected)
+        with monkeypatch.context() as patch:
+            patch.setattr(matrixrig, "_kahn_order", lambda later: None)
+            calls = record_bareiss(patch)
+            d, solutions = matrixrig._solve(later, diagonal, rhs, blocks)
+        assert calls == [len(block) for block in blocks]
+        assert [[Fraction(v, d) for v in w] for w in solutions] == expected
+        k = rng.randrange(n)
+        diagonal[k] = dense[k][k] = 2
+        d, solutions = matrixrig._solve(later, diagonal, rhs, blocks)
+        for b, w in zip(rhs, solutions):
+            assert [sum(Fraction(w[i], d) * dense[i][j] for i in range(n)) for j in range(n)] == [
+                b.get(j, 0) for j in range(n)
+            ]
+        several += len(blocks) > 2
+    assert several > 30
+
+
+def test_family_count_matrices_take_the_forward_pass(monkeypatch):
+    calls = record_bareiss(monkeypatch)
     for family, start, end in (("dinj", 0, 240), ("dsurj", 0, 240), ("nat_leq", 0, 240), ("divisibility", 1, 500)):
         oracle = builtin(family)
         indices = range(start, end + 1)
         rows = [[oracle.hom_count(m, n) for n in indices] for m in indices]
-        forward = matrixrig._unitriangular_inverse(rows)
-        assert forward is not None, family
-        assert forward == bareiss_inverse(rows), family
+        expected = bareiss_inverse(rows)
+        del calls[:]
+        assert invert_counting_matrix(rows, INT).rows == tuple(map(tuple, expected)), family
+        assert calls == [], family
 
 
 def test_other_matrices_take_bareiss(monkeypatch):
-    calls = []
-    bareiss = matrixrig._bareiss
-    monkeypatch.setattr(matrixrig, "_bareiss", lambda rows, rhs: calls.append(len(rows)) or bareiss(rows, rhs))
+    calls = record_bareiss(monkeypatch)
     rng = random.Random(53)
     shifted = permuted_unitriangular(rng, 30, 0.2)
     shifted[7][7] = -1
@@ -378,7 +444,6 @@ def test_other_matrices_take_bareiss(monkeypatch):
         "three-cycle": ([[1, 2, 0], [0, 1, 3], [4, 0, 1]], ("non-integral", 0, 0, "1/25")),
     }
     for name, (rows, witness) in cases.items():
-        assert matrixrig._unitriangular_inverse(rows) is None, name
         if witness is None:
             expected = invert(RigMatrix.from_rows(RAT, [[Fraction(x) for x in row] for row in rows])).rows
             del calls[:]
@@ -388,24 +453,28 @@ def test_other_matrices_take_bareiss(monkeypatch):
             with pytest.raises(NotInvertible) as err:
                 invert_counting_matrix(rows, INT)
             assert err.value.witness == witness, name
-        assert calls == [len(rows)], name
-    # the pass needs integer rows: equal Fractions take the elimination
+        # a singular matrix is eliminated once more, as itself, to name
+        # its first dependent column
+        assert calls == [len(rows)] * (2 if witness and witness[0] == "column" else 1), name
+    # Fractions with integer values scale to ints and take the pass
     del calls[:]
-    assert invert_counting_matrix([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]], INT).rows == ((1, -1), (0, 1))
-    assert calls == [2]
-    del calls[:]
+    inverse = invert_counting_matrix([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]], INT).rows
+    assert inverse == ((1, -1), (0, 1)) and all(type(x) is int for row in inverse for x in row)
+    assert calls == []
     assert invert_counting_matrix([[1, 1], [0, 1]], INT).rows == ((1, -1), (0, 1))
     assert calls == []
     # only the diagonal and the nonzero entries need to be ints: zeros
-    # written as Fraction(0) take the pass and land what elimination lands
+    # written as Fraction(0) take the pass as they are and land what
+    # elimination lands
     counts = permuted_unitriangular(rng, 12, 0.4)
     zeros = [[x or Fraction(0) for x in row] for row in counts]
-    eliminated = [[Fraction(x) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(zeros)]
     for rig in (INT, RAT, REAL):
         del calls[:]
         forward = invert_counting_matrix(zeros, rig).rows
         assert calls == [], rig
-        assert repr(forward) == repr(invert_counting_matrix(eliminated, rig).rows), rig
+        with monkeypatch.context() as patch:
+            patch.setattr(matrixrig, "_kahn_order", lambda later: None)
+            assert repr(forward) == repr(invert_counting_matrix(zeros, rig).rows), rig
         assert calls == [12], rig
 
 

@@ -14,10 +14,12 @@ against closed forms that need no slow path:
 - the name views of a product and a coproduct, built from positions,
   are the tables the constructions were given.
 
-These categories take the forward pass.  C2 x chain(3)^2, with the
-element (1 + 2s) x zeta, takes the per-object blocks, and over int its
-inverses are refused as non-integral.  Budget: the whole file runs in
-under 8 s in tier-1 (about 3 s on a shared 2-vCPU x86_64 host).
+These categories take the forward pass.  Two take the per-object
+blocks, and over int their inverses are refused as non-integral:
+C2 x chain(3)^2 with the element (1 + 2s) x zeta, and {1, e} x chain(8)^2
+(2 592 arrows), whose fine mu is the product (1 - e/2) x mu of the
+factors'.  Budget: the whole file runs in under 8 s in tier-1 (about 4 s
+on a shared 2-vCPU x86_64 host).
 """
 
 import contextlib
@@ -28,7 +30,7 @@ from fractions import Fraction
 
 import pytest
 
-from mobiuskit import cli, incidence
+from mobiuskit import cli, matrixrig
 from mobiuskit.category import Arrow, coproduct, product
 from mobiuskit.errors import NotInvertible
 from mobiuskit.incidence import (
@@ -42,7 +44,13 @@ from mobiuskit.incidence import (
     sigma_to_coarse,
 )
 from mobiuskit.rigs import INT, RAT
-from corpus import chain_category, cyclic_group_category, free_category_on_acyclic_graph, random_dag
+from corpus import (
+    chain_category,
+    cyclic_group_category,
+    free_category_on_acyclic_graph,
+    idempotent_monoid_category,
+    random_dag,
+)
 from test_fileio import category_document
 
 # (seed, vertices, edge density, parallel edges) of F, and the k of its
@@ -74,11 +82,11 @@ def free_case(seed, vertices, density, parallel):
 
 def spy_routes(monkeypatch):
     """The solver steps fine_invert takes, in order: kahn, pass and block."""
-    kahn, push, bareiss = incidence._kahn_order, incidence._push_forward, incidence._bareiss
+    kahn, push, bareiss = matrixrig._kahn_order, matrixrig._push_forward, matrixrig._bareiss
     calls = []
-    monkeypatch.setattr(incidence, "_kahn_order", lambda later: calls.append("kahn") or kahn(later))
-    monkeypatch.setattr(incidence, "_push_forward", lambda *args: calls.append("pass") or push(*args))
-    monkeypatch.setattr(incidence, "_bareiss", lambda rows, rhs: calls.append("block") or bareiss(rows, rhs))
+    monkeypatch.setattr(matrixrig, "_kahn_order", lambda later: calls.append("kahn") or kahn(later))
+    monkeypatch.setattr(matrixrig, "_push_forward", lambda *args: calls.append("pass") or push(*args))
+    monkeypatch.setattr(matrixrig, "_bareiss", lambda rows, rhs: calls.append("block") or bareiss(rows, rhs))
     return calls
 
 
@@ -161,3 +169,26 @@ def test_a_group_times_a_square_takes_the_blocks_and_is_refused_over_int(monkeyp
     assert err.value.witness[0] == "non-integral"
     with pytest.raises(NotInvertible, match="is not an integer"):
         euler_characteristic(c, INT)
+
+
+def test_an_idempotent_times_a_square_takes_the_blocks_at_scale(monkeypatch):
+    # {1, e} x chain(8)^2 has 2592 arrows; e o e = e puts 2 on the diagonal
+    # of the system, so every object's block of up to 128 arrows goes to
+    # Bareiss, and the blocks land on one denominator
+    m = idempotent_monoid_category()
+    d = square(8)
+    c = product(m, d)
+    assert len(c.arrow_names()) == 2592
+    one, e = m.arrow_names()
+    mu_m = {one: 1, e: Fraction(-1, 2)}  # mu = 1 - e/2
+    routes = spy_routes(monkeypatch)
+    mu = fine_mobius(c, RAT)
+    assert routes == ["block"] * len(c.objects)
+    assert mu.values == {(a, b): mu_m[a] * square_mu(b) for a, b in c.arrow_names()}
+    assert sigma_to_coarse(mu).equal(coarse_mobius(c, RAT))
+    assert euler_characteristic(c, RAT) == Fraction(1, 2)
+
+    with pytest.raises(NotInvertible) as err:
+        fine_mobius(c, INT)
+    assert str(err.value) == "inverse value on arrow (('el', 'e'), (('le', 0, 0), ('le', 0, 0))) = -1/2 is not an integer"
+    assert err.value.witness == ("non-integral", (e, (("le", 0, 0), ("le", 0, 0))), "-1/2")
