@@ -21,7 +21,7 @@ arrow there they agree.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, product as cartesian, repeat, starmap
 from operator import add, attrgetter, itemgetter, mul
 from typing import Iterable, Iterator
 
@@ -287,7 +287,7 @@ def validate_category(c: FinCategory) -> ValidationReport:
     table = c._table
     every_arrow = list(range(n))
     left = list(map(table.__getitem__, map(add, map(mul, map(ids.__getitem__, tgt), repeat(n)), every_arrow)))
-    right = list(map(table.__getitem__, map(add, range(0, n * n, n), map(ids.__getitem__, src))))
+    right = list(map(table.__getitem__, map(add, range(0, n * n, n or 1), map(ids.__getitem__, src))))
     if left != every_arrow or right != every_arrow:
         for a in every_arrow:
             if left[a] != a:
@@ -418,16 +418,27 @@ def monoid_to_category(elements, unit, table: dict) -> FinCategory:
     return FinCategory((obj,), arrows, identity, compose)
 
 
+def _entries(c: FinCategory):
+    """c's table as (g, f, g after f) name triples, in table order."""
+    names = c._names.__getitem__
+    return zip(map(names, c._outer), map(names, c._inner), map(names, c._composite))
+
+
+def _paired(c: FinCategory, d: FinCategory, objects, arrows, entries) -> FinCategory:
+    """The category of the pairs given over c and d, each in the order given:
+    object pairs (x, y) with identity (1_x, 1_y), Arrow pairs (p, q) named
+    (p.name, q.name) from (p.src, q.src) to (p.tgt, q.tgt), and pairs of
+    (g, f, g o f) table entries, composed componentwise."""
+    objects = list(objects)
+    fields = [((p.name, q.name), (p.src, q.src), (p.tgt, q.tgt)) for p, q in arrows]
+    identity = {(x, y): (c.identity[x], d.identity[y]) for x, y in objects}
+    return FinCategory._from_entries(objects, fields, identity, list(map(tuple, starmap(zip, entries))))
+
+
 def product(c: FinCategory, d: FinCategory) -> FinCategory:
-    """Product category; objects and arrows are pairs, composition componentwise."""
-    objects = [(a, b) for a in c.objects for b in d.objects]
-    arrows = [Arrow((f.name, g.name), (f.src, g.src), (f.tgt, g.tgt)) for f in c.arrows for g in d.arrows]
-    identity = {(a, b): (c.identity[a], d.identity[b]) for a in c.objects for b in d.objects}
-    compose = {}
-    for (g1, f1), h1 in c.compose.items():
-        for (g2, f2), h2 in d.compose.items():
-            compose[((g1, g2), (f1, f2))] = (h1, h2)
-    return FinCategory(objects, arrows, identity, compose)
+    """Product category: every pair of objects, arrows and table entries, c-major."""
+    pairs = cartesian(c.objects, d.objects), cartesian(c.arrows, d.arrows), cartesian(_entries(c), _entries(d))
+    return _paired(c, d, *pairs)
 
 
 def coproduct(c: FinCategory, d: FinCategory) -> FinCategory:

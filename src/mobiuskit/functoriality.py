@@ -9,7 +9,7 @@ validation with the adjoint-pair Mobius identity.
 from __future__ import annotations
 
 from ._record import Frozen, Record
-from .category import Arrow, FinCategory, Functor, categories_equal, compose_functors
+from .category import FinCategory, Functor, _entries, _paired, categories_equal, compose_functors, identity_functor
 from .errors import MalformedInput, RigMismatch
 from .incidence import FineElement, coarse_mobius, fine_basis
 from .rigs import RAT, Rig
@@ -71,50 +71,36 @@ def pullback_transform(f: Functor, y: FineElement) -> FineElement:
     return FineElement(f.source, y.rig, values)
 
 
-def category_pullback(f: Functor, g: Functor):
-    """Pullback of two functors with a common codomain.
+def _over(items, image) -> dict:
+    """image(item) -> the items with that image, in the order given."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(image(item), []).append(item)
+    return groups
 
-    Objects and arrows are the matching pairs; returns the pullback
-    category and the two projection functors.
+
+def category_pullback(f: Functor, g: Functor):
+    """Pullback of two functors with a common codomain, and its two projections.
+
+    The subcategory of product(A, B) of the sources on the pairs that F and
+    G send to one object, arrow and pair of arrows, in the product's order.
+    A join finds them: B's objects, arrows and table entries are grouped by
+    image once, and each item of A looks up its own image.
     """
     if f.target is not g.target and not categories_equal(f.target, g.target):
         raise MalformedInput("pullback needs a common codomain")
-    objects = [
-        (a, b)
-        for a in f.source.objects
-        for b in g.source.objects
-        if f.object_map[a] == g.object_map[b]
-    ]
-    arrows = []
-    for p in f.source.arrows:
-        for q in g.source.arrows:
-            if f.arrow_map[p.name] == g.arrow_map[q.name]:
-                arrows.append(Arrow((p.name, q.name), (p.src, q.src), (p.tgt, q.tgt)))
-    names = {a.name for a in arrows}
-    identity = {
-        (a, b): (f.source.identity[a], g.source.identity[b]) for (a, b) in objects
-    }
-    compose = {}
-    for (p2, q2) in names:
-        for (p1, q1) in names:
-            if f.source.tgt(p1) == f.source.src(p2) and g.source.tgt(q1) == g.source.src(q2):
-                compose[((p2, q2), (p1, q1))] = (
-                    f.source.compose[(p2, p1)],
-                    g.source.compose[(q2, q1)],
-                )
-    pullback_cat = FinCategory(objects, arrows, identity, compose)
-    proj1 = Functor(
-        pullback_cat,
-        f.source,
-        {(a, b): a for (a, b) in objects},
-        {(p, q): p for (p, q) in names},
+    a, b, fo, fa, ga = f.source, g.source, f.object_map, f.arrow_map, g.arrow_map
+    objects = _over(b.objects, g.object_map.__getitem__)
+    arrows = _over(b.arrows, lambda q: ga[q.name])
+    entries = _over(_entries(b), lambda e: (ga[e[0]], ga[e[1]]))
+    pullback_cat = _paired(
+        a, b, ((x, y) for x in a.objects for y in objects.get(fo[x], ())),
+        ((p, q) for p in a.arrows for q in arrows.get(fa[p.name], ())),
+        ((e, h) for e in _entries(a) for h in entries.get((fa[e[0]], fa[e[1]]), ())),
     )
-    proj2 = Functor(
-        pullback_cat,
-        g.source,
-        {(a, b): b for (a, b) in objects},
-        {(p, q): q for (p, q) in names},
-    )
+    pairs, names = pullback_cat.objects, pullback_cat.arrow_names()
+    proj1 = Functor(pullback_cat, a, {(x, y): x for x, y in pairs}, {(p, q): p for p, q in names})
+    proj2 = Functor(pullback_cat, b, {(x, y): y for x, y in pairs}, {(p, q): q for p, q in names})
     return pullback_cat, proj1, proj2
 
 
@@ -181,8 +167,6 @@ class Span(Record):
 
 
 def identity_span(c: FinCategory) -> Span:
-    from .category import identity_functor
-
     ident = identity_functor(c)
     return Span(c, ident, ident)
 

@@ -450,6 +450,23 @@ def test_classify_reports_a_broken_law_and_nothing_else():
     assert validated["law"] == "associativity"
 
 
+def test_the_empty_category_is_valid_and_classified():
+    # no objects and no arrows: every law holds vacuously, both inversions
+    # are of the empty system, and the nerve has no simplices
+    expected = {
+        "validate": {"valid": True, "objects": 0, "arrows": 0},
+        "classify": {
+            "coarse_inversion_q": "ok", "coarse_inversion_z": "ok", "fine_inversion_q": "ok", "fine_inversion_z": "ok",
+            "mobius_category": True, "nontrivial_endos": [], "nontrivial_idempotents": [], "nontrivial_isos": [],
+            "skeletal": True,
+        },
+        "nerve-euler": {"status": "ok", "euler_characteristic": "0"},
+    }
+    for command, results in expected.items():
+        code, out = run([command, "--category", data("empty.json")])
+        assert (code, parse(out)["results"]) == (0, results)
+
+
 def test_functor_check_report():
     code, out = run([
         "functor-check",
@@ -823,7 +840,7 @@ def edited(draw, doc, edits):
     return doc
 
 
-CATEGORY_FILES = ["six.json", "group_c2.json", "chain3.json", "divisors6.json", "square.json", "parallel_first.json"]
+CATEGORY_FILES = ["six.json", "group_c2.json", "chain3.json", "divisors6.json", "square.json", "parallel_first.json", "empty.json"]
 # changed composites load, so that the law checks and the solves run too
 CATEGORY_EDITS = [compose_edit(kind) for kind in ("drop", "duplicate", "add")] + [compose_edit("composite")] * 3 + [name_edit, junk_slot, drop_key]
 

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,8 @@ from mobiuskit.category import (
     full_subcategory,
     identity_functor,
     is_mobius_category,
+    preorder_reflection,
+    product,
     validate_category,
 )
 from corpus import (
@@ -228,6 +233,51 @@ def test_category_pullback_hand_enumerated_counts():
     assert len(pulled.arrows) == 6
     assert validate_category(pulled).ok
     assert to_slice.validate().ok and to_free.validate().ok
+
+
+def seeded_cospans():
+    """The Beck-Chevalley instances, and the middle cospan of a composite of
+    two spans: six <- slice(six, a) -> its reflection, then a slice of the
+    reflection."""
+    six = six_example_category()
+    sliced, projection = slice_category(six, "a")
+    reflected, to_reflected = preorder_reflection(sliced)
+    inner, inner_projection = slice_category(reflected, reflected.objects[0])
+    spans = Span(sliced, projection, to_reflected), Span(inner, inner_projection, identity_functor(inner))
+    return beck_chevalley_instances() + [(spans[0].right, spans[1].left)], compose_spans(*spans)
+
+
+def pullback_orders():
+    """For each cospan, the pullback's table keys and both projections'
+    arrow keys, in order; last, the table keys of the composite span's apex."""
+    cospans, composite = seeded_cospans()
+    orders = []
+    for f, g in cospans:
+        pulled, proj1, proj2 = category_pullback(f, g)
+        orders.append((list(pulled.compose), list(proj1.arrow_map), list(proj2.arrow_map)))
+    return orders + [list(composite.apex.compose)]
+
+
+def test_pullbacks_do_not_depend_on_the_hash_seed():
+    # names are tuples of strings, whose hashes change with the seed: the
+    # orders must not, and must be the product's, restricted to the pairs
+    here = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here])
+    script = "from test_functoriality import pullback_orders; print(repr(pullback_orders()))"
+    outputs = [
+        subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                       capture_output=True, text=True, timeout=120)
+        for seed in ("0", "1")
+    ]
+    assert [done.returncode for done in outputs] == [0, 0], outputs[0].stderr + outputs[1].stderr
+    expected = []
+    for f, g in seeded_cospans()[0]:
+        pulled = category_pullback(f, g)[0]
+        paired = product(f.source, g.source)
+        arrows = [name for name in paired.arrow_names() if pulled.has_arrow(name)]
+        expected.append(([key for key in paired.compose if key in pulled.compose], arrows, arrows))
+    expected.append(expected[-1][0])  # the composite's apex is the last cospan's pullback
+    assert outputs[0].stdout == outputs[1].stdout == repr(expected) + "\n"
 
 
 def test_beck_chevalley_on_constructed_instances():
