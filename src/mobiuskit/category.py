@@ -574,7 +574,7 @@ class Functor(Record):
         for o in self.source.objects:
             if o not in self.object_map:
                 return ValidationReport(False, "object-map-totality", repr(o))
-            if self.object_map[o] not in set(self.target.objects):
+            if self.object_map[o] not in self.target._where:
                 return ValidationReport(False, "object-map-range", repr(o))
         for a in self.source.arrows:
             if a.name not in self.arrow_map:

@@ -40,7 +40,7 @@ from .incidence import (
     patch_zeta,
     sigma_to_coarse,
 )
-from .infinite import builtin, family_mobius
+from .infinite import _family_table, builtin
 from .rigs import INT, NAMED_RIGS, RAT, get_rig, polynomial_rig, render
 
 EXIT_OK = 0
@@ -53,10 +53,11 @@ SOLVE_RIGS = tuple(name for name, rig in NAMED_RIGS.items() if rig.from_quotient
 
 # a --family table is inverted and held whole.  dinj and dsurj have a map
 # between almost every pair, so their forward pass takes about range^3 / 6
-# big-integer steps: at 500 indices dinj took 5.6 s and dsurj 6.9 s end to
-# end on a 2-vCPU host, each writing a 12 MB report, against 1.0 s for
-# nat_leq and 0.3 s for divisibility, whose inverses are sparse.  Larger
-# requests are refused before any hom-set is counted
+# big-integer steps: at 500 indices dinj took 5.2 s and dsurj 5.5 s end to
+# end on a 2-vCPU host, each writing a 12 MB report, against 0.75 s for
+# nat_leq, most of it the patch-closure walk, and 0.13 s for divisibility,
+# whose inverses are sparse (cold commands, medians of 3, Python 3.11).
+# Larger requests are refused before any hom-set is counted
 MAX_FAMILY_INDICES = 500
 
 # matrix --op zeros inverts the matrix and checks the inverse on both sides
@@ -78,12 +79,34 @@ MAX_ZEROS_DIM = 50
 MAX_GRADED_WORK = 2**20
 
 
-def matrix_json(rig, matrix) -> list:
-    # most entries of a large Mobius table are rig.zero itself (the exact
-    # solves land zeros as that object), so its text is rendered once
+class _Sparse(list):
+    """A row of entry texts that holds the text zero at every column but
+    the ascending columns; _dumps writes its runs of zeros by repetition."""
+
+    __slots__ = ("zero", "columns")
+
+
+def matrix_json(rig, matrix, columns=None) -> list:
+    """The rows of matrix as lists of entry texts.
+
+    Most entries of a large Mobius table are rig.zero itself (the exact
+    solves land zeros as that object), so its text is rendered once.
+    columns, when given, lists for each row the ascending columns where it
+    holds anything but rig.zero, as family tables know them from their
+    solve; no other entry is then read, and each row is a _Sparse.
+    """
     zero = rig.zero
     zero_text = render(rig, zero)
-    return [[zero_text if v is zero else render(rig, v) for v in row] for row in matrix.rows]
+    if columns is None:
+        return [[zero_text if v is zero else render(rig, v) for v in row] for row in matrix.rows]
+    rows = []
+    for row, nonzero in zip(matrix.rows, columns):
+        texts = _Sparse([zero_text] * len(row))
+        texts.zero, texts.columns = zero_text, nonzero
+        for j in nonzero:
+            texts[j] = render(rig, row[j])
+        rows.append(texts)
+    return rows
 
 
 def coarse_json(element) -> dict:
@@ -101,43 +124,82 @@ def fine_json(element) -> dict:
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
-def _dumps(value, indent: str = "") -> str:
+class _Encoded(dict):
+    """The JSON text of each string looked up, encoded on first use."""
+
+    def __missing__(self, text):
+        self[text] = encoded = json.encoder.encode_basestring(text)
+        return encoded
+
+
+def _dumps(value) -> str:
     """json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False),
     byte for byte.
 
-    json.dumps takes its C encoder only when indent is None, so this walks
-    the dicts and lists that hold a container in Python and encodes each
-    flat one with one C-encoder call, whose item separator carries the
-    newline and the indentation.  The keys and scalar values of a walked
-    dict also take one call, separated by "\0", which json writes inside
-    a string only as an escape.  Every call goes through this module's
-    json global, so a stand-in for cli.json sees the encoding.
+    json.dumps takes its C encoder only when indent is None, so _write
+    walks the containers in Python and appends the text to one list,
+    joined once at the end: no part of a large report is copied again at
+    each level of nesting.  The strings of the report's flat lists are
+    encoded once per distinct text, through json's own encode_basestring.
+    Every call goes through this module's json global, so a stand-in for
+    cli.json sees the encoding.
+    """
+    out = []
+    _write(value, "", out, _Encoded())
+    return "".join(out)
+
+
+def _write(value, indent: str, out: list, encoded: _Encoded):
+    """Append the text of value at the given indentation to out.
+
+    A flat list of strings is joined from their encoded texts with an item
+    separator that carries the newline and the indentation, and a _Sparse
+    row repeats the encoded text of its zero over each run of zeros.  Any
+    other flat list or dict takes one C-encoder call with that separator.
+    The keys and scalar values of a dict that holds a container also take
+    one call, separated by "\0", which json writes inside a string only as
+    an escape.
     """
     if isinstance(value, dict):
         items, brackets = value.values(), "{}"
     elif isinstance(value, (list, tuple)):
         items, brackets = value, "[]"
     else:
-        return json.dumps(value, ensure_ascii=False)
+        out.append(json.dumps(value, ensure_ascii=False))
+        return
     if not value:
-        return brackets
+        out.append(brackets)
+        return
     inner = indent + "  "
     separator = ",\n" + inner
-    if _SCALARS.issuperset(map(type, items)):
-        body = json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(separator, ": "))[1:-1]
+    out.append(f"{brackets[0]}\n{inner}")
+    if type(value) is _Sparse:
+        zeros, last, body = encoded[value.zero] + separator, 0, []
+        for j in value.columns:
+            body += (zeros * (j - last), encoded[value[j]], separator)
+            last = j + 1
+        body.append(zeros * (len(value) - last))
+        out.append("".join(body)[: -len(separator)])
+    elif (types := set(map(type, items))) == {str} and brackets == "[]":
+        out.append(separator.join(map(encoded.__getitem__, value)))
+    elif _SCALARS.issuperset(types):
+        out.append(json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(separator, ": "))[1:-1])
     elif brackets == "[]":
-        body = separator.join([_dumps(item, inner) for item in value])
+        for item in value:
+            _write(item, inner, out, encoded)
+            out.append(separator)
+        out.pop()
     else:
         # a container is written as 0 here and replaced by its own text
         flat = {key: item if type(item) in _SCALARS else 0 for key, item in value.items()}
         pairs = json.dumps(flat, ensure_ascii=False, sort_keys=True, separators=("\0", ": "))[1:-1].split("\0")
-        body = separator.join(
-            [
-                pair if type(item) in _SCALARS else pair[:-1] + _dumps(item, inner)
-                for pair, item in zip(pairs, map(value.__getitem__, sorted(value)))
-            ]
-        )
-    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+        for pair, item in zip(pairs, map(value.__getitem__, sorted(value))):
+            out.append(pair if type(item) in _SCALARS else pair[:-1])
+            if type(item) not in _SCALARS:
+                _write(item, inner, out, encoded)
+            out.append(separator)
+        out.pop()
+    out.append(f"\n{indent}{brackets[1]}")
 
 
 def _resolve_rig(args, allowed=None):
@@ -219,14 +281,14 @@ def cmd_mobius(args):
         if args.start < least:
             raise MalformedInput(f"family '{args.family}' indexes integers >= {least}")
         try:
-            mu = family_mobius(builtin(args.family), args.start, args.end, rig)
+            mu, columns = _family_table(builtin(args.family), args.start, args.end, rig)
         except NotInvertible as e:
             return _not_invertible(rig.name, e, family=args.family)
         results = {
             "family": args.family,
             "algebra": "patch",
             "objects": [str(i) for i in range(args.start, args.end + 1)],
-            "mobius": matrix_json(rig, mu),
+            "mobius": matrix_json(rig, mu, columns),
         }
         return rig.name, results, EXIT_OK
     if not args.category:

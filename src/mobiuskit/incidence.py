@@ -263,7 +263,7 @@ def fine_invert(x: FineElement) -> FineElement:
         product[f] -= e * d
     if any(product):
         raise NotInvertible("left inverse exists but is not two-sided", witness=("one-sided", None))
-    return FineElement(c, rig, dict(zip(names, _land(rig, d, [w])[0])))
+    return FineElement(c, rig, dict(zip(names, _land(rig, d, [w], [compress(range(n), w)])[0])))
 
 
 def fine_mobius(c: FinCategory, rig: Rig) -> FineElement:

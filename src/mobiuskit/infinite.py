@@ -9,14 +9,12 @@ poset, and the chain of naturals.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
 from math import comb
-from operator import is_not
 from typing import Callable, Iterable, Optional
 
 from ._record import Frozen
 from .errors import MalformedInput, NotInvertible, UnsupportedRig
-from .matrixrig import RigMatrix, invert_counting_matrix
+from .matrixrig import RigMatrix, _counting_inverse, invert_counting_matrix
 from .rigs import Rig
 
 
@@ -83,58 +81,63 @@ def family_mobius(c: PatchOracleCategory, start: int, end: int, rig: Rig) -> Rig
     """Table of patchwise_mobius(c, m, n, rig) for m, n in start..end.
 
     When the patch of every pair with a map lies inside start..end, one
-    invert_counting_matrix of the hom-counts on start..end gives the whole
-    table: if that inverse mu is zero wherever the counts are, then for
-    u, v in patch(m,n) every nonzero term mu(u,z) zeta(z,v) has maps
+    inversion of the hom-counts on start..end gives the whole table: if
+    that inverse mu is zero wherever the counts are, then for u, v in
+    patch(m,n) every nonzero term mu(u,z) zeta(z,v) has maps
     m -> u -> z -> v -> n, so z lies in the patch, mu restricted to the
     patch inverts the patch zeta, and mu(m,n) is the patch answer.  All
     four built-in families have their patches inside any interval.
 
+    The counts stay sparse from the oracle to the inverse: row m is the
+    dict {n - start: count} of the nonzero counts, and the patch-closure
+    walk, the inversion (matrixrig._counting_inverse) and the zero-pattern
+    test read only those entries.  The test compares the columns where
+    the integer solution is not 0, which are exactly the entries that do
+    not land as rig.zero, with the columns of the counts.
+
     When a patch leaves the interval, or the inversion raises
-    NotInvertible, or the inverse is not rig.zero where a count is zero
-    (by identity: _land lands every zero as rig.zero, and rig.eq would
-    forgive a small float), the table is filled pair by pair with
-    patchwise_mobius, whose first failing patch raises NotInvertible.  A
-    rig without from_quotient raises UnsupportedRig, even with no maps.
+    NotInvertible, or the inverse is not rig.zero where a count is zero,
+    the table is filled pair by pair with patchwise_mobius, whose first
+    failing patch raises NotInvertible.  A rig without from_quotient
+    raises UnsupportedRig, even with no maps.
 
     The counts are read at the pairs c.targets names, or at every pair
     when c has no targets; a listed n outside start..end raises
     MalformedInput.  The patches are read only where a count is nonzero.
     """
+    return _family_table(c, start, end, rig)[0]
+
+
+def _family_table(c: PatchOracleCategory, start: int, end: int, rig: Rig):
+    """(family_mobius(c, start, end, rig), columns): columns[m] lists the
+    columns of row m that are not rig.zero, in ascending order, or is None
+    when the table was filled pair by pair."""
     indices = range(start, end + 1)
     listed = c.targets or (lambda m, start, end: indices)
     counts = []
     for m in indices:
-        row = [0] * len(indices)
+        row = {}
         for n in listed(m, start, end):
             if not start <= n <= end:
                 raise MalformedInput(f"targets of {c.name} list {n!r} for {m!r}, outside {start}..{end}")
-            row[n - start] = c.hom_count(m, n)
+            count = c.hom_count(m, n)
+            if count:
+                row[n - start] = count
         counts.append(row)
     inside = set(indices)
     closed = all(
-        inside.issuperset(c.patch_objects(m, n))
-        for m, row in zip(indices, counts)
-        for n in compress(indices, row)
+        inside.issuperset(c.patch_objects(m, start + j)) for m, row in zip(indices, counts) for j in sorted(row)
     )
     if closed:
         try:
-            inverse = invert_counting_matrix(counts, rig)
+            landed, columns = _counting_inverse(counts, rig)
         except NotInvertible:
             pass
         else:
-            zero = rig.zero
-            columns = range(len(indices))
-            # in each row, every column where the inverse is not rig.zero
-            # has a nonzero count
-            if all(
-                all(map(count_row.__getitem__, compress(columns, map(is_not, row, repeat(zero)))))
-                for count_row, row in zip(counts, inverse.rows)
-            ):
-                return inverse
-    return RigMatrix.from_rows(
-        rig, [[patchwise_mobius(c, m, n, rig) for n in indices] for m in indices]
-    )
+            if all(all(map(row.__contains__, nonzero)) for row, nonzero in zip(counts, columns)):
+                return RigMatrix.from_rows(rig, landed), columns
+    table = [[patchwise_mobius(c, m, n, rig) for n in indices] for m in indices]
+    return RigMatrix.from_rows(rig, table), None
 
 
 # built-in families

@@ -5,9 +5,10 @@ permutation sums), the transitive-matrix predicate, zero-pattern
 inheritance for inverses, and inversion.
 Every exact solve in the package is one call of _solve, the one place
 that chooses between a forward push and the fraction-free elimination
-_bareiss: the inverse of a count matrix (invert_counting_matrix, behind
-coarse and patch mu, family tables and invert over an exact rig) and
-fine convolution inversion (incidence.fine_invert).  Its integer result
+_bareiss: the inverse of a count matrix (_counting_inverse, on the
+nonzero entries of each row: invert_counting_matrix behind coarse and
+patch mu and invert over an exact rig, and family tables) and fine
+convolution inversion (incidence.fine_invert).  Its integer result
 W / d lands in a rig through the rig's from_quotient (_land); over a rig
 without division it must be integral.  A rig whose equality has a
 tolerance (Rig.exact False, the floating reals) has its own
@@ -20,7 +21,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import chain, compress, permutations, repeat
 from math import lcm
-from operator import itemgetter, mul
+from operator import mul
 
 from ._record import Frozen
 from .errors import (
@@ -495,57 +496,85 @@ def _solve(later, diagonal, rhs, blocks):
     return d, solutions
 
 
-def _land(rig: Rig, d: int, rows):
+def _land(rig: Rig, d: int, rows, columns):
     """Integer rows as the rig elements x / d; over a rig without division
-    d divides every x.  A zero x is rig.zero, never -0.0 when d < 0.  A
-    quotient beyond the range of a float is NotInvertible."""
-    quotient, zero = rig.from_quotient, rig.zero
+    d divides every x.  columns[m] lists the columns where rows[m] is not
+    0: each row is written as [rig.zero] * n and only those columns are
+    filled in, so a zero x is rig.zero itself, never -0.0 when d < 0.
+    Equal x share one element, built once, since building a Fraction costs
+    far more than looking one up.  A quotient beyond the range of a float
+    is NotInvertible."""
+    quotient, zero, built = rig.from_quotient, rig.zero, {}
+    landed = []
     try:
-        return [[quotient(x, d) if x else zero for x in row] for row in rows]
+        for row, nonzero in zip(rows, columns):
+            out = [zero] * len(row)
+            for j in nonzero:
+                out[j] = built.get(row[j]) or built.setdefault(row[j], quotient(row[j], d))
+            landed.append(out)
     except OverflowError:
         raise NotInvertible(
             f"an inverse entry is beyond the range of rig '{rig.name}'", witness=("overflow", None)
         ) from None
+    return landed
 
 
-def invert_counting_matrix(rows, rig: Rig) -> RigMatrix:
-    """Invert a matrix of counts (or other rationals) in the requested rig.
+def _counting_inverse(rows, rig: Rig):
+    """(landed, columns): the inverse of a count matrix as _land's rows, and
+    for each row the ascending list of its columns that are not rig.zero.
 
-    Row m of the inverse Y solves y . C = e_m, one right-hand side of one
-    _solve over a single block.  When the nonzero entries are not all
-    ints, equation j, which reads column j of C, is first multiplied by
-    the LCM of that column's denominators.  The only rational division
-    per entry happens when the entries land in the rig (_land).  The rig
-    needs from_quotient; over a rig without division every entry must
-    come out integral.  A singular matrix names its first column that
-    depends on the columns before it.
+    rows[k] is a dict {j: x} holding the nonzero entries of row k, and no
+    other.  Row m of the inverse Y solves y . C = e_m, one right-hand side
+    of one _solve over a single block, which reads its diagonal and later
+    from these dicts.  When the entries are not all ints, equation j, which
+    reads column j of C, is first multiplied by the LCM of that column's
+    denominators.  The only rational division per entry happens when the
+    entries land in the rig (_land), and only at a nonzero x: each other
+    entry is rig.zero itself, so the columns are exactly those where the
+    integer solution is not 0.  The rig needs from_quotient; over a rig
+    without division every entry must come out integral.  A singular
+    matrix names its first column that depends on the columns before it.
     """
     if rig.from_quotient is None:
         raise UnsupportedRig(f"inversion of counting matrices unsupported over '{rig.name}'")
     n = len(rows)
     scales = [1] * n
-    # a zero of any type counts as 0
-    diagonal = [row[k] or 0 for k, row in enumerate(rows)]
-    later = [[(j, row[j]) for j in compress(range(n), row) if j != k] for k, row in enumerate(rows)]
-    if not all(map(isinstance, chain(diagonal, map(itemgetter(1), chain(*later))), repeat(int))):
-        scales, columns = zip(*(_to_integers(list(column)) for column in zip(*rows)))
-        rows = list(zip(*columns))
-        diagonal = [row[k] for k, row in enumerate(rows)]
-        later = [[(j, row[j]) for j in compress(range(n), row) if j != k] for k, row in enumerate(rows)]
+    if not all(map(isinstance, chain.from_iterable(map(dict.values, rows)), repeat(int))):
+        # as_integer_ratio reads int, Fraction and float entries exactly
+        ratios = [{j: x.as_integer_ratio() for j, x in row.items()} for row in rows]
+        for row in ratios:
+            for j, (_, q) in row.items():
+                scales[j] = lcm(scales[j], q)
+        rows = [{j: p * (scales[j] // q) for j, (p, q) in row.items()} for row in ratios]
+    diagonal = [row.get(k, 0) for k, row in enumerate(rows)]
+    later = [[(j, x) for j, x in row.items() if j != k] for k, row in enumerate(rows)]
     try:
         d, scaled = _solve(later, diagonal, [{m: s} for m, s in enumerate(scales)], [range(n)])
     except NotInvertible:
         # _solve names the first dependent row; eliminating C itself names
         # the first dependent column
-        _bareiss([[x or 0 for x in row] for row in rows], [()] * n)
+        _bareiss([[row.get(j, 0) for j in range(n)] for row in rows], [()] * n)
         raise
+    columns = [list(compress(range(n), row)) for row in scaled]
     if d != 1 and not rig.has_division:
-        for i, row in enumerate(scaled):
-            for j, x in enumerate(row):
-                if x % d:
-                    x = Fraction(x, d)
+        for i, (row, nonzero) in enumerate(zip(scaled, columns)):
+            for j in nonzero:
+                if row[j] % d:
+                    x = Fraction(row[j], d)
                     raise NotInvertible(
                         f"inverse entry ({i},{j}) = {x} is not an integer",
                         witness=("non-integral", i, j, str(x)),
                     )
-    return RigMatrix.from_rows(rig, _land(rig, d, scaled))
+    return _land(rig, d, scaled, columns), columns
+
+
+def invert_counting_matrix(rows, rig: Rig) -> RigMatrix:
+    """Invert a matrix of counts (or other rationals) in the requested rig.
+
+    The dense rows become the dicts of their nonzero entries (a zero of
+    any type counts as 0), and _counting_inverse, the one core of every
+    count inversion, solves them; family tables call it on their sparse
+    hom-counts directly.
+    """
+    landed, _ = _counting_inverse([dict(compress(enumerate(row), row)) for row in rows], rig)
+    return RigMatrix.from_rows(rig, landed)

@@ -9,6 +9,7 @@ import sys
 import time
 from fractions import Fraction
 
+import hypothesis
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -1045,7 +1046,7 @@ def test_main_pauses_the_collector_and_restores_the_callers_state(tmp_path, monk
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if before else gc.disable)()
-    # _dumps also calls itself for each nested container
+    # main renders each report through _dumps
     assert {name for name, _ in seen} == {"load_category", "_dumps", "broken"}
     assert not any(enabled for _, enabled in seen)
 
@@ -1079,6 +1080,47 @@ def test_report_renderer_matches_indented_json_dumps(value):
     # text covers non-ASCII characters and the escapes json writes;
     # empty and nested-empty containers come from max_size draws of 0
     assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+@st.composite
+def sparse_tables(draw):
+    """(rig, matrix, columns): an int or rat matrix whose rows are all
+    rig.zero, dense, or nonzero at a drawn set of columns, with the
+    ascending nonzero columns of each row."""
+    rig = draw(st.sampled_from([rigs.INT, RAT]))
+    n = draw(st.integers(1, 9))
+    nonzero = st.integers(-10**6, 10**6).filter(bool)
+    if rig is RAT:
+        nonzero = st.builds(Fraction, nonzero, st.integers(1, 10**4))
+    rows, columns = [], []
+    for _ in range(n):
+        shape = draw(st.sampled_from(["zero", "dense", "some"]))
+        if shape == "some":
+            picked = sorted(draw(st.sets(st.integers(0, n - 1))))
+        else:
+            picked = list(range(n)) if shape == "dense" else []
+        row = [rig.zero] * n
+        for j, value in zip(picked, draw(st.lists(nonzero, min_size=len(picked), max_size=len(picked)))):
+            row[j] = value
+        rows.append(row)
+        columns.append(picked)
+    return rig, RigMatrix.from_rows(rig, rows), columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_tables())
+@hypothesis.example((rigs.INT, RigMatrix.from_rows(rigs.INT, [[0]]), [[]]))
+@hypothesis.example((RAT, RigMatrix.from_rows(RAT, [[Fraction(-1, 3)]]), [[0]]))
+@hypothesis.example((rigs.INT, RigMatrix.from_rows(rigs.INT, [[5, 0, 0], [0, 0, 0], [0, 0, -7]]), [[0], [], [2]]))
+def test_sparse_rows_render_as_indented_json_dumps(table):
+    # a family table's rows know their nonzero columns and are written by
+    # runs of zeros; the texts and the bytes are those of the dense rows
+    rig, matrix, columns = table
+    rows = cli.matrix_json(rig, matrix, columns)
+    assert rows == cli.matrix_json(rig, matrix)
+    report = {"results": {"mobius": rows, "objects": [str(i) for i in range(matrix.n)]}, "warnings": []}
+    assert cli._dumps(report) == json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False)
+    assert cli._dumps(rows) == json.dumps(rows, sort_keys=True, indent=2, ensure_ascii=False)
 
 
 def test_report_renderer_edge_cases():

@@ -1,9 +1,12 @@
+import contextlib
+import io
+import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from mobiuskit import infinite
+from mobiuskit import cli, infinite
 from mobiuskit.category import validate_category
 from mobiuskit.errors import MalformedInput, NotInvertible, UnsupportedRig
 from mobiuskit.incidence import coarse_mobius, fine_mobius
@@ -336,3 +339,61 @@ def test_family_table_needs_a_rig_an_exact_solve_lands_in():
 def test_unknown_family():
     with pytest.raises(MalformedInput):
         builtin("dfun")
+
+
+# family tables at the --family cap against closed forms: the classical
+# mu(n / m) on divisibility, -1 next to the diagonal on nat_leq, and the
+# signed binomials on dinj and dsurj
+
+
+def dsurj_mu(m, n):
+    if m == n == 0:
+        return 1
+    return (-1) ** (m - n) * comb(m - 1, n - 1) if m >= n >= 1 else 0
+
+
+CLOSED_FORMS = {
+    "divisibility": (1, 500, lambda m, n: classical_mobius(n // m) if n % m == 0 else 0),
+    "nat_leq": (0, 500, lambda m, n: {0: 1, 1: -1}.get(n - m, 0)),
+    "dinj": (0, 40, lambda m, n: (-1) ** (n - m) * comb(n, m) if m <= n else 0),
+    "dsurj": (0, 40, dsurj_mu),
+}
+
+
+def one_inversion_only(monkeypatch):
+    """Make a table that falls back pair by pair fail at once: at these
+    sizes the per-pair path would take hours."""
+    def patchwise_mobius(c, a, b, rig):
+        raise AssertionError("a built-in table took the per-pair path")
+
+    monkeypatch.setattr(infinite, "patchwise_mobius", patchwise_mobius)
+
+
+@pytest.mark.parametrize("family", sorted(CLOSED_FORMS))
+def test_family_tables_at_the_cap_match_closed_forms(monkeypatch, family):
+    one_inversion_only(monkeypatch)
+    start, end, mu = CLOSED_FORMS[family]
+    indices = range(start, end + 1)
+    expected = [[mu(m, n) for n in indices] for m in indices]
+    for rig, kind in ((INT, int), (RAT, Fraction)):
+        table = family_mobius(builtin(family), start, end, rig)
+        assert [list(row) for row in table.rows] == expected, rig.name
+        assert {type(x) for row in table.rows for x in row} == {kind}
+
+
+@pytest.mark.parametrize("family", sorted(CLOSED_FORMS))
+def test_family_reports_at_the_cap_match_closed_forms(monkeypatch, family):
+    # nat_leq 0..500 is one index beyond the CLI's cap, so its report stops at 499
+    one_inversion_only(monkeypatch)
+    start, end, mu = CLOSED_FORMS[family]
+    end = min(end, start + cli.MAX_FAMILY_INDICES - 1)
+    indices = range(start, end + 1)
+    expected = [[str(mu(m, n)) for n in indices] for m in indices]
+    for rig in ("rat", "int"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["mobius", "--family", family, "--from", str(start), "--to", str(end), "--rig", rig])
+        report = json.loads(out.getvalue())
+        assert code == 0 and report["rig"] == rig
+        assert report["results"]["mobius"] == expected
+        assert out.getvalue() == json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

@@ -26,6 +26,9 @@ C's objects, arrows and table paired with themselves in C's order; over
 the terminal category the pullback of the collapses of two copies of
 chain(3)^2 is their product, in the product's table order.
 
+A functor on 2 000 objects validates in one pass: the identity of the
+discrete category passes, and an object sent outside the target is named.
+
 Budget: the whole file runs in under 8 s in tier-1 (about 4 s on a shared
 2-vCPU x86_64 host).
 """
@@ -39,7 +42,7 @@ from fractions import Fraction
 import pytest
 
 from mobiuskit import cli, matrixrig
-from mobiuskit.category import Arrow, coproduct, identity_functor, product
+from mobiuskit.category import Arrow, Functor, ValidationReport, coproduct, identity_functor, product
 from mobiuskit.errors import NotInvertible
 from mobiuskit.functoriality import category_pullback, is_bijective_on_objects, is_ulf
 from mobiuskit.incidence import (
@@ -57,6 +60,7 @@ from corpus import (
     chain_category,
     collapse_to_terminal,
     cyclic_group_category,
+    discrete_category,
     free_category_on_acyclic_graph,
     idempotent_monoid_category,
     random_dag,
@@ -232,3 +236,13 @@ def test_the_pullback_over_the_terminal_category_is_the_product():
     assert list(pulled.compose.items()) == list(paired.compose.items())
     assert proj1.arrow_map == {(p, q): p for p, q in paired.arrow_names()}
     assert proj2.object_map == {(x, y): y for x, y in paired.objects}
+
+
+def test_a_functor_on_2000_objects_validates_in_one_pass():
+    # each image is looked up in the target's object index, not in a set
+    # rebuilt per source object, so the range check is linear
+    c = discrete_category(2000)
+    ident = identity_functor(c)
+    assert ident.validate() == ValidationReport(True)
+    stray = Functor(c, c, {**ident.object_map, "d1999": "elsewhere"}, ident.arrow_map)
+    assert stray.validate() == ValidationReport(False, "object-map-range", "'d1999'")
