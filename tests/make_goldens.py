@@ -38,7 +38,9 @@ CASES = [
     ("classify_six", ["classify", "--category", "{D}/six.json"]),
     ("classify_chain3", ["classify", "--category", "{D}/chain3.json"]),
     ("classify_composite_endpoints", ["classify", "--category", "{D}/composite_endpoints.json"]),
+    ("classify_c2", ["classify", "--category", "{D}/group_c2.json"]),
     ("functor_check_collapse", ["functor-check", "--src", "{D}/six.json", "--tgt", "{D}/six_codiscrete.json", "--map", "{D}/six_collapse_functor.json"]),
+    ("functor_check_composition", ["functor-check", "--src", "{D}/parallel_first.json", "--tgt", "{D}/parallel_second.json", "--map", "{D}/parallel_names_functor.json"]),
     ("matrix_detpm", ["matrix", "--op", "detpm", "--in", "{D}/matrix_3x3.json"]),
     ("matrix_adjpm", ["matrix", "--op", "adjpm", "--in", "{D}/matrix_3x3.json"]),
     ("matrix_transitive_no", ["matrix", "--op", "transitive", "--in", "{D}/matrix_nontransitive.json"]),
