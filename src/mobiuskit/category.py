@@ -7,7 +7,8 @@ int lists in table order, (g, f, g after f) for every pair with
 tgt(f) = src(g), with one int-keyed lookup g*n + f -> g after f.  The
 names live in one tuple and appear only in reports, messages and
 witnesses; arrows, compose (the table keyed by arrow-name pairs) and
-factorizations() are name views of the same lists.
+factorizations() are name views of the same lists.  The constructions,
+functor checks and classifier are arithmetic on these lists.
 
 Construction refuses a table that misses a composable pair or has an
 entry for a pair that does not compose; validate_category then reports
@@ -21,7 +22,7 @@ arrow there they agree.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, product as cartesian, repeat, starmap
+from itertools import chain, compress, product as cartesian, repeat
 from operator import add, attrgetter, itemgetter, mul
 from typing import Iterable, Iterator
 
@@ -84,37 +85,25 @@ class FinCategory:
     def __init__(self, objects, arrows, identity, compose):
         fields = [attrgetter("name", "src", "tgt")(a if isinstance(a, Arrow) else Arrow(*a)) for a in arrows]
         compose = dict(compose)
-        self._structure(objects, fields, identity, list(map(add, compose, zip(compose.values()))))
+        # built as a loaded category is; this instance takes its tables
+        entries = list(map(add, compose, zip(compose.values())))
+        vars(self).update(vars(self._from_entries(objects, fields, identity, entries)))
 
     @classmethod
-    def _from_entries(cls, objects, fields, identity, entries):
-        """The category of (name, src, tgt) arrow fields and a table of
-        [g, f, gf] name triples, in table order, as a file lists them.  A
-        pair given twice is refused with a MalformedInput that does not
-        name it."""
-        c = cls.__new__(cls)
-        c._structure(objects, fields, identity, entries)
-        return c
-
-    def _structure(self, objects, fields, identity, entries):
-        """Map the names to positions once, check the structure and keep
-        the index tables.
-
-        Each check compares whole int lists at C level; only a check that
-        fails walks the names, to word the first fault as the messages
-        always have.  The map of the table's names raises KeyError at a
-        name that is no arrow's.  With every table key g*n + f, the table
-        is defined on exactly the composable pairs when its sorted keys
-        are those of the composable pairs.
-        """
+    def _from_entries(cls, objects, fields, identity, entries, keys=None, name_of=lambda name: name):
+        """The category of (name, src, tgt) arrow fields and (g, f, gf) table
+        entries in table order, as a file lists them; the identity table and
+        the entries give arrows by name, or by key when keys lists one per
+        arrow, named by name_of(key) in messages.  Each map to positions runs
+        at C level, and only one that fails walks the names to word the first
+        fault as always; a pair given twice is refused without its name."""
         objects = tuple(objects)
         where = dict(zip(objects, range(len(objects))))
         if len(where) != len(objects):
             raise MalformedInput("duplicate object identifiers")
         names = tuple(map(itemgetter(0), fields))
-        n = len(names)
-        index = dict(zip(names, range(n)))
-        if len(index) != n:
+        index = dict(zip(names if keys is None else keys, range(len(names))))
+        if len(index) != len(names):
             raise MalformedInput("duplicate arrow names")
         try:
             src = list(map(where.__getitem__, map(itemgetter(1), fields)))
@@ -129,16 +118,28 @@ class FinCategory:
         try:
             ids = list(map(index.__getitem__, map(identity.__getitem__, objects)))
         except KeyError:
-            for obj, name in identity.items():
-                if name not in index:
-                    raise MalformedInput(f"identity of {obj!r} names unknown arrow {name!r}") from None
+            for obj, key in identity.items():
+                if key not in index:
+                    raise MalformedInput(f"identity of {obj!r} names unknown arrow {name_of(key)!r}") from None
         try:
             flat = list(map(index.__getitem__, chain.from_iterable(entries)))
         except KeyError:
             for g, f, gf in entries:
                 if g not in index or f not in index or gf not in index:
+                    g, f, gf = map(name_of, (g, f, gf))
                     raise MalformedInput(f"compose entry ({g!r},{f!r})->{gf!r} names unknown arrows") from None
-        outer, inner = flat[0::3], flat[1::3]
+        c = cls._from_positions(objects, names, src, tgt, ids, flat[0::3], flat[1::3], flat[2::3])
+        if keys is None:
+            c.identity = identity  # in the order given
+        return c
+
+    @classmethod
+    def _from_positions(cls, objects, names, src, tgt, ids, outer, inner, composite):
+        """The constructor from position tables, name tuples and int lists.
+        With every table key g*n + f, the table is defined on exactly the
+        composable pairs when its sorted keys are those of the composable
+        pairs; only a table that is not walks the names, to word the fault."""
+        n = len(names)
         # object position -> the arrows into it, in arrow order: the f with g o f defined
         into = [[] for _ in objects]
         for a, t in enumerate(tgt):
@@ -155,14 +156,16 @@ class FinCategory:
             if extra := set(keys).difference(composable):
                 raise MalformedInput(f"compose: pair {first(extra)} is not composable")
             raise MalformedInput("compose: a pair has two entries")
-        self.objects, self.identity, self._identity_names = objects, identity, set(identity.values())
-        self._names, self._index, self._where = names, index, where
+        c = cls.__new__(cls)
+        c.objects, c._names, c.identity = objects, names, dict(zip(objects, map(names.__getitem__, ids)))
+        c._where, c._index = dict(zip(objects, range(len(objects)))), dict(zip(names, range(n)))
         # arrow position -> source, target; object position -> identity
-        self._src, self._tgt, self._ids, self._into = src, tgt, ids, into
+        c._src, c._tgt, c._ids, c._into, c._identities = src, tgt, ids, into, frozenset(ids)
         # the table, entry by entry: g, f and g o f
-        self._outer, self._inner, self._composite = outer, inner, flat[2::3]
+        c._outer, c._inner, c._composite = outer, inner, composite
+        return c
 
-    # name views and tables built on first read
+    # name views, lookups and tables built on first read
 
     @cached_property
     def arrows(self) -> tuple:
@@ -214,10 +217,10 @@ class FinCategory:
         return name in self._index
 
     def src(self, name):
-        return self.arrow(name).src
+        return self.objects[self._src[self._index[name]]]
 
     def tgt(self, name):
-        return self.arrow(name).tgt
+        return self.objects[self._tgt[self._index[name]]]
 
     def hom(self, a, b) -> tuple:
         return self._hom.get((self._where.get(a), self._where.get(b)), ())
@@ -234,7 +237,7 @@ class FinCategory:
         return self._nonempty_homs
 
     def is_identity(self, name) -> bool:
-        return name in self._identity_names
+        return self._index.get(name) in self._identities
 
     def arrow_names(self) -> tuple:
         return self._names
@@ -255,15 +258,16 @@ def validate_category(c: FinCategory) -> ValidationReport:
     """Check the category laws, returning the first violation with witnesses.
 
     Every check and witness reads positions, so none builds the arrows
-    view.  The identity endpoints are checked object by object; the
-    composite endpoints and unit laws are list comparisons, and only a
-    law that fails walks the table, in the order the witness has always
-    been named in.  Composite endpoints are checked before
-    associativity, so both sides of (h o g) o f = h o (g o f) lie in
-    hom(src f, tgt h); a triple whose outer hom-set has one arrow cannot
-    fail, and only the others are looked at.
+    view.  The composite endpoints and unit laws are list comparisons, and
+    only a law that fails walks the table, in the order the witness has
+    always been named in; once the identity endpoints hold, the entries
+    1 o f and g o 1 are those with an identity on one side.  Composite
+    endpoints are checked before associativity, so both sides of
+    (h o g) o f = h o (g o f) lie in hom(src f, tgt h); a triple whose outer
+    hom-set has one arrow cannot fail, and the table by keys is built only
+    for the others.
     """
-    objects, names, src, tgt, ids = c.objects, c._names, c._src, c._tgt, c._ids
+    objects, names, src, tgt = c.objects, c._names, c._src, c._tgt
     n = len(names)
     for obj, name in c.identity.items():
         a, i = c._index[name], c._where[obj]
@@ -283,13 +287,12 @@ def validate_category(c: FinCategory) -> ValidationReport:
                     f"compose({names[g]!r}, {names[f]!r}) = {names[gf]!r} has endpoints "
                     f"{objects[src[gf]]!r} -> {objects[tgt[gf]]!r}",
                 )
-    # 1_tgt(a) o a and a o 1_src(a), at the keys id*n + a and a*n + id
-    table = c._table
-    every_arrow = list(range(n))
-    left = list(map(table.__getitem__, map(add, map(mul, map(ids.__getitem__, tgt), repeat(n)), every_arrow)))
-    right = list(map(table.__getitem__, map(add, range(0, n * n, n or 1), map(ids.__getitem__, src))))
-    if left != every_arrow or right != every_arrow:
-        for a in every_arrow:
+    # a -> 1_tgt(a) o a and a -> a o 1_src(a)
+    left, right = list(map(c._identities.__contains__, outer)), list(map(c._identities.__contains__, inner))
+    left = dict(zip(compress(inner, left), compress(composite, left)))
+    right = dict(zip(compress(outer, right), compress(composite, right)))
+    if list(left) != list(left.values()) or list(right) != list(right.values()):
+        for a in range(n):
             if left[a] != a:
                 return ValidationReport(False, "left-unit", f"1 o {names[a]!r} = {names[left[a]]!r}")
             if right[a] != a:
@@ -301,8 +304,8 @@ def validate_category(c: FinCategory) -> ValidationReport:
             crowded.setdefault(t, set()).add(s)
     if not crowded:
         return ValidationReport(True)
-    into = c._into
-    for h in every_arrow:
+    table, into = c._table, c._into
+    for h in range(n):
         sources = crowded.get(tgt[h])
         if sources is None:
             continue
@@ -335,8 +338,8 @@ def _thin_category(objects, leq, tag) -> FinCategory:
     order of leq, a reflexive relation on the objects.
 
     Raises MalformedInput naming the first pair (a, b) of leq whose up-set
-    misses some c >= b; otherwise compose, one entry per composable pair,
-    is read off the up-sets.
+    misses some c >= b; otherwise the table, one entry per composable
+    pair, is read off the up-sets, with the pairs of leq as arrow keys.
     """
     up: dict = {a: [] for a in objects}
     for a, b in leq:
@@ -347,10 +350,10 @@ def _thin_category(objects, leq, tag) -> FinCategory:
         if missing:
             c = min(missing, key=repr)
             raise MalformedInput(f"transitivity fails at ({a!r},{b!r},{c!r})")
-    arrows = [Arrow((tag, a, b), a, b) for a, b in leq]
-    identity = {a: (tag, a, a) for a in objects}
-    compose = {((tag, b, c), (tag, a, b)): (tag, a, c) for a, b in leq for c in up[b]}
-    return FinCategory(objects, arrows, identity, compose)
+    fields = [((tag, a, b), a, b) for a, b in leq]
+    entries = [((b, c), (a, b), (a, c)) for a, b in leq for c in up[b]]
+    identity = {a: (a, a) for a in objects}
+    return FinCategory._from_entries(objects, fields, identity, entries, leq, lambda pair: (tag, *pair))
 
 
 def _thin_image(c: FinCategory, leq, tag):
@@ -391,7 +394,8 @@ def poset_to_category(elements, relation: Iterable[tuple]) -> FinCategory:
 
 
 def monoid_to_category(elements, unit, table: dict) -> FinCategory:
-    """One-object category of a finite monoid given by its multiplication table."""
+    """One-object category of a finite monoid given by its multiplication
+    table: the arrow ("el", x) is keyed by the element x."""
     elements = tuple(elements)
     if unit not in elements:
         raise MalformedInput(f"unit {unit!r} is not an element")
@@ -410,47 +414,39 @@ def monoid_to_category(elements, unit, table: dict) -> FinCategory:
                 if table[(table[(x, y)], z)] != table[(x, table[(y, z)])]:
                     raise MalformedInput(f"associativity fails at ({x!r},{y!r},{z!r})")
     obj = "*"
-    arrows = [Arrow(("el", x), obj, obj) for x in elements]
-    identity = {obj: ("el", unit)}
-    compose = {
-        (("el", g), ("el", f)): ("el", table[(g, f)]) for g in elements for f in elements
-    }
-    return FinCategory((obj,), arrows, identity, compose)
+    fields = [(("el", x), obj, obj) for x in elements]
+    entries = [(g, f, table[(g, f)]) for g in elements for f in elements]
+    return FinCategory._from_entries((obj,), fields, {obj: unit}, entries, elements)
 
 
-def _entries(c: FinCategory):
-    """c's table as (g, f, g after f) name triples, in table order."""
-    names = c._names.__getitem__
-    return zip(map(names, c._outer), map(names, c._inner), map(names, c._composite))
-
-
-def _paired(c: FinCategory, d: FinCategory, objects, arrows, entries) -> FinCategory:
-    """The category of the pairs given over c and d, each in the order given:
-    object pairs (x, y) with identity (1_x, 1_y), Arrow pairs (p, q) named
-    (p.name, q.name) from (p.src, q.src) to (p.tgt, q.tgt), and pairs of
-    (g, f, g o f) table entries, composed componentwise."""
-    objects = list(objects)
-    fields = [((p.name, q.name), (p.src, q.src), (p.tgt, q.tgt)) for p, q in arrows]
-    identity = {(x, y): (c.identity[x], d.identity[y]) for x, y in objects}
-    return FinCategory._from_entries(objects, fields, identity, list(map(tuple, starmap(zip, entries))))
+def _pairs(xs: list, ys: list, base: int) -> list:
+    """x*base + y for each x of xs and y of ys, xs-major: the product's position of each pair."""
+    return list(map(add, chain.from_iterable(map(repeat, map(mul, xs, repeat(base)), repeat(len(ys)))), ys * len(xs)))
 
 
 def product(c: FinCategory, d: FinCategory) -> FinCategory:
-    """Product category: every pair of objects, arrows and table entries, c-major."""
-    pairs = cartesian(c.objects, d.objects), cartesian(c.arrows, d.arrows), cartesian(_entries(c), _entries(d))
-    return _paired(c, d, *pairs)
+    """Product category: every pair of objects, arrows and table entries,
+    c-major, so the pair (p, q) lies at p*|d| + q.  The identity of (x, y)
+    is (1_x, 1_y), and pairs of entries compose componentwise."""
+    m, n = len(d.objects), len(d._names)
+    return FinCategory._from_positions(
+        tuple(cartesian(c.objects, d.objects)), tuple(cartesian(c._names, d._names)),
+        _pairs(c._src, d._src, m), _pairs(c._tgt, d._tgt, m), _pairs(c._ids, d._ids, n),
+        _pairs(c._outer, d._outer, n), _pairs(c._inner, d._inner, n), _pairs(c._composite, d._composite, n),
+    )
 
 
 def coproduct(c: FinCategory, d: FinCategory) -> FinCategory:
-    """Disjoint union, objects and arrows tagged L/R."""
-    objects = [("L", a) for a in c.objects] + [("R", b) for b in d.objects]
-    arrows = [Arrow(("L", a.name), ("L", a.src), ("L", a.tgt)) for a in c.arrows]
-    arrows += [Arrow(("R", a.name), ("R", a.src), ("R", a.tgt)) for a in d.arrows]
-    identity = {("L", o): ("L", c.identity[o]) for o in c.objects}
-    identity.update({("R", o): ("R", d.identity[o]) for o in d.objects})
-    compose = {(("L", g), ("L", f)): ("L", h) for (g, f), h in c.compose.items()}
-    compose.update({(("R", g), ("R", f)): ("R", h) for (g, f), h in d.compose.items()})
-    return FinCategory(objects, arrows, identity, compose)
+    """Disjoint union, objects and arrows tagged L/R: c's tables, then d's
+    shifted past c's objects and arrows."""
+    m, n = len(c.objects), len(c._names)
+    return FinCategory._from_positions(
+        tuple(zip(repeat("L"), c.objects)) + tuple(zip(repeat("R"), d.objects)),
+        tuple(zip(repeat("L"), c._names)) + tuple(zip(repeat("R"), d._names)),
+        c._src + [s + m for s in d._src], c._tgt + [t + m for t in d._tgt], c._ids + [a + n for a in d._ids],
+        c._outer + [g + n for g in d._outer], c._inner + [f + n for f in d._inner],
+        c._composite + [gf + n for gf in d._composite],
+    )
 
 
 def full_subcategory(c: FinCategory, objs) -> FinCategory:
@@ -470,27 +466,24 @@ def patch_objects(c: FinCategory, a, b) -> tuple:
 
 
 def subcategory(c: FinCategory, objs, arrow_names) -> FinCategory:
-    """Subcategory on the given objects and arrows (assumed closed)."""
-    keep = set(objs)
-    objs = [o for o in c.objects if o in keep]
-    names = set(arrow_names)
-    arrows = [a for a in c.arrows if a.name in names]
-    identity = {o: c.identity[o] for o in objs}
-    compose = {k: v for k, v in c.compose.items() if k[0] in names and k[1] in names}
-    return FinCategory(objs, arrows, identity, compose)
+    """Subcategory on the given objects and arrows, with c's table between
+    the arrows, all in c's order.  The arrows are keyed by their positions
+    in c, and a set that is not closed is refused as FinCategory refuses it."""
+    keep, names, objects = set(objs), set(arrow_names), c.objects
+    kept = list(map(names.__contains__, c._names))
+    fields = [(name, objects[s], objects[t]) for name, s, t in compress(zip(c._names, c._src, c._tgt), kept)]
+    entries = [e for e in zip(c._outer, c._inner, c._composite) if kept[e[0]] and kept[e[1]]]
+    identity = {o: a for o, a in zip(objects, c._ids) if o in keep}
+    keys = list(compress(range(len(kept)), kept))
+    return FinCategory._from_entries(list(identity), fields, identity, entries, keys, c._names.__getitem__)
 
 
 def iso_witnesses(c: FinCategory):
-    """All (f, g) with g o f and f o g identities."""
-    out = []
-    for f in c.arrows:
-        for g_name in c.hom(f.tgt, f.src):
-            if (
-                c.compose[(g_name, f.name)] == c.identity[f.src]
-                and c.compose[(f.name, g_name)] == c.identity[f.tgt]
-            ):
-                out.append((f.name, g_name))
-    return out
+    """All (f, g) with g o f and f o g identities, in arrow order."""
+    ids, src, names = c._ids, c._src, c._names
+    # (g, f) with g o f = 1_src(f)
+    units = {(g, f) for g, f, gf in zip(c._outer, c._inner, c._composite) if gf == ids[src[f]]}
+    return [(names[f], names[g]) for f, g in sorted(units) if (g, f) in units]
 
 
 def is_skeletal(c: FinCategory) -> bool:
@@ -513,11 +506,12 @@ class EndomorphismReport(Frozen):
 
 
 def endomorphism_report(c: FinCategory) -> EndomorphismReport:
-    """Brute-force search for non-identity isos, idempotents and endos."""
+    """Brute-force search for non-identity isos, idempotents and endos; the
+    idempotents are the endos e with a table entry (e, e, e)."""
     isos = tuple(f for f, _ in iso_witnesses(c) if not c.is_identity(f))
-    endos = tuple(a.name for a in c.arrows if a.src == a.tgt and not c.is_identity(a.name))
-    idempotents = tuple(e for e in endos if c.compose[(e, e)] == e)
-    return EndomorphismReport(isos, idempotents, endos)
+    endos = tuple(name for name, s, t in zip(c._names, c._src, c._tgt) if s == t and not c.is_identity(name))
+    idempotent = {c._names[g] for g, f, gf in zip(c._outer, c._inner, c._composite) if g == f == gf}
+    return EndomorphismReport(isos, tuple(e for e in endos if e in idempotent), endos)
 
 
 def is_mobius_category(c: FinCategory) -> bool:
@@ -535,28 +529,23 @@ def is_mobius_category(c: FinCategory) -> bool:
 def enumerate_subcategories(c: FinCategory, max_count: int = 100000) -> Iterator[FinCategory]:
     """All nonempty subcategories: object subsets plus arrow subsets that
     contain the identities of the chosen objects, stay within them, and are
-    closed under composition.  The empty subcategory is excluded.
+    closed under composition, as subcategory requires of the sets it takes.
+    The empty subcategory is excluded.
     """
     count = 0
-    objs = list(c.objects)
-    for obj_mask in range(1, 1 << len(objs)):
-        chosen = [o for i, o in enumerate(objs) if obj_mask >> i & 1]
-        chosen_set = set(chosen)
-        required = {c.identity[o] for o in chosen}
-        optional = [
-            a.name
-            for a in c.arrows
-            if a.src in chosen_set and a.tgt in chosen_set and a.name not in required
-        ]
+    for obj_mask in range(1, 1 << len(c.objects)):
+        chosen = [o for i, o in enumerate(c.objects) if obj_mask >> i & 1]
+        required = [c.identity[o] for o in chosen]
+        optional = [a for a in c._names if c.src(a) in chosen and c.tgt(a) in chosen and a not in required]
         for arr_mask in range(1 << len(optional)):
-            names = set(required)
-            names.update(n for i, n in enumerate(optional) if arr_mask >> i & 1)
-            if any(c.tgt(f) == c.src(g) and c.compose[(g, f)] not in names for g in names for f in names):
+            try:
+                sub = subcategory(c, chosen, required + [a for i, a in enumerate(optional) if arr_mask >> i & 1])
+            except MalformedInput:
                 continue
             count += 1
             if count > max_count:
                 raise BudgetExceeded(f"more than {max_count} subcategories")
-            yield subcategory(c, chosen, names)
+            yield sub
 
 
 class Functor(Record):
@@ -570,37 +559,41 @@ class Functor(Record):
         self.object_map = object_map
         self.arrow_map = arrow_map
 
+    def _images(self) -> list:
+        """The target position of each source arrow's image, in arrow order."""
+        return list(map(self.target._index.__getitem__, map(self.arrow_map.__getitem__, self.source._names)))
+
     def validate(self) -> ValidationReport:
-        for o in self.source.objects:
-            if o not in self.object_map:
+        """Check the functor laws, returning the first violation with its
+        witness; the images are walked by their positions in the target."""
+        source, target, object_map, arrow_map = self.source, self.target, self.object_map, self.arrow_map
+        for o in source.objects:
+            if o not in object_map:
                 return ValidationReport(False, "object-map-totality", repr(o))
-            if self.object_map[o] not in self.target._where:
+            if object_map[o] not in target._where:
                 return ValidationReport(False, "object-map-range", repr(o))
-        for a in self.source.arrows:
-            if a.name not in self.arrow_map:
-                return ValidationReport(False, "arrow-map-totality", repr(a.name))
-            image = self.arrow_map[a.name]
-            if not self.target.has_arrow(image):
-                return ValidationReport(False, "arrow-map-range", repr(a.name))
-            img = self.target.arrow(image)
-            if img.src != self.object_map[a.src] or img.tgt != self.object_map[a.tgt]:
-                return ValidationReport(
-                    False, "endpoint-preservation", f"{a.name!r} -> {image!r}"
-                )
-        for o in self.source.objects:
-            if self.arrow_map[self.source.identity[o]] != self.target.identity[self.object_map[o]]:
+        objects = list(map(target._where.__getitem__, map(object_map.__getitem__, source.objects)))
+        arrows = []
+        for name, s, t in zip(source._names, source._src, source._tgt):
+            if name not in arrow_map:
+                return ValidationReport(False, "arrow-map-totality", repr(name))
+            if not target.has_arrow(arrow_map[name]):
+                return ValidationReport(False, "arrow-map-range", repr(name))
+            arrows.append(target._index[arrow_map[name]])
+            if target._src[arrows[-1]] != objects[s] or target._tgt[arrows[-1]] != objects[t]:
+                return ValidationReport(False, "endpoint-preservation", f"{name!r} -> {arrow_map[name]!r}")
+        for o, i, a in zip(source.objects, objects, source._ids):
+            if arrows[a] != target._ids[i]:
                 return ValidationReport(False, "identity-preservation", repr(o))
-        for (g, f), gf in self.source.compose.items():
-            composed = self.target.compose[(self.arrow_map[g], self.arrow_map[f])]
-            if composed != self.arrow_map[gf]:
-                return ValidationReport(
-                    False, "composition-preservation", f"({g!r}, {f!r})"
-                )
+        n, names, table = len(target._names), source._names, target._table
+        for g, f, gf in zip(source._outer, source._inner, source._composite):
+            if table[arrows[g] * n + arrows[f]] != arrows[gf]:
+                return ValidationReport(False, "composition-preservation", f"({names[g]!r}, {names[f]!r})")
         return ValidationReport(True)
 
 
 def identity_functor(c: FinCategory) -> Functor:
-    return Functor(c, c, {o: o for o in c.objects}, {a.name: a.name for a in c.arrows})
+    return Functor(c, c, {o: o for o in c.objects}, dict(zip(c._names, c._names)))
 
 
 def compose_functors(outer: Functor, inner: Functor) -> Functor:
@@ -610,7 +603,7 @@ def compose_functors(outer: Functor, inner: Functor) -> Functor:
         inner.source,
         outer.target,
         {o: outer.object_map[inner.object_map[o]] for o in inner.source.objects},
-        {a.name: outer.arrow_map[inner.arrow_map[a.name]] for a in inner.source.arrows},
+        {name: outer.arrow_map[inner.arrow_map[name]] for name in inner.source._names},
     )
 
 

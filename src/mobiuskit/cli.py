@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import matrixrig
-from .category import endomorphism_report, graphs_equal, is_skeletal, underlying_graph, validate_category
+from .category import endomorphism_report, graphs_equal, underlying_graph, validate_category
 from .enriched import GradedGraphCategory, graded_mobius, graded_zeta, magnitude, segment_refinement_study
 from .errors import (
     BudgetExceeded,
@@ -93,7 +93,8 @@ def matrix_json(rig, matrix, columns=None) -> list:
     solves land zeros as that object), so its text is rendered once.
     columns, when given, lists for each row the ascending columns where it
     holds anything but rig.zero, as family tables know them from their
-    solve; no other entry is then read, and each row is a _Sparse.
+    solve; no other entry is then read.  A row with at most half of them
+    nonzero is a _Sparse; a denser one stays a list, joined at C level.
     """
     zero = rig.zero
     zero_text = render(rig, zero)
@@ -101,8 +102,10 @@ def matrix_json(rig, matrix, columns=None) -> list:
         return [[zero_text if v is zero else render(rig, v) for v in row] for row in matrix.rows]
     rows = []
     for row, nonzero in zip(matrix.rows, columns):
-        texts = _Sparse([zero_text] * len(row))
-        texts.zero, texts.columns = zero_text, nonzero
+        texts = [zero_text] * len(row)
+        if 2 * len(nonzero) <= len(row):
+            texts = _Sparse(texts)
+            texts.zero, texts.columns = zero_text, nonzero
         for j in nonzero:
             texts[j] = render(rig, row[j])
         rows.append(texts)
@@ -389,7 +392,8 @@ def cmd_classify(args):
         return "rat", broken, EXIT_NEGATIVE
     report = endomorphism_report(cat)
     results = {
-        "skeletal": is_skeletal(cat),
+        # is_skeletal from the report's walk: an iso between distinct objects is no endo
+        "skeletal": set(report.nontrivial_isos) <= set(report.nontrivial_endos),
         "nontrivial_isos": sorted(report.nontrivial_isos),
         "nontrivial_idempotents": sorted(report.nontrivial_idempotents),
         "nontrivial_endos": sorted(report.nontrivial_endos),

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import chain, starmap
+from itertools import chain, repeat, starmap
 from operator import itemgetter
 
 from .category import Arrow, DirectedGraph, FinCategory, Functor
@@ -152,20 +152,11 @@ def _is_float(value) -> bool:
     return isinstance(value, float) or type(value) is int and abs(value) <= _FLOAT_MAX
 
 
-def _distance_row(row: list, where: str) -> list:
-    """A distances row as floats, the string "inf" as math.inf.
-
-    The types of the whole row are checked in one pass; only when that
-    fails are the entries walked one by one, to name the first bad one as
-    where[j].
-    """
-    kinds = _types(row)
-    # min and max compare ints with floats exactly; a NaN among the entries
-    # can only make the bound fail, and is looked for below
-    if kinds <= {float, int} and (int not in kinds or -_FLOAT_MAX <= min(row) <= max(row) <= _FLOAT_MAX):
-        out = list(map(float, row))
-        if float not in kinds or not any(map(math.isnan, out)):
-            return out
+def _distance_row(row, n: int, where: str) -> list:
+    """A distances row of n entries as floats, the string "inf" as math.inf;
+    raise MalformedInput at a row of another shape or its first bad entry."""
+    if not isinstance(row, list) or len(row) != n:
+        raise MalformedInput(f"{where}: must be a list of {n} distances")
     out = []
     for j, value in enumerate(row):
         if value == "inf":
@@ -177,6 +168,21 @@ def _distance_row(row: list, where: str) -> list:
         else:
             raise MalformedInput(f"{where}[{j}]: expected a number or \"inf\"")
     return out
+
+
+def _numbers(rows: list, n: int) -> bool:
+    """Whether rows are n lists of n floats or ints in float range, none NaN,
+    in C-level passes: min and max compare ints with floats exactly, and the
+    sum from 0.0 is NaN at a NaN entry, or at inf beside -inf (then walked)."""
+    if not (_types(rows) <= {list} and set(map(len, rows)) <= {n}):
+        return False
+    flat = chain.from_iterable
+    kinds = _types(flat(rows))
+    if not kinds <= {float, int}:
+        return False
+    if int in kinds and not -_FLOAT_MAX <= min(flat(rows)) <= max(flat(rows)) <= _FLOAT_MAX:
+        return False
+    return not math.isnan(sum(map(sum, rows, repeat(0.0)), 0.0))
 
 
 def load_metric(path: str) -> MetricSpace:
@@ -202,11 +208,10 @@ def load_metric(path: str) -> MetricSpace:
         symmetric = doc.get("symmetric", True)
         if not isinstance(symmetric, bool):
             raise MalformedInput(f"{path}: 'symmetric' must be true or false")
-        rows = []
-        for i, row in enumerate(distances):
-            if not isinstance(row, list) or len(row) != len(points):
-                raise MalformedInput(f"{path}: distances[{i}]: must be a list of {len(points)} distances")
-            rows.append(_distance_row(row, f"{path}: distances[{i}]"))
+        # the JSON rows go on as they are; a matrix the one pass refuses is walked
+        rows = distances
+        if not _numbers(distances, len(points)):
+            rows = [_distance_row(row, len(points), f"{path}: distances[{i}]") for i, row in enumerate(distances)]
         try:
             return MetricSpace.from_distances(points, rows, symmetric=symmetric)
         except MalformedInput as e:
@@ -286,9 +291,9 @@ def load_functor(path: str, source: FinCategory, target: FinCategory) -> Functor
             raise MalformedInput(f"{path}: arrows: {name!r} is not an arrow of the source")
         if not target.has_arrow(image):
             raise MalformedInput(f"{path}: arrows: image {image!r} is not an arrow of the target")
-    for a in source.arrows:
-        if a.name not in arrow_map:
-            raise MalformedInput(f"{path}: arrows: missing image for {a.name!r}")
+    for name in source.arrow_names():
+        if name not in arrow_map:
+            raise MalformedInput(f"{path}: arrows: missing image for {name!r}")
     if "objects" in doc:
         object_map = doc["objects"]
         if not isinstance(object_map, dict):
@@ -297,8 +302,5 @@ def load_functor(path: str, source: FinCategory, target: FinCategory) -> Functor
             if not isinstance(image, str):
                 raise MalformedInput(f"{path}: objects[{obj!r}]: must be a string")
     else:
-        object_map = {}
-        for o in source.objects:
-            image_arrow = arrow_map[source.identity[o]]
-            object_map[o] = target.src(image_arrow)
+        object_map = {o: target.src(arrow_map[source.identity[o]]) for o in source.objects}
     return Functor(source, target, object_map, arrow_map)

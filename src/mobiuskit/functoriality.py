@@ -8,8 +8,10 @@ validation with the adjoint-pair Mobius identity.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from ._record import Frozen, Record
-from .category import FinCategory, Functor, _entries, _paired, categories_equal, compose_functors, identity_functor
+from .category import FinCategory, Functor, categories_equal, compose_functors, identity_functor
 from .errors import MalformedInput, RigMismatch
 from .incidence import FineElement, coarse_mobius, fine_basis
 from .rigs import RAT, Rig
@@ -22,10 +24,8 @@ def is_bijective_on_objects(f: Functor) -> bool:
 
 def fibre_sizes(f: Functor) -> dict:
     """Arrow-fibre cardinalities, one entry per arrow of the target."""
-    sizes = {a.name: 0 for a in f.target.arrows}
-    for a in f.source.arrows:
-        sizes[f.arrow_map[a.name]] += 1
-    return sizes
+    sizes = Counter(f._images())
+    return {name: sizes[a] for a, name in enumerate(f.target.arrow_names())}
 
 
 def is_ulf(f: Functor):
@@ -34,20 +34,17 @@ def is_ulf(f: Functor):
     For every arrow h of the source and factorization F(h) = g2 o g1 in the
     target there must be exactly one pair (h1, h2) with h2 o h1 = h over
     (g1, g2).  Returns (True, None) or (False, (h, g1, g2, lift_count)).
+    Each source entry h2 o h1 = h counts a lift at (h, F h1, F h2), by positions.
     """
-    src, tgt = f.source, f.target
-    target_factorizations = tgt.factorizations()
-    source_factorizations = src.factorizations()
-    for h in src.arrow_names():
-        image = f.arrow_map[h]
-        lifts_by_image_pair: dict = {}
-        for (h1, h2) in source_factorizations[h]:
-            key = (f.arrow_map[h1], f.arrow_map[h2])
-            lifts_by_image_pair[key] = lifts_by_image_pair.get(key, 0) + 1
-        for (g1, g2) in target_factorizations[image]:
-            count = lifts_by_image_pair.get((g1, g2), 0)
-            if count != 1:
-                return False, (h, g1, g2, count)
+    src, tgt, images = f.source, f.target, f._images()
+    lifts = Counter(zip(src._composite, map(images.__getitem__, src._inner), map(images.__getitem__, src._outer)))
+    over = [[] for _ in tgt._names]  # target arrow -> its factorizations (g1, g2), in table order
+    for g2, g1, g in zip(tgt._outer, tgt._inner, tgt._composite):
+        over[g].append((g1, g2))
+    for h, image in enumerate(images):
+        for g1, g2 in over[image]:
+            if lifts[h, g1, g2] != 1:
+                return False, (src._names[h], tgt._names[g1], tgt._names[g2], lifts[h, g1, g2])
     return True, None
 
 
@@ -56,10 +53,10 @@ def pushforward(f: Functor, x: FineElement) -> FineElement:
     if x.category is not f.source and not categories_equal(x.category, f.source):
         raise RigMismatch("element does not live on the functor's source")
     rig = x.rig
-    values = {a.name: rig.zero for a in f.target.arrows}
-    for a in f.source.arrows:
-        image = f.arrow_map[a.name]
-        values[image] = rig.add(values[image], x.values[a.name])
+    values = dict.fromkeys(f.target.arrow_names(), rig.zero)
+    for name in f.source.arrow_names():
+        image = f.arrow_map[name]
+        values[image] = rig.add(values[image], x.values[name])
     return FineElement(f.target, rig, values)
 
 
@@ -67,7 +64,7 @@ def pullback_transform(f: Functor, y: FineElement) -> FineElement:
     """(F* y)(h) = y(F h)."""
     if y.category is not f.target and not categories_equal(y.category, f.target):
         raise RigMismatch("element does not live on the functor's target")
-    values = {a.name: y.values[f.arrow_map[a.name]] for a in f.source.arrows}
+    values = {name: y.values[f.arrow_map[name]] for name in f.source.arrow_names()}
     return FineElement(f.source, y.rig, values)
 
 
@@ -90,14 +87,17 @@ def category_pullback(f: Functor, g: Functor):
     if f.target is not g.target and not categories_equal(f.target, g.target):
         raise MalformedInput("pullback needs a common codomain")
     a, b, fo, fa, ga = f.source, g.source, f.object_map, f.arrow_map, g.arrow_map
-    objects = _over(b.objects, g.object_map.__getitem__)
-    arrows = _over(b.arrows, lambda q: ga[q.name])
-    entries = _over(_entries(b), lambda e: (ga[e[0]], ga[e[1]]))
-    pullback_cat = _paired(
-        a, b, ((x, y) for x in a.objects for y in objects.get(fo[x], ())),
-        ((p, q) for p in a.arrows for q in arrows.get(fa[p.name], ())),
-        ((e, h) for e in _entries(a) for h in entries.get((fa[e[0]], fa[e[1]]), ())),
-    )
+    ao, an, bo, bn = a.objects, a._names, b.objects, b._names
+    objects = _over(range(len(bo)), lambda y: g.object_map[bo[y]])
+    arrows = _over(range(len(bn)), lambda q: ga[bn[q]])
+    entries = _over(zip(b._outer, b._inner, b._composite), lambda e: (ga[bn[e[0]]], ga[bn[e[1]]]))
+    identity = {(ao[x], bo[y]): (a._ids[x], b._ids[y]) for x, o in enumerate(ao) for y in objects.get(fo[o], ())}
+    arrow_pairs = [(p, q) for p, name in enumerate(an) for q in arrows.get(fa[name], ())]
+    fields = [((an[p], bn[q]), (ao[a._src[p]], bo[b._src[q]]), (ao[a._tgt[p]], bo[b._tgt[q]])) for p, q in arrow_pairs]
+    table = [tuple(zip(e, h)) for e in zip(a._outer, a._inner, a._composite)
+             for h in entries.get((fa[an[e[0]]], fa[an[e[1]]]), ())]
+    pullback_cat = FinCategory._from_entries(
+        list(identity), fields, identity, table, arrow_pairs, lambda pair: (an[pair[0]], bn[pair[1]]))
     pairs, names = pullback_cat.objects, pullback_cat.arrow_names()
     proj1 = Functor(pullback_cat, a, {(x, y): x for x, y in pairs}, {(p, q): p for p, q in names})
     proj2 = Functor(pullback_cat, b, {(x, y): y for x, y in pairs}, {(p, q): q for p, q in names})

@@ -483,6 +483,26 @@ def test_functor_check_report():
     assert results["fibre_sizes"]["c_a_a"] == 2
 
 
+def test_classify_and_functor_check_build_no_name_view(monkeypatch):
+    # both commands read the loaded tables by arrow positions: no category
+    # builds its arrows or compose view, with or without a witness to name
+    loaded = []
+
+    def load(path):
+        loaded.append(fileio.load_category(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_category", load)
+    for name in ("six.json", "chain3.json", "group_c2.json", "square.json", "divisors6.json", "parallel_first.json",
+                 "composite_endpoints.json", "nonassociative.json", "empty.json"):
+        assert run(["classify", "--category", data(name)])[0] in (0, 2)
+    for src, tgt, functor in (("six.json", "six_codiscrete.json", "six_collapse_functor.json"),
+                              ("parallel_first.json", "parallel_second.json", "parallel_names_functor.json")):
+        assert run(["functor-check", "--src", data(src), "--tgt", data(tgt), "--map", data(functor)])[0] in (0, 2)
+    assert len(loaded) == 13
+    assert [sorted({"arrows", "compose"} & set(vars(c))) for c in loaded] == [[]] * 13
+
+
 def test_matrix_transitive_negative_exit():
     code, out = run(["matrix", "--op", "transitive", "--in", data("matrix_nontransitive.json")])
     assert code == 2
@@ -1113,11 +1133,13 @@ def sparse_tables(draw):
 @hypothesis.example((RAT, RigMatrix.from_rows(RAT, [[Fraction(-1, 3)]]), [[0]]))
 @hypothesis.example((rigs.INT, RigMatrix.from_rows(rigs.INT, [[5, 0, 0], [0, 0, 0], [0, 0, -7]]), [[0], [], [2]]))
 def test_sparse_rows_render_as_indented_json_dumps(table):
-    # a family table's rows know their nonzero columns and are written by
-    # runs of zeros; the texts and the bytes are those of the dense rows
+    # a family table's rows know their nonzero columns; those with at most
+    # half of them nonzero are written by runs of zeros, the denser ones as
+    # lists.  The texts and the bytes are those of the dense rows
     rig, matrix, columns = table
     rows = cli.matrix_json(rig, matrix, columns)
     assert rows == cli.matrix_json(rig, matrix)
+    assert [type(row) is cli._Sparse for row in rows] == [2 * len(picked) <= matrix.n for picked in columns]
     report = {"results": {"mobius": rows, "objects": [str(i) for i in range(matrix.n)]}, "warnings": []}
     assert cli._dumps(report) == json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False)
     assert cli._dumps(rows) == json.dumps(rows, sort_keys=True, indent=2, ensure_ascii=False)
