@@ -173,7 +173,7 @@ def _distance_row(row, n: int, where: str) -> list:
 def _numbers(rows: list, n: int) -> bool:
     """Whether rows are n lists of n floats or ints in float range, none NaN,
     in C-level passes: min and max compare ints with floats exactly, and the
-    sum from 0.0 is NaN at a NaN entry, or at inf beside -inf (then walked)."""
+    sum from 0.0 is NaN at a NaN entry, or at inf beside -inf."""
     if not (_types(rows) <= {list} and set(map(len, rows)) <= {n}):
         return False
     flat = chain.from_iterable
@@ -208,10 +208,11 @@ def load_metric(path: str) -> MetricSpace:
         symmetric = doc.get("symmetric", True)
         if not isinstance(symmetric, bool):
             raise MalformedInput(f"{path}: 'symmetric' must be true or false")
-        # the JSON rows go on as they are; a matrix the one pass refuses is walked
+        # the JSON rows go on as they are; past a failed pass, only rows that fail one are walked
         rows = distances
         if not _numbers(distances, len(points)):
-            rows = [_distance_row(row, len(points), f"{path}: distances[{i}]") for i, row in enumerate(distances)]
+            rows = [row if _numbers([row], len(points)) else _distance_row(row, len(points), f"{path}: distances[{i}]")
+                    for i, row in enumerate(distances)]
         try:
             return MetricSpace.from_distances(points, rows, symmetric=symmetric)
         except MalformedInput as e:
