@@ -128,13 +128,14 @@ class FinCategory:
                 if g not in index or f not in index or gf not in index:
                     g, f, gf = map(name_of, (g, f, gf))
                     raise MalformedInput(f"compose entry ({g!r},{f!r})->{gf!r} names unknown arrows") from None
-        c = cls._from_positions(objects, names, src, tgt, ids, flat[0::3], flat[1::3], flat[2::3])
-        if keys is None:
-            c.identity = identity  # in the order given
-        return c
+        if keys is not None:  # index and identity are by keys: the constructor builds them by names
+            index = identity = None
+        return cls._from_positions(objects, names, src, tgt, ids, flat[0::3], flat[1::3], flat[2::3],
+                                   where, index, identity)
 
     @classmethod
-    def _from_positions(cls, objects, names, src, tgt, ids, outer, inner, composite):
+    def _from_positions(cls, objects, names, src, tgt, ids, outer, inner, composite,
+                        where=None, index=None, identity=None):  # name dicts the caller has built
         """The constructor from position tables, name tuples and int lists.
         With every table key g*n + f, the table is defined on exactly the
         composable pairs when its sorted keys are those of the composable
@@ -157,8 +158,8 @@ class FinCategory:
                 raise MalformedInput(f"compose: pair {first(extra)} is not composable")
             raise MalformedInput("compose: a pair has two entries")
         c = cls.__new__(cls)
-        c.objects, c._names, c.identity = objects, names, dict(zip(objects, map(names.__getitem__, ids)))
-        c._where, c._index = dict(zip(objects, range(len(objects)))), dict(zip(names, range(n)))
+        c.objects, c._names, c.identity = objects, names, identity or dict(zip(objects, map(names.__getitem__, ids)))
+        c._where, c._index = where or dict(zip(objects, range(len(objects)))), index or dict(zip(names, range(n)))
         # arrow position -> source, target; object position -> identity
         c._src, c._tgt, c._ids, c._into, c._identities = src, tgt, ids, into, frozenset(ids)
         # the table, entry by entry: g, f and g o f
@@ -488,7 +489,12 @@ def iso_witnesses(c: FinCategory):
 
 def is_skeletal(c: FinCategory) -> bool:
     """No isomorphisms between distinct objects."""
-    return all(c.src(f) == c.tgt(f) for f, _ in iso_witnesses(c))
+    return _skeletal(endomorphism_report(c))
+
+
+def _skeletal(report: "EndomorphismReport") -> bool:
+    """is_skeletal, read off an endomorphism report: an iso between distinct objects is no endo."""
+    return set(report.nontrivial_isos) <= set(report.nontrivial_endos)
 
 
 class EndomorphismReport(Frozen):
@@ -529,23 +535,22 @@ def is_mobius_category(c: FinCategory) -> bool:
 def enumerate_subcategories(c: FinCategory, max_count: int = 100000) -> Iterator[FinCategory]:
     """All nonempty subcategories: object subsets plus arrow subsets that
     contain the identities of the chosen objects, stay within them, and are
-    closed under composition, as subcategory requires of the sets it takes.
-    The empty subcategory is excluded.
+    closed under composition.  The empty subcategory is excluded.
     """
     count = 0
+    src, tgt, table, n = c._src, c._tgt, c._table, len(c._names)
     for obj_mask in range(1, 1 << len(c.objects)):
-        chosen = [o for i, o in enumerate(c.objects) if obj_mask >> i & 1]
-        required = [c.identity[o] for o in chosen]
-        optional = [a for a in c._names if c.src(a) in chosen and c.tgt(a) in chosen and a not in required]
+        chosen = [i for i in range(len(c.objects)) if obj_mask >> i & 1]
+        required = {c._ids[i] for i in chosen}
+        optional = [a for a in range(n) if obj_mask >> src[a] & obj_mask >> tgt[a] & 1 and a not in required]
         for arr_mask in range(1 << len(optional)):
-            try:
-                sub = subcategory(c, chosen, required + [a for i, a in enumerate(optional) if arr_mask >> i & 1])
-            except MalformedInput:
+            arrows = required.union(a for i, a in enumerate(optional) if arr_mask >> i & 1)
+            if any(tgt[f] == src[g] and table[g * n + f] not in arrows for g in arrows for f in arrows):
                 continue
             count += 1
             if count > max_count:
                 raise BudgetExceeded(f"more than {max_count} subcategories")
-            yield sub
+            yield subcategory(c, map(c.objects.__getitem__, chosen), map(c._names.__getitem__, arrows))
 
 
 class Functor(Record):

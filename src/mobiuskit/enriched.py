@@ -187,10 +187,11 @@ class MetricSpace(Frozen):
         d = np.zeros((n, n))
         with np.errstate(over="ignore"):  # far-apart points are at distance inf
             for k, column in enumerate(c.reshape(n, -1).T if c.size else ()):
+                gap = column[:, None] - column
                 if k:
-                    np.hypot(d, column[:, None] - column, out=d)
-                else:  # the first coordinate's gaps are written into d itself
-                    np.absolute(np.subtract(column[:, None], column, out=d), out=d)
+                    np.hypot(d, gap, out=d)
+                else:
+                    np.absolute(gap, out=d)
         return cls(tuple(points), d, True)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import chain, repeat, starmap
+from itertools import chain, starmap
 from operator import itemgetter
 
 from .category import Arrow, DirectedGraph, FinCategory, Functor
@@ -153,10 +153,18 @@ def _is_float(value) -> bool:
 
 
 def _distance_row(row, n: int, where: str) -> list:
-    """A distances row of n entries as floats, the string "inf" as math.inf;
-    raise MalformedInput at a row of another shape or its first bad entry."""
+    """A distances row of n entries: the row itself when its entries are
+    floats or ints in float range, none NaN, as C-level passes find (min and
+    max compare ints with floats exactly, and the sum from 0.0 is NaN at a
+    NaN entry, or at inf beside -inf); else the entries walked as floats, the
+    string "inf" as math.inf.  Raise MalformedInput at a row of another
+    shape or its first bad entry."""
     if not isinstance(row, list) or len(row) != n:
         raise MalformedInput(f"{where}: must be a list of {n} distances")
+    kinds = _types(row)
+    if kinds <= {float, int} and (int not in kinds or -_FLOAT_MAX <= min(row) <= max(row) <= _FLOAT_MAX):
+        if not math.isnan(sum(row, 0.0)):
+            return row
     out = []
     for j, value in enumerate(row):
         if value == "inf":
@@ -168,21 +176,6 @@ def _distance_row(row, n: int, where: str) -> list:
         else:
             raise MalformedInput(f"{where}[{j}]: expected a number or \"inf\"")
     return out
-
-
-def _numbers(rows: list, n: int) -> bool:
-    """Whether rows are n lists of n floats or ints in float range, none NaN,
-    in C-level passes: min and max compare ints with floats exactly, and the
-    sum from 0.0 is NaN at a NaN entry, or at inf beside -inf."""
-    if not (_types(rows) <= {list} and set(map(len, rows)) <= {n}):
-        return False
-    flat = chain.from_iterable
-    kinds = _types(flat(rows))
-    if not kinds <= {float, int}:
-        return False
-    if int in kinds and not -_FLOAT_MAX <= min(flat(rows)) <= max(flat(rows)) <= _FLOAT_MAX:
-        return False
-    return not math.isnan(sum(map(sum, rows, repeat(0.0)), 0.0))
 
 
 def load_metric(path: str) -> MetricSpace:
@@ -208,11 +201,7 @@ def load_metric(path: str) -> MetricSpace:
         symmetric = doc.get("symmetric", True)
         if not isinstance(symmetric, bool):
             raise MalformedInput(f"{path}: 'symmetric' must be true or false")
-        # the JSON rows go on as they are; past a failed pass, only rows that fail one are walked
-        rows = distances
-        if not _numbers(distances, len(points)):
-            rows = [row if _numbers([row], len(points)) else _distance_row(row, len(points), f"{path}: distances[{i}]")
-                    for i, row in enumerate(distances)]
+        rows = [_distance_row(row, len(points), f"{path}: distances[{i}]") for i, row in enumerate(distances)]
         try:
             return MetricSpace.from_distances(points, rows, symmetric=symmetric)
         except MalformedInput as e:
