@@ -8,7 +8,8 @@ tgt(f) = src(g), with one int-keyed lookup g*n + f -> g after f.  The
 names live in one tuple and appear only in reports, messages and
 witnesses; arrows, compose (the table keyed by arrow-name pairs) and
 factorizations() are name views of the same lists.  The constructions,
-functor checks and classifier are arithmetic on these lists.
+functor checks, classifier and categories_equal are arithmetic on these
+lists, and no function here builds a name view it does not return.
 
 Construction refuses a table that misses a composable pair or has an
 entry for a pair that does not compose; validate_category then reports
@@ -360,8 +361,9 @@ def _thin_category(objects, leq, tag) -> FinCategory:
 def _thin_image(c: FinCategory, leq, tag):
     """The thin category on c's objects with one arrow (tag, a, b) for each
     pair of leq, and the functor from c sending each arrow a -> b to it."""
-    thin = _thin_category(c.objects, leq, tag)
-    return thin, Functor(c, thin, {a: a for a in c.objects}, {a.name: (tag, a.src, a.tgt) for a in c.arrows})
+    objects, thin = c.objects, _thin_category(c.objects, leq, tag)
+    images = {name: (tag, objects[s], objects[t]) for name, s, t in zip(c._names, c._src, c._tgt)}
+    return thin, Functor(c, thin, dict(zip(objects, objects)), images)
 
 
 def codiscrete_completion(c: FinCategory):
@@ -452,7 +454,8 @@ def coproduct(c: FinCategory, d: FinCategory) -> FinCategory:
 
 def full_subcategory(c: FinCategory, objs) -> FinCategory:
     keep = set(objs)
-    return subcategory(c, keep, [a.name for a in c.arrows if a.src in keep and a.tgt in keep])
+    inside = [o in keep for o in c.objects]
+    return subcategory(c, keep, [name for name, s, t in zip(c._names, c._src, c._tgt) if inside[s] and inside[t]])
 
 
 def patch(c: FinCategory, a, b) -> FinCategory:
@@ -602,7 +605,7 @@ def identity_functor(c: FinCategory) -> Functor:
 
 
 def compose_functors(outer: Functor, inner: Functor) -> Functor:
-    if outer.source is not inner.target and not categories_equal(outer.source, inner.target):
+    if not categories_equal(outer.source, inner.target):
         raise MalformedInput("functors are not composable")
     return Functor(
         inner.source,
@@ -613,10 +616,11 @@ def compose_functors(outer: Functor, inner: Functor) -> Functor:
 
 
 def categories_equal(c: FinCategory, d: FinCategory) -> bool:
-    """Strict equality of the presenting data (names included)."""
-    return (
-        set(c.objects) == set(d.objects)
-        and set(c.arrows) == set(d.arrows)
-        and c.identity == d.identity
-        and c.compose == d.compose
+    """Strict equality of the presenting data (names included), in any
+    order: the same objects and arrow names, and sending each object and
+    arrow of d to itself is a functor d -> c, so that endpoints,
+    identities and composites agree by name."""
+    return c is d or (
+        c._where.keys() == d._where.keys() and c._index.keys() == d._index.keys()
+        and Functor(d, c, dict(zip(d.objects, d.objects)), dict(zip(d._names, d._names))).validate().ok
     )

@@ -13,7 +13,7 @@ from collections import Counter
 from ._record import Frozen, Record
 from .category import FinCategory, Functor, categories_equal, compose_functors, identity_functor
 from .errors import MalformedInput, RigMismatch
-from .incidence import FineElement, coarse_mobius, fine_basis
+from .incidence import FineElement, _element, _row, coarse_mobius, fine_basis
 from .rigs import RAT, Rig
 
 
@@ -49,23 +49,21 @@ def is_ulf(f: Functor):
 
 
 def pushforward(f: Functor, x: FineElement) -> FineElement:
-    """(F_! x)(g) = sum of x over the fibre of g."""
-    if x.category is not f.source and not categories_equal(x.category, f.source):
+    """(F_! x)(g) = sum of x over the fibre of g, in source arrow order."""
+    if not categories_equal(x.category, f.source):
         raise RigMismatch("element does not live on the functor's source")
     rig = x.rig
-    values = dict.fromkeys(f.target.arrow_names(), rig.zero)
-    for name in f.source.arrow_names():
-        image = f.arrow_map[name]
-        values[image] = rig.add(values[image], x.values[name])
-    return FineElement(f.target, rig, values)
+    values = [rig.zero] * len(f.target._names)
+    for image, value in zip(f._images(), _row(x, f.source)):
+        values[image] = rig.add(values[image], value)
+    return _element(f.target, rig, values)
 
 
 def pullback_transform(f: Functor, y: FineElement) -> FineElement:
     """(F* y)(h) = y(F h)."""
-    if y.category is not f.target and not categories_equal(y.category, f.target):
+    if not categories_equal(y.category, f.target):
         raise RigMismatch("element does not live on the functor's target")
-    values = {name: y.values[f.arrow_map[name]] for name in f.source.arrow_names()}
-    return FineElement(f.source, y.rig, values)
+    return _element(f.source, y.rig, map(_row(y, f.target).__getitem__, f._images()))
 
 
 def _over(items, image) -> dict:
@@ -84,7 +82,7 @@ def category_pullback(f: Functor, g: Functor):
     A join finds them: B's objects, arrows and table entries are grouped by
     image once, and each item of A looks up its own image.
     """
-    if f.target is not g.target and not categories_equal(f.target, g.target):
+    if not categories_equal(f.target, g.target):
         raise MalformedInput("pullback needs a common codomain")
     a, b, fo, fa, ga = f.source, g.source, f.object_map, f.arrow_map, g.arrow_map
     ao, an, bo, bn = a.objects, a._names, b.objects, b._names
@@ -195,12 +193,13 @@ class Adjunction(Record):
 
 
 def validate_adjunction(adj: Adjunction):
-    """Check naturality of unit/counit and both triangle identities."""
+    """Check naturality of unit/counit and both triangle identities, on the
+    arrow positions of F's source A and G's source B."""
     f, g = adj.left, adj.right
     a_cat, b_cat = f.source, g.source
-    if f.target is not b_cat and not categories_equal(f.target, b_cat):
+    if not categories_equal(f.target, b_cat):
         return False, "F must land in G's source"
-    if g.target is not a_cat and not categories_equal(g.target, a_cat):
+    if not categories_equal(g.target, a_cat):
         return False, "G must land in F's source"
     if not f.validate().ok:
         return False, "F is not a functor"
@@ -210,39 +209,35 @@ def validate_adjunction(adj: Adjunction):
         eta = adj.unit.get(a)
         if eta is None or not a_cat.has_arrow(eta):
             return False, f"unit missing at {a!r}"
-        arr = a_cat.arrow(eta)
-        expected_tgt = g.object_map[f.object_map[a]]
-        if arr.src != a or arr.tgt != expected_tgt:
+        if a_cat.src(eta) != a or a_cat.tgt(eta) != g.object_map[f.object_map[a]]:
             return False, f"unit at {a!r} is not an arrow {a!r} -> GF{a!r}"
     for b in b_cat.objects:
         eps = adj.counit.get(b)
         if eps is None or not b_cat.has_arrow(eps):
             return False, f"counit missing at {b!r}"
-        arr = b_cat.arrow(eps)
-        expected_src = f.object_map[g.object_map[b]]
-        if arr.src != expected_src or arr.tgt != b:
+        if b_cat.src(eps) != f.object_map[g.object_map[b]] or b_cat.tgt(eps) != b:
             return False, f"counit at {b!r} is not an arrow FG{b!r} -> {b!r}"
-    for arrow in a_cat.arrows:
-        lhs = a_cat.compose[(adj.unit[arrow.tgt], arrow.name)]
-        gf_arrow = g.arrow_map[f.arrow_map[arrow.name]]
-        rhs = a_cat.compose[(gf_arrow, adj.unit[arrow.src])]
-        if lhs != rhs:
-            return False, f"unit not natural at {arrow.name!r}"
-    for arrow in b_cat.arrows:
-        lhs = b_cat.compose[(arrow.name, adj.counit[arrow.src])]
-        fg_arrow = f.arrow_map[g.arrow_map[arrow.name]]
-        rhs = b_cat.compose[(adj.counit[arrow.tgt], fg_arrow)]
-        if lhs != rhs:
-            return False, f"counit not natural at {arrow.name!r}"
-    for a in a_cat.objects:
-        fa = f.object_map[a]
-        composite = b_cat.compose[(adj.counit[fa], f.arrow_map[adj.unit[a]])]
-        if composite != b_cat.identity[fa]:
+    # F's images as positions in B and G's in A, read through B's and A's own
+    # indexes since F and G may land in equal copies with another arrow order;
+    # the unit and counit by object position
+    fa = list(map(b_cat._index.__getitem__, map(f.arrow_map.__getitem__, a_cat._names)))
+    ga = list(map(a_cat._index.__getitem__, map(g.arrow_map.__getitem__, b_cat._names)))
+    unit = list(map(a_cat._index.__getitem__, map(adj.unit.__getitem__, a_cat.objects)))
+    counit = list(map(b_cat._index.__getitem__, map(adj.counit.__getitem__, b_cat.objects)))
+    m, n, a_table, b_table = len(a_cat._names), len(b_cat._names), a_cat._table, b_cat._table
+    for h, (s, t) in enumerate(zip(a_cat._src, a_cat._tgt)):
+        if a_table[unit[t] * m + h] != a_table[ga[fa[h]] * m + unit[s]]:
+            return False, f"unit not natural at {a_cat._names[h]!r}"
+    for k, (s, t) in enumerate(zip(b_cat._src, b_cat._tgt)):
+        if b_table[k * n + counit[s]] != b_table[counit[t] * n + fa[ga[k]]]:
+            return False, f"counit not natural at {b_cat._names[k]!r}"
+    for a, eta in zip(a_cat.objects, unit):
+        fa_object = b_cat._where[f.object_map[a]]
+        if b_table[counit[fa_object] * n + fa[eta]] != b_cat._ids[fa_object]:
             return False, f"first triangle identity fails at {a!r}"
-    for b in b_cat.objects:
-        gb = g.object_map[b]
-        composite = a_cat.compose[(g.arrow_map[adj.counit[b]], adj.unit[gb])]
-        if composite != a_cat.identity[gb]:
+    for b, eps in zip(b_cat.objects, counit):
+        gb_object = a_cat._where[g.object_map[b]]
+        if a_table[ga[eps] * m + unit[gb_object]] != a_cat._ids[gb_object]:
             return False, f"second triangle identity fails at {b!r}"
     return True, None
 

@@ -34,14 +34,24 @@ def _check_same_rig(x, y):
 
 
 class FineElement(Record):
-    """Function from the arrows of a category into a rig."""
+    """Function from the arrows of a category into a rig.
+
+    values maps exactly the arrow names into the rig: a missing arrow, or a
+    key that is not an arrow, is refused with RigMismatch.  Library calls
+    read values once, in the arrow order of the category they walk (_row),
+    and build their results from values in arrow order (_element), so the
+    walks in between are on arrow positions.
+    """
 
     __slots__ = ("category", "rig", "values")
 
     def __init__(self, category: FinCategory, rig: Rig, values: dict):
-        for name in category.arrow_names():
-            if name not in values:
-                raise RigMismatch(f"fine element missing a value on arrow {name!r}")
+        if values.keys() != category._index.keys():
+            for name in category.arrow_names():
+                if name not in values:
+                    raise RigMismatch(f"fine element missing a value on arrow {name!r}")
+            extra = next(key for key in values if key not in category._index)
+            raise RigMismatch(f"fine element has a value on {extra!r}, which is not an arrow")
         self.category = category
         self.rig = rig
         self.values = values
@@ -51,10 +61,17 @@ class FineElement(Record):
 
     def equal(self, other: "FineElement") -> bool:
         _check_same_rig(self, other)
-        return all(
-            self.rig.eq(self.values[n], other.values[n])
-            for n in self.category.arrow_names()
-        )
+        return all(map(self.rig.eq, _row(self, self.category), _row(other, self.category)))
+
+
+def _row(x: FineElement, c: FinCategory) -> list:
+    """x's values in the arrow order of c, x's category or one equal to it."""
+    return list(map(x.values.__getitem__, c._names))
+
+
+def _element(c: FinCategory, rig: Rig, row) -> FineElement:
+    """The fine element on c with the values of row, in c's arrow order."""
+    return FineElement(c, rig, dict(zip(c._names, row)))
 
 
 class CoarseElement(Record):
@@ -137,31 +154,30 @@ class PatchElement(Record):
 
 
 def fine_delta(c: FinCategory, rig: Rig) -> FineElement:
-    values = {
-        name: (rig.one if c.is_identity(name) else rig.zero) for name in c.arrow_names()
-    }
+    values = dict.fromkeys(c._names, rig.zero)
+    values.update(dict.fromkeys(map(c._names.__getitem__, c._ids), rig.one))
     return FineElement(c, rig, values)
 
 
 def fine_zeta(c: FinCategory, rig: Rig) -> FineElement:
-    return FineElement(c, rig, {name: rig.one for name in c.arrow_names()})
+    return FineElement(c, rig, dict.fromkeys(c._names, rig.one))
 
 
 def fine_basis(c: FinCategory, rig: Rig, arrow_name) -> FineElement:
-    values = {name: rig.zero for name in c.arrow_names()}
+    values = dict.fromkeys(c._names, rig.zero)
     values[arrow_name] = rig.one
     return FineElement(c, rig, values)
 
 
 def fine_convolve(x: FineElement, y: FineElement) -> FineElement:
-    """(x * y)(f) = sum over factorizations h o g = f of x(g) y(h)."""
+    """(x * y)(f) = sum over factorizations h o g = f of x(g) y(h), summed
+    in table order by one walk of the table."""
     _check_same_rig(x, y)
-    c = x.category
-    rig = x.rig
-    values = {}
-    for name, pairs in c.factorizations().items():
-        values[name] = rig.sum(rig.mul(x.values[g], y.values[h]) for g, h in pairs)
-    return FineElement(c, rig, values)
+    c, rig = x.category, x.rig
+    xs, ys, values = _row(x, c), _row(y, c), [rig.zero] * len(c._names)
+    for h, g, f in zip(c._outer, c._inner, c._composite):
+        values[f] = rig.add(values[f], rig.mul(xs[g], ys[h]))
+    return _element(c, rig, values)
 
 
 def verify_inverse(x: FineElement, y: FineElement) -> bool:
@@ -218,7 +234,7 @@ def fine_invert(x: FineElement) -> FineElement:
     c = x.category
     names = c.arrow_names()
     n = len(names)
-    e, scaled = _to_integers(list(map(x.values.__getitem__, names)))
+    e, scaled = _to_integers(_row(x, c))
     # the table as (h, g, f) arrow positions with h o g = f, in table order
     outer, inner, composite, sources = c._outer, c._inner, c._composite, c._src
     if list(map(sources.__getitem__, inner)) != list(map(sources.__getitem__, composite)):
@@ -263,7 +279,7 @@ def fine_invert(x: FineElement) -> FineElement:
         product[f] -= e * d
     if any(product):
         raise NotInvertible("left inverse exists but is not two-sided", witness=("one-sided", None))
-    return FineElement(c, rig, dict(zip(names, _land(rig, d, [w], [compress(range(n), w)])[0])))
+    return _element(c, rig, _land(rig, d, [w], [compress(range(n), w)])[0])
 
 
 def fine_mobius(c: FinCategory, rig: Rig) -> FineElement:
@@ -318,10 +334,13 @@ def coarse_mobius(c: FinCategory, rig: Rig) -> CoarseElement:
 
 def sigma_to_coarse(x: FineElement) -> CoarseElement:
     """Sum a fine element over each hom-set: the canonical homomorphism
-    into the coarse incidence algebra."""
+    into the coarse incidence algebra.  Each hom-set sums in arrow order,
+    and an empty one keeps the rig.zero object."""
     c = x.category
     rig = x.rig
-    rows = _hom_rows(c, rig.zero, lambda names: rig.sum(map(x.values.__getitem__, names)))
+    rows = [[rig.zero] * len(c.objects) for _ in c.objects]
+    for i, j, value in zip(c._src, c._tgt, _row(x, c)):
+        rows[i][j] = rig.add(rows[i][j], value)
     return CoarseElement(c.objects, rig, RigMatrix.from_rows(rig, rows), c)
 
 

@@ -24,7 +24,14 @@ or confirm something a mobiuskit function computes.
   each arrow set by the name-keyed table;
 - validate_functor_by_names, is_ulf_by_names, fibre_sizes_by_names,
   iso_witnesses_by_names and endomorphism_report_by_names: the functor
-  checks and the classifier's searches through the name views.
+  checks and the classifier's searches through the name views;
+- categories_equal_by_names: category.categories_equal by sets and dicts
+  of names;
+- fine_convolve_by_names, sigma_to_coarse_by_names, pushforward_by_names,
+  pullback_transform_by_names and validate_adjunction_by_names: the fine
+  level, the functor transforms and the adjunction check through
+  factorizations(), the hom-set name lists, arrow_map and compose, beside
+  the library's walks on arrow positions.
 """
 
 from itertools import product as cartesian
@@ -32,9 +39,9 @@ from itertools import product as cartesian
 from mobiuskit._record import Frozen
 from mobiuskit.category import Arrow, FinCategory, Functor, ValidationReport, categories_equal, enumerate_subcategories
 from mobiuskit.enriched import SizeAssignment
-from mobiuskit.errors import BudgetExceeded, MalformedInput, NotInvertible
+from mobiuskit.errors import BudgetExceeded, MalformedInput, NotInvertible, RigMismatch
 from mobiuskit.functoriality import pullback_transform, pushforward
-from mobiuskit.incidence import fine_basis, fine_convolve, fine_delta, fine_mobius
+from mobiuskit.incidence import CoarseElement, FineElement, fine_basis, fine_convolve, fine_delta, fine_mobius
 from mobiuskit.matrixrig import RigMatrix, adj_halves, det_halves
 from mobiuskit.rigs import INT, Rig
 
@@ -386,3 +393,99 @@ def endomorphism_report_by_names(c: FinCategory) -> tuple:
     isos = tuple(f for f, _ in iso_witnesses_by_names(c) if not c.is_identity(f))
     endos = tuple(a.name for a in c.arrows if a.src == a.tgt and not c.is_identity(a.name))
     return isos, tuple(e for e in endos if c.compose[(e, e)] == e), endos
+
+
+# the fine level, the functor transforms and the adjunction check through
+# the name views
+
+
+def categories_equal_by_names(c: FinCategory, d: FinCategory) -> bool:
+    return (
+        set(c.objects) == set(d.objects)
+        and set(c.arrows) == set(d.arrows)
+        and c.identity == d.identity
+        and c.compose == d.compose
+    )
+
+
+def fine_convolve_by_names(x: FineElement, y: FineElement) -> FineElement:
+    """incidence.fine_convolve: each composite's terms summed in the order of factorizations()."""
+    c, rig = x.category, x.rig
+    values = {}
+    for name, pairs in c.factorizations().items():
+        values[name] = rig.sum(rig.mul(x.values[g], y.values[h]) for g, h in pairs)
+    return FineElement(c, rig, values)
+
+
+def sigma_to_coarse_by_names(x: FineElement) -> CoarseElement:
+    """incidence.sigma_to_coarse: rig.sum over each nonempty hom-set's names."""
+    c, rig = x.category, x.rig
+    rows = [[rig.zero] * len(c.objects) for _ in c.objects]
+    for i, j, names in c.nonempty_homs()[0]:
+        rows[i][j] = rig.sum(map(x.values.__getitem__, names))
+    return CoarseElement(c.objects, rig, RigMatrix.from_rows(rig, rows), c)
+
+
+def pushforward_by_names(f: Functor, x: FineElement) -> FineElement:
+    if x.category is not f.source and not categories_equal(x.category, f.source):
+        raise RigMismatch("element does not live on the functor's source")
+    rig = x.rig
+    values = dict.fromkeys(f.target.arrow_names(), rig.zero)
+    for name in f.source.arrow_names():
+        image = f.arrow_map[name]
+        values[image] = rig.add(values[image], x.values[name])
+    return FineElement(f.target, rig, values)
+
+
+def pullback_transform_by_names(f: Functor, y: FineElement) -> FineElement:
+    if y.category is not f.target and not categories_equal(y.category, f.target):
+        raise RigMismatch("element does not live on the functor's target")
+    values = {name: y.values[f.arrow_map[name]] for name in f.source.arrow_names()}
+    return FineElement(f.source, y.rig, values)
+
+
+def validate_adjunction_by_names(adj):
+    """functoriality.validate_adjunction: (True, None) or (False, the first failure)."""
+    f, g = adj.left, adj.right
+    a_cat, b_cat = f.source, g.source
+    if f.target is not b_cat and not categories_equal(f.target, b_cat):
+        return False, "F must land in G's source"
+    if g.target is not a_cat and not categories_equal(g.target, a_cat):
+        return False, "G must land in F's source"
+    if not f.validate().ok:
+        return False, "F is not a functor"
+    if not g.validate().ok:
+        return False, "G is not a functor"
+    for a in a_cat.objects:
+        eta = adj.unit.get(a)
+        if eta is None or not a_cat.has_arrow(eta):
+            return False, f"unit missing at {a!r}"
+        arr = a_cat.arrow(eta)
+        if arr.src != a or arr.tgt != g.object_map[f.object_map[a]]:
+            return False, f"unit at {a!r} is not an arrow {a!r} -> GF{a!r}"
+    for b in b_cat.objects:
+        eps = adj.counit.get(b)
+        if eps is None or not b_cat.has_arrow(eps):
+            return False, f"counit missing at {b!r}"
+        arr = b_cat.arrow(eps)
+        if arr.src != f.object_map[g.object_map[b]] or arr.tgt != b:
+            return False, f"counit at {b!r} is not an arrow FG{b!r} -> {b!r}"
+    for arrow in a_cat.arrows:
+        lhs = a_cat.compose[(adj.unit[arrow.tgt], arrow.name)]
+        rhs = a_cat.compose[(g.arrow_map[f.arrow_map[arrow.name]], adj.unit[arrow.src])]
+        if lhs != rhs:
+            return False, f"unit not natural at {arrow.name!r}"
+    for arrow in b_cat.arrows:
+        lhs = b_cat.compose[(arrow.name, adj.counit[arrow.src])]
+        rhs = b_cat.compose[(adj.counit[arrow.tgt], f.arrow_map[g.arrow_map[arrow.name]])]
+        if lhs != rhs:
+            return False, f"counit not natural at {arrow.name!r}"
+    for a in a_cat.objects:
+        fa = f.object_map[a]
+        if b_cat.compose[(adj.counit[fa], f.arrow_map[adj.unit[a]])] != b_cat.identity[fa]:
+            return False, f"first triangle identity fails at {a!r}"
+    for b in b_cat.objects:
+        gb = g.object_map[b]
+        if a_cat.compose[(g.arrow_map[adj.counit[b]], adj.unit[gb])] != a_cat.identity[gb]:
+            return False, f"second triangle identity fails at {b!r}"
+    return True, None

@@ -48,6 +48,7 @@ from mobiuskit.incidence import (
     coarse_support,
     coarse_zeta,
     euler_characteristic,
+    fine_basis,
     fine_convolve,
     fine_delta,
     fine_invert,
@@ -85,6 +86,21 @@ def test_fine_delta_and_zeta_basics():
     delta = fine_delta(c2, INT)
     assert delta.values[("el", 0)] == 1
     assert delta.values[("el", 1)] == 0
+
+
+def test_fine_element_takes_values_on_exactly_the_arrows():
+    # a value on a key that is no arrow is refused, naming the first such
+    # key, and a missing value is named before it
+    six = six_example_category()
+    values = dict.fromkeys(six.arrow_names(), 1)
+    with pytest.raises(RigMismatch, match=r"^fine element has a value on 'junk', which is not an arrow$"):
+        FineElement(six, INT, {**values, "junk": 5, "more": 6})
+    first, *rest = six.arrow_names()
+    with pytest.raises(RigMismatch, match=f"^fine element missing a value on arrow {first!r}$"):
+        FineElement(six, INT, {**dict.fromkeys(rest, 1), "junk": 5})
+    with pytest.raises(RigMismatch, match="'junk', which is not an arrow"):
+        fine_basis(six, INT, "junk")
+    assert FineElement(six, INT, dict(reversed(values.items()))).equal(fine_zeta(six, INT))
 
 
 def test_fine_convolution_unit_laws():
