@@ -51,6 +51,7 @@ CASES = [
     ("compare_c2_c2", ["compare", "--category-a", "{D}/group_c2.json", "--category-b", "{D}/group_c2.json"]),
     ("zeta_coarse_divisors6", ["zeta", "--algebra", "coarse", "--category", "{D}/divisors6.json", "--rig", "int"]),
     ("zeta_fine_chain3", ["zeta", "--algebra", "fine", "--category", "{D}/chain3.json"]),
+    ("zeta_patch_six", ["zeta", "--algebra", "patch", "--category", "{D}/six.json"]),
     ("mobius_family_dinj", ["mobius", "--family", "dinj", "--from", "0", "--to", "4"]),
     ("mobius_family_div", ["mobius", "--family", "divisibility", "--from", "1", "--to", "12", "--rig", "int"]),
     ("mobius_family_dsurj_int", ["mobius", "--family", "dsurj", "--from", "0", "--to", "6", "--rig", "int"]),
