@@ -6,10 +6,14 @@ object the position of its identity, and the composition table is three
 int lists in table order, (g, f, g after f) for every pair with
 tgt(f) = src(g), with one int-keyed lookup g*n + f -> g after f.  The
 names live in one tuple and appear only in reports, messages and
-witnesses; arrows, compose (the table keyed by arrow-name pairs) and
-factorizations() are name views of the same lists.  The constructions,
-functor checks, classifier and categories_equal are arithmetic on these
-lists, and no function here builds a name view it does not return.
+witnesses; arrows, compose (the table keyed by arrow-name pairs),
+factorizations() and hom(a, b) are name views of the same lists.  The
+hom-counts |hom(a, b)| are one table, (i, j) -> the number of arrows from
+objects[i] to objects[j] for each nonempty hom-set, which the coarse
+level, the preorder reflection, the patches and the associativity check
+read.  The constructions, functor checks, classifier and categories_equal
+are arithmetic on these lists, and no function here builds a name view it
+does not return.
 
 Construction refuses a table that misses a composable pair or has an
 entry for a pair that does not compose; validate_category then reports
@@ -22,6 +26,7 @@ arrow there they agree.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from itertools import chain, compress, product as cartesian, repeat
 from operator import add, attrgetter, itemgetter, mul
@@ -188,19 +193,10 @@ class FinCategory:
         return dict(zip(map(add, map(mul, self._outer, repeat(n)), self._inner), self._composite))
 
     @cached_property
-    def _hom(self) -> dict:
-        """(i, j) -> the names of the arrows from objects[i] to objects[j],
-        in arrow order, for each nonempty hom-set."""
-        hom: dict = {}
-        for name, key in zip(self._names, zip(self._src, self._tgt)):
-            hom.setdefault(key, []).append(name)
-        return {key: tuple(names) for key, names in hom.items()}
-
-    @cached_property
-    def _nonempty_homs(self) -> tuple:
-        objects = self.objects
-        cells = tuple([(i, j, names) for (i, j), names in self._hom.items()])
-        return cells, frozenset([(objects[i], objects[j]) for i, j, _ in cells])
+    def _hom_counts(self) -> Counter:
+        """(i, j) -> the number of arrows from objects[i] to objects[j], for
+        each nonempty hom-set; every pair it has no key for has none."""
+        return Counter(zip(self._src, self._tgt))
 
     @cached_property
     def _factorizations(self) -> dict:
@@ -225,18 +221,10 @@ class FinCategory:
         return self.objects[self._tgt[self._index[name]]]
 
     def hom(self, a, b) -> tuple:
-        return self._hom.get((self._where.get(a), self._where.get(b)), ())
-
-    def nonempty_homs(self) -> tuple:
-        """(cells, pairs), read off the nonempty hom-sets in one pass.
-
-        cells lists each nonempty hom(a, b) as (i, j, names), with i and j
-        the positions of a and b in objects; pairs is the frozenset of the
-        (a, b) with a map a -> b.  Every other hom-set is empty, so work
-        over all object pairs can skip them.  Built on first read and kept,
-        since the category is immutable.
-        """
-        return self._nonempty_homs
+        """The names of the arrows a -> b, in arrow order, read off the
+        positions on each call."""
+        key = self._where.get(a), self._where.get(b)
+        return tuple(compress(self._names, map(key.__eq__, zip(self._src, self._tgt))))
 
     def is_identity(self, name) -> bool:
         return self._index.get(name) in self._identities
@@ -301,8 +289,8 @@ def validate_category(c: FinCategory) -> ValidationReport:
                 return ValidationReport(False, "right-unit", f"{names[a]!r} o 1 = {names[right[a]]!r}")
     # target -> the sources s with two or more arrows s -> target
     crowded: dict = {}
-    for (s, t), hom in c._hom.items():
-        if len(hom) > 1:
+    for (s, t), count in c._hom_counts.items():
+        if count > 1:
             crowded.setdefault(t, set()).add(s)
     if not crowded:
         return ValidationReport(True)
@@ -373,7 +361,7 @@ def codiscrete_completion(c: FinCategory):
 
 def preorder_reflection(c: FinCategory):
     """Collapse each nonempty hom-set to a single arrow; canonical functor along."""
-    return _thin_image(c, [(a, b) for a in c.objects for b in c.objects if c.hom(a, b)], "le")
+    return _thin_image(c, [(c.objects[i], c.objects[j]) for i, j in sorted(c._hom_counts)], "le")
 
 
 def poset_to_category(elements, relation: Iterable[tuple]) -> FinCategory:
@@ -464,9 +452,10 @@ def patch(c: FinCategory, a, b) -> FinCategory:
 
 
 def patch_objects(c: FinCategory, a, b) -> tuple:
-    if a not in set(c.objects) or b not in set(c.objects):
+    if a not in c._where or b not in c._where:
         raise UnknownObject(f"patch endpoints {a!r}, {b!r} must be objects")
-    return tuple(z for z in c.objects if c.hom(a, z) and c.hom(z, b))
+    i, j, homs = c._where[a], c._where[b], c._hom_counts
+    return tuple(z for k, z in enumerate(c.objects) if (i, k) in homs and (k, j) in homs)
 
 
 def subcategory(c: FinCategory, objs, arrow_names) -> FinCategory:
@@ -492,12 +481,7 @@ def iso_witnesses(c: FinCategory):
 
 def is_skeletal(c: FinCategory) -> bool:
     """No isomorphisms between distinct objects."""
-    return _skeletal(endomorphism_report(c))
-
-
-def _skeletal(report: "EndomorphismReport") -> bool:
-    """is_skeletal, read off an endomorphism report: an iso between distinct objects is no endo."""
-    return set(report.nontrivial_isos) <= set(report.nontrivial_endos)
+    return endomorphism_report(c).skeletal
 
 
 class EndomorphismReport(Frozen):
@@ -507,6 +491,11 @@ class EndomorphismReport(Frozen):
         object.__setattr__(self, "nontrivial_isos", nontrivial_isos)
         object.__setattr__(self, "nontrivial_idempotents", nontrivial_idempotents)
         object.__setattr__(self, "nontrivial_endos", nontrivial_endos)
+
+    @property
+    def skeletal(self) -> bool:
+        """No isomorphism between distinct objects (is_skeletal): every nontrivial iso is an endo."""
+        return set(self.nontrivial_isos) <= set(self.nontrivial_endos)
 
     @property
     def mobius(self) -> bool:
@@ -568,8 +557,13 @@ class Functor(Record):
         self.arrow_map = arrow_map
 
     def _images(self) -> list:
-        """The target position of each source arrow's image, in arrow order."""
-        return list(map(self.target._index.__getitem__, map(self.arrow_map.__getitem__, self.source._names)))
+        """The target position of each source arrow's image, in arrow order.
+        An arrow map that misses an arrow or names one outside the target
+        is refused with MalformedInput, worded as validate() words it."""
+        try:
+            return list(map(self.target._index.__getitem__, map(self.arrow_map.__getitem__, self.source._names)))
+        except KeyError:
+            raise MalformedInput(self.validate().message()) from None
 
     def validate(self) -> ValidationReport:
         """Check the functor laws, returning the first violation with its

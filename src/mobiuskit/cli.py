@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import matrixrig
-from .category import _skeletal, endomorphism_report, graphs_equal, underlying_graph, validate_category
+from .category import endomorphism_report, graphs_equal, underlying_graph, validate_category
 from .enriched import GradedGraphCategory, graded_mobius, graded_zeta, magnitude, segment_refinement_study
 from .errors import (
     BudgetExceeded,
@@ -392,7 +392,7 @@ def cmd_classify(args):
         return "rat", broken, EXIT_NEGATIVE
     report = endomorphism_report(cat)
     results = {
-        "skeletal": _skeletal(report),  # is_skeletal, from the one walk of the isomorphisms
+        "skeletal": report.skeletal,  # is_skeletal, from the one walk of the isomorphisms
         "nontrivial_isos": sorted(report.nontrivial_isos),
         "nontrivial_idempotents": sorted(report.nontrivial_idempotents),
         "nontrivial_endos": sorted(report.nontrivial_endos),

@@ -16,7 +16,7 @@ from itertools import compress, repeat
 from operator import is_not, mul
 
 from ._record import Record
-from .category import FinCategory, is_mobius_category
+from .category import FinCategory, categories_equal, is_mobius_category
 from .errors import (
     MalformedInput,
     NotInvertible,
@@ -31,6 +31,13 @@ from .rigs import INT, Rig
 def _check_same_rig(x, y):
     if x.rig.name != y.rig.name:
         raise RigMismatch(f"elements over {x.rig.name} and {y.rig.name}")
+
+
+def _check_same_table(x, y):
+    """Fine elements combine only over one rig and on one category, or on two equal ones."""
+    _check_same_rig(x, y)
+    if not categories_equal(x.category, y.category):
+        raise RigMismatch("fine elements on different categories")
 
 
 class FineElement(Record):
@@ -60,7 +67,7 @@ class FineElement(Record):
         return self.values[arrow_name]
 
     def equal(self, other: "FineElement") -> bool:
-        _check_same_rig(self, other)
+        _check_same_table(self, other)
         return all(map(self.rig.eq, _row(self, self.category), _row(other, self.category)))
 
 
@@ -172,7 +179,7 @@ def fine_basis(c: FinCategory, rig: Rig, arrow_name) -> FineElement:
 def fine_convolve(x: FineElement, y: FineElement) -> FineElement:
     """(x * y)(f) = sum over factorizations h o g = f of x(g) y(h), summed
     in table order by one walk of the table."""
-    _check_same_rig(x, y)
+    _check_same_table(x, y)
     c, rig = x.category, x.rig
     xs, ys, values = _row(x, c), _row(y, c), [rig.zero] * len(c._names)
     for h, g, f in zip(c._outer, c._inner, c._composite):
@@ -295,18 +302,18 @@ def coarse_delta(c: FinCategory, rig: Rig) -> CoarseElement:
 
 
 def _hom_rows(c: FinCategory, empty, value) -> list:
-    """Rows in object order holding value(names) at each nonempty hom-set
-    and the one object empty everywhere else, so the work is proportional
-    to the nonempty hom-sets, not to the object pairs."""
+    """Rows in object order holding value(|hom(a, b)|) at each nonempty
+    hom-set and the one object empty everywhere else, so the work is
+    proportional to the nonempty hom-sets, not to the object pairs."""
     n = len(c.objects)
     rows = [[empty] * n for _ in range(n)]
-    for i, j, names in c.nonempty_homs()[0]:
-        rows[i][j] = value(names)
+    for (i, j), count in c._hom_counts.items():
+        rows[i][j] = value(count)
     return rows
 
 
 def coarse_zeta(c: FinCategory, rig: Rig) -> CoarseElement:
-    rows = _hom_rows(c, rig.zero, lambda names: rig.from_int(len(names)))
+    rows = _hom_rows(c, rig.zero, rig.from_int)
     return CoarseElement(c.objects, rig, RigMatrix.from_rows(rig, rows), c)
 
 
@@ -320,7 +327,7 @@ def coarse_multiply(x: CoarseElement, y: CoarseElement) -> CoarseElement:
 def coarse_mobius(c: FinCategory, rig: Rig) -> CoarseElement:
     """Inverse of the hom-count matrix, exactly."""
     try:
-        inverse = invert_counting_matrix(_hom_rows(c, 0, len), rig)
+        inverse = invert_counting_matrix(_hom_rows(c, 0, int), rig)
     except NotInvertible as e:
         if e.witness and e.witness[0] == "column":
             col = e.witness[1]
@@ -346,7 +353,8 @@ def sigma_to_coarse(x: FineElement) -> CoarseElement:
 
 def coarse_support(c: FinCategory) -> frozenset:
     """The object pairs (a, b) with a map a -> b."""
-    return c.nonempty_homs()[1]
+    objects = c.objects
+    return frozenset([(objects[i], objects[j]) for i, j in c._hom_counts])
 
 
 def sigma_to_patch(x: FineElement) -> PatchElement:

@@ -421,8 +421,10 @@ def sigma_to_coarse_by_names(x: FineElement) -> CoarseElement:
     """incidence.sigma_to_coarse: rig.sum over each nonempty hom-set's names."""
     c, rig = x.category, x.rig
     rows = [[rig.zero] * len(c.objects) for _ in c.objects]
-    for i, j, names in c.nonempty_homs()[0]:
-        rows[i][j] = rig.sum(map(x.values.__getitem__, names))
+    for i, a in enumerate(c.objects):
+        for j, b in enumerate(c.objects):
+            if names := c.hom(a, b):
+                rows[i][j] = rig.sum(map(x.values.__getitem__, names))
     return CoarseElement(c.objects, rig, RigMatrix.from_rows(rig, rows), c)
 
 

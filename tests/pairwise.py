@@ -1,19 +1,21 @@
-"""Coarse and patch incidence built pair by pair, the tests' reference for
-the hom-table reads.
+"""Coarse and patch incidence, the preorder reflection and the patch
+objects built pair by pair, the tests' reference for the hom-count reads.
 
-Every function asks len(c.hom(a, b)) of each ordered object pair, in row-
-major order, and checks a patch result by comparing every entry with
-rig.zero through rig.eq.  The package reads the same figures off the
-nonempty hom-sets (FinCategory.nonempty_homs) and compares only the
-entries that are not the rig.zero object; both must give the same values,
-types, messages and witnesses.
+Every function asks len(c.hom(a, b)) of each ordered object pair it needs,
+in row-major order, and checks a patch result by comparing every entry
+with rig.zero through rig.eq.  The package reads the same figures off one
+table of hom-counts keyed by object positions (FinCategory._hom_counts)
+and compares only the entries that are not the rig.zero object; both must
+give the same values, types, messages and witnesses, and the same
+categories in the same order.
 """
 
-from mobiuskit.category import FinCategory
+from mobiuskit.category import FinCategory, Functor
 from mobiuskit.errors import NotInvertible, RigMismatch
 from mobiuskit.incidence import FineElement
 from mobiuskit.matrixrig import invert_counting_matrix
 from mobiuskit.rigs import Rig
+from oracles import thin_category_by_names
 
 
 def coarse_zeta_rows(c: FinCategory, rig: Rig) -> list:
@@ -52,3 +54,16 @@ def patch_mobius_rows(c: FinCategory, rig: Rig) -> tuple:
             if not rig.eq(value, rig.zero) and (a, b) not in pairs:
                 raise RigMismatch(f"patch element has a nonzero value off-support at ({a!r},{b!r})")
     return rows
+
+
+def preorder_reflection(c: FinCategory) -> tuple:
+    """The thin category with one arrow ("le", a, b) for each pair with a map
+    a -> b, row by row, and the functor from c onto it."""
+    leq = [(a, b) for a in c.objects for b in c.objects if len(c.hom(a, b))]
+    thin = thin_category_by_names(c.objects, leq, "le")
+    return thin, Functor(c, thin, {o: o for o in c.objects}, {f.name: ("le", f.src, f.tgt) for f in c.arrows})
+
+
+def patch_objects(c: FinCategory, a, b) -> tuple:
+    """The objects z with maps a -> z and z -> b, in object order."""
+    return tuple(z for z in c.objects if len(c.hom(a, z)) and len(c.hom(z, b)))

@@ -10,10 +10,11 @@ factorizations, and the projections of a pullback; and they must refuse
 the same inputs with the same message.  Functor.validate must name the
 same law and witness, and is_ulf, fibre_sizes, iso_witnesses,
 endomorphism_report and is_skeletal give the same answers and
-witnesses.  The inputs are the corpus of
-tests/test_incidence.py (certificate_corpus, which holds general_corpus),
-seeded subsets and relations drawn from it, and the sizes of
-tests/test_scale.py.
+witnesses.  preorder_reflection and patch_objects also match
+tests/pairwise.py, which asks len(c.hom(a, b)) of each object pair.  The
+inputs are the corpus of tests/test_incidence.py (certificate_corpus,
+which holds general_corpus), seeded subsets and relations drawn from it,
+and the sizes of tests/test_scale.py.
 """
 
 import random
@@ -22,6 +23,7 @@ from itertools import combinations
 import pytest
 
 import oracles
+import pairwise
 from mobiuskit import category
 from mobiuskit.category import (
     FinCategory,
@@ -42,7 +44,7 @@ from mobiuskit.category import (
     product,
     subcategory,
 )
-from mobiuskit.errors import MalformedInput
+from mobiuskit.errors import MalformedInput, UnknownObject
 from mobiuskit.functoriality import category_pullback, fibre_sizes, is_ulf
 from corpus import (
     beck_chevalley_instances,
@@ -139,6 +141,20 @@ def test_thin_categories_match_the_name_construction(corpus, monkeypatch):
     assert completed == [outcome(codiscrete_completion, c) for c in categories]
     refusals = {result.split(" ")[0] for result in built + reflected if isinstance(result, str)}
     assert refusals == {"transitivity", "duplicate", "identity"}
+
+
+def test_reflection_and_patch_objects_match_the_pair_by_pair_reference(corpus):
+    # both read the hom-count table; tests/pairwise.py asks len(c.hom(a, b))
+    # of each object pair.  The copies list the objects and arrows in reverse
+    # order, so the reflection's arrows must follow the objects, not the arrows
+    copies = [FinCategory(c.objects[::-1], c.arrows[::-1], c.identity, c.compose) for c in corpus]
+    for c in corpus + copies:
+        assert outcome(preorder_reflection, c) == outcome(pairwise.preorder_reflection, c)
+        for a in c.objects:
+            for b in c.objects:
+                assert patch_objects(c, a, b) == pairwise.patch_objects(c, a, b)
+        with pytest.raises(UnknownObject, match="must be objects"):
+            patch_objects(c, c.objects[0], "nowhere")
 
 
 def test_monoids_match_the_name_construction():

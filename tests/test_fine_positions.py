@@ -11,9 +11,10 @@ tests/corpus.py over int, rat and real, with elements and functors on
 categories_equal copies whose arrows lie in another order.
 
 The last test checks that these calls, the verify, Beck-Chevalley and
-span checks, and the thin, full and patch constructions read positions
-only: no category they are given gets its arrows or compose view or its
-factorizations() built.
+span checks, the thin, full and patch constructions, the coarse and patch
+zeta and Mobius functions, euler_characteristic and validate_category
+read positions only: no category they are given gets its arrows or
+compose view, its factorizations() or a table of hom-set names built.
 """
 
 import random
@@ -31,6 +32,7 @@ from mobiuskit.category import (
     patch,
     preorder_reflection,
     product,
+    validate_category,
 )
 from mobiuskit.errors import RigMismatch
 from mobiuskit.functoriality import (
@@ -42,7 +44,18 @@ from mobiuskit.functoriality import (
     pushforward,
     validate_adjunction,
 )
-from mobiuskit.incidence import fine_convolve, fine_mobius, fine_zeta, sigma_to_coarse, verify_inverse
+from mobiuskit.incidence import (
+    coarse_mobius,
+    coarse_zeta,
+    euler_characteristic,
+    fine_convolve,
+    fine_mobius,
+    fine_zeta,
+    patch_mobius,
+    patch_zeta,
+    sigma_to_coarse,
+    verify_inverse,
+)
 from mobiuskit.rigs import INT, RAT, REAL
 from corpus import (
     beck_chevalley_instances,
@@ -117,6 +130,24 @@ def test_convolution_and_sigma_match_the_name_walks(corpus):
     assert swapped > 2 * len(corpus)
     x, y = random_fine_element(chain_category(3), RAT, rng), random_fine_element(chain_category(3), RAT, rng)
     assert not fine_convolve(x, y).equal(fine_convolve(y, x))
+
+
+def test_fine_elements_on_different_categories_are_refused():
+    # chain(2)'s arrows are all arrows of chain(3), and the two tables of one
+    # graph differ only in their composites: each pair is refused both ways
+    # round, and an equal copy in another order is accepted
+    three = chain_category(3)
+    pairs = [(chain_category(2), three)] + same_graph_composition_pairs()[:3]
+    for rig in (INT, RAT):
+        for c, d in pairs:
+            x, y = fine_zeta(c, rig), fine_zeta(d, rig)
+            for a, b in ((x, y), (y, x)):
+                for call in (a.equal, lambda b: fine_convolve(a, b), lambda b: verify_inverse(a, b)):
+                    with pytest.raises(RigMismatch, match="^fine elements on different categories$"):
+                        call(b)
+        x, twin = fine_zeta(three, rig), fine_zeta(reordered(three), rig)
+        assert twin.equal(x) and x.equal(twin)
+        assert fine_convolve(twin, x).equal(fine_convolve(x, x)) and verify_inverse(fine_mobius(three, rig), twin)
 
 
 def test_transforms_match_the_name_walks():
@@ -208,7 +239,9 @@ def test_adjunction_check_matches_the_name_walk(corpus):
     }
 
 
-VIEWS = ("arrows", "compose", "_factorizations")
+# the name views, and the tables of hom-set names by object positions that
+# a category once cached for the coarse level
+VIEWS = ("arrows", "compose", "_factorizations", "_hom", "_nonempty_homs")
 
 
 def views_built(call, *categories) -> list:
@@ -237,6 +270,9 @@ def test_library_calls_build_no_name_view():
             assert views_built(lambda: pushforward(collapse, x), c, thin) == none * 2
             assert views_built(lambda: pushforward(collapse, on_twin), c, thin, twin) == none * 3
             assert views_built(lambda: pullback_transform(collapse, on_thin), c, thin) == none * 2
+        for call in (coarse_zeta, coarse_mobius, patch_zeta, patch_mobius, euler_characteristic):
+            assert views_built(lambda: call(c, RAT), c) == none
+        assert views_built(lambda: validate_category(c), c) == none
         assert views_built(lambda: full_subcategory(c, c.objects[1:]), c) == none
         assert views_built(lambda: patch(c, c.objects[0], c.objects[-1]), c) == none
         twin = reordered(c)

@@ -162,6 +162,28 @@ def test_pullback_transform_examples():
     assert pullback_transform(collapse, codisc_zeta).equal(zeta)
 
 
+def test_transforms_refuse_an_arrow_map_that_misses_an_arrow_or_the_target():
+    # the first arrow's image dropped, or sent to a name the target lacks:
+    # each call that reads the images names the fault as validate() does
+    thin, collapse = preorder_reflection(chain_category(2))
+    source, (first, *rest) = collapse.source, collapse.source.arrow_names()
+    assert first == ("le", 0, 0)
+    broken = [
+        (Functor(source, thin, collapse.object_map, {name: collapse.arrow_map[name] for name in rest}),
+         "arrow-map-totality: ('le', 0, 0)"),
+        (Functor(source, thin, collapse.object_map, {**collapse.arrow_map, first: "nowhere"}),
+         "arrow-map-range: ('le', 0, 0)"),
+    ]
+    x, y = fine_zeta(source, INT), fine_zeta(thin, INT)
+    for functor, message in broken:
+        assert functor.validate().message() == message
+        for call in (lambda: pushforward(functor, x), lambda: pullback_transform(functor, y),
+                     lambda: is_ulf(functor), lambda: fibre_sizes(functor)):
+            with pytest.raises(MalformedInput) as refused:
+                call()
+            assert str(refused.value) == message
+
+
 def test_pullback_of_zeta_is_zeta_for_every_functor():
     for label, functor in functor_corpus():
         pulled = pullback_transform(functor, fine_zeta(functor.target, RAT))

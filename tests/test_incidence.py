@@ -1,6 +1,7 @@
 import math
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ from corpus import (
 )
 from mobiuskit.errors import MalformedInput, NotInvertible, NotNerveFinite, RigMismatch, UnsupportedRig
 from mobiuskit.fileio import load_category
-from mobiuskit import matrixrig
+from mobiuskit import category, matrixrig
 from mobiuskit.incidence import (
     FineElement,
     PatchElement,
@@ -990,22 +991,25 @@ def test_hom_table_reads_match_the_pair_by_pair_reference():
     assert refused >= 200
 
 
-def test_patch_mu_and_zeta_walk_the_hom_table_once():
-    # the category keeps what nonempty_homs reads, so coarse_mobius and
-    # coarse_support inside patch_mobius, and patch_zeta after it, share one walk
-    walks = []
+def test_patch_mu_and_zeta_walk_the_hom_table_once(monkeypatch):
+    # the category keeps its hom-count table, so coarse_mobius and
+    # coarse_support inside patch_mobius, and patch_zeta after it, share one
+    # count of the arrows by (source, target) positions
+    builds = []
 
-    class CountingHoms(dict):
-        def items(self):
-            walks.append(1)
-            return super().items()
+    class CountingCounter(Counter):
+        def __init__(self, *args):
+            builds.append(1)
+            super().__init__(*args)
 
+    monkeypatch.setattr(category, "Counter", CountingCounter)
     cat = product(chain_category(7), chain_category(7))
-    cat._hom = CountingHoms(cat._hom)
     mu = patch_mobius(cat, RAT)
+    table = vars(cat)["_hom_counts"]
     zeta = patch_zeta(cat, RAT)
-    assert len(walks) == 1
-    assert cat.nonempty_homs() is cat.nonempty_homs()
+    assert len(builds) == 1 and vars(cat)["_hom_counts"] is table
+    # object i of chain(7)^2 is (i // 7, i % 7), with one arrow i -> j when both coordinates rise
+    assert table == {(i, j): 1 for i in range(49) for j in range(49) if i // 7 <= j // 7 and i % 7 <= j % 7}
     assert mu.support == zeta.support == pairwise.support(cat) and len(mu.support) == 784
     assert patch_multiply(mu, zeta).equal(patch_delta(cat, RAT))
 
