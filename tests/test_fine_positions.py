@@ -239,8 +239,8 @@ def test_adjunction_check_matches_the_name_walk(corpus):
     }
 
 
-# the name views, and the tables of hom-set names by object positions that
-# a category once cached for the coarse level
+# the name views, and tables of hom-set names by object pairs: the coarse
+# level, the patches and validate_category read hom-counts, not names
 VIEWS = ("arrows", "compose", "_factorizations", "_hom", "_nonempty_homs")
 
 
